@@ -14,11 +14,6 @@
 namespace pdet::detect {
 namespace {
 
-std::size_t gradient_capacity_bytes(const imgproc::GradientField& g) {
-  return g.fx.capacity_bytes() + g.fy.capacity_bytes() +
-         g.magnitude.capacity_bytes() + g.angle.capacity_bytes();
-}
-
 struct LevelJobCtx {
   DetectionEngine* engine;
   const imgproc::ImageF* frame;
@@ -30,19 +25,19 @@ struct LevelJobCtx {
 }  // namespace
 
 std::size_t LevelWorkspace::capacity_bytes() const {
-  return scaled.capacity_bytes() + gradient_capacity_bytes(grad) +
+  return scaled.capacity_bytes() + grad.capacity_bytes() +
          cells.capacity_bytes() + blocks.capacity_bytes() +
          block_scratch.capacity() * sizeof(float) + batch.capacity_bytes() +
          hits.capacity() * sizeof(Detection);
 }
 
 std::size_t AnchorWorkspace::capacity_bytes() const {
-  return scaled.capacity_bytes() + gradient_capacity_bytes(grad) +
+  return scaled.capacity_bytes() + grad.capacity_bytes() +
          cells.capacity_bytes();
 }
 
 std::size_t FrameWorkspace::capacity_bytes() const {
-  std::size_t total = gradient_capacity_bytes(base_grad) +
+  std::size_t total = base_grad.capacity_bytes() +
                       base_cells.capacity_bytes() +
                       levels.capacity() * sizeof(LevelWorkspace) +
                       anchors.capacity() * sizeof(AnchorWorkspace) +
@@ -52,7 +47,7 @@ std::size_t FrameWorkspace::capacity_bytes() const {
   total += result.detections.capacity() * sizeof(Detection) +
            result.raw.capacity() * sizeof(Detection) +
            result.per_level.capacity() * sizeof(LevelStats);
-  total += win_crop.capacity_bytes() + gradient_capacity_bytes(win_grad) +
+  total += win_crop.capacity_bytes() + win_grad.capacity_bytes() +
            win_cells.capacity_bytes() + win_blocks.capacity_bytes() +
            win_block_scratch.capacity() * sizeof(float) +
            win_batch.capacity_bytes();

@@ -67,7 +67,7 @@ struct EngineStats {
 struct LevelWorkspace {
   double scale = 1.0;
   imgproc::ImageF scaled;              ///< kImage: per-level resized frame
-  imgproc::GradientField grad;         ///< kImage: per-level gradient field
+  imgproc::GradientField grad;         ///< kImage: per-level cell-grid row scratch
   hog::CellGrid cells;                 ///< per-level (re)scaled cell grid
   hog::BlockGrid blocks;               ///< normalized features the scan reads
   std::vector<float> block_scratch;    ///< one raw block (4 * bins floats)
@@ -88,7 +88,7 @@ struct LevelWorkspace {
 struct AnchorWorkspace {
   double scale = 1.0;
   imgproc::ImageF scaled;
-  imgproc::GradientField grad;
+  imgproc::GradientField grad;         ///< cell-grid row scratch
   hog::CellGrid cells;
 
   std::size_t capacity_bytes() const;
@@ -98,7 +98,7 @@ struct AnchorWorkspace {
 /// frames. Buffers are re-shaped in place and storage is never released, so
 /// once each slot has reached its high-water size a frame allocates nothing.
 struct FrameWorkspace {
-  imgproc::GradientField base_grad;    ///< kFeature: native-scale gradients
+  imgproc::GradientField base_grad;    ///< kFeature: native-scale row scratch
   hog::CellGrid base_cells;            ///< kFeature: native-scale cell grid
   std::vector<LevelWorkspace> levels;  ///< grown to max level count, kept
   std::vector<AnchorWorkspace> anchors;
@@ -108,7 +108,7 @@ struct FrameWorkspace {
 
   // score_window scratch (satellite of the same zero-alloc story).
   imgproc::ImageF win_crop;
-  imgproc::GradientField win_grad;
+  imgproc::GradientField win_grad;     ///< cell-grid row scratch
   hog::CellGrid win_cells;
   hog::BlockGrid win_blocks;
   std::vector<float> win_block_scratch;

@@ -5,13 +5,36 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "src/hog/cell_grid_kernels.hpp"
 #include "src/imgproc/convolve.hpp"
-#include "src/imgproc/gradient.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/util/strings.hpp"
 
 namespace pdet::hog {
+namespace {
+
+using imgproc::kRowSpan;
+using util::simd::padded_floats;
+
+#define PDET_SIMD_KERNEL_FILE "src/hog/cell_grid_kernels.inc"
+#include "src/util/simd_clone.inc"
+
+/// Bilinear split of a pixel at offset `r` inside its cell between the
+/// cell centers bracketing it: (1 - w1) to cell `first` (-1 = the previous
+/// cell, 0 = its own) and w1 to `first + 1`. Computed from the offset alone,
+/// so the pattern repeats exactly every cell.
+struct Split {
+  int first;
+  float w1;
+};
+
+Split split(int r, float inv_cell) {
+  const float f = (static_cast<float>(r) + 0.5f) * inv_cell - 0.5f;
+  return f < 0.0f ? Split{-1, f + 1.0f} : Split{0, f};
+}
+
+}  // namespace
 
 void require_frame_alignment(int width, int height, const HogParams& params) {
   if (width % params.cell_size != 0 || height % params.cell_size != 0) {
@@ -73,88 +96,152 @@ CellGrid compute_cell_grid(const imgproc::ImageF& image,
   return grid;
 }
 
+const util::simd::Kernels<CellGridKernels>& cell_grid_kernels() {
+  static const util::simd::Kernels<CellGridKernels> table = [] {
+    const auto& gradient = imgproc::gradient_kernels();
+    return util::simd::Kernels<CellGridKernels>{
+        {gradient.baseline, vote_base, reduce_base},
+#ifdef PDET_SIMD_AVX2_CLONE
+        {gradient.avx2, vote_avx2, reduce_avx2},
+#else
+        {gradient.baseline, vote_base, reduce_base},
+#endif
+    };
+  }();
+  return table;
+}
+
 void compute_cell_grid_into(const imgproc::ImageF& image,
                             const HogParams& params,
-                            imgproc::GradientField& grad_scratch,
-                            CellGrid& grid) {
+                            imgproc::GradientField& scratch, CellGrid& grid) {
+  compute_cell_grid_into(cell_grid_kernels().active(), image, params, scratch,
+                         grid);
+}
+
+void compute_cell_grid_into(const CellGridKernels& kernels,
+                            const imgproc::ImageF& image,
+                            const HogParams& params,
+                            imgproc::GradientField& scratch, CellGrid& grid) {
   PDET_TRACE_SCOPE("hog/cell_grid");
   params.validate();
   PDET_REQUIRE(!image.empty());
   obs::counter_add("hog.cell_grids");
+  obs::counter_add("imgproc.gradient_pixels",
+                   static_cast<long long>(image.width()) *
+                       static_cast<long long>(image.height()));
 
   const int cell = params.cell_size;
+  const int bins = params.bins;
   const int cells_x = image.width() / cell;
   const int cells_y = image.height() / cell;
-  grid.reset(cells_x, cells_y, params.bins);
+  grid.reset(cells_x, cells_y, bins);
   if (cells_x == 0 || cells_y == 0) return;
 
+  const imgproc::ImageF* src = &image;
   if (params.presmooth_sigma > 0.0f) {
-    imgproc::compute_gradients_into(
-        imgproc::gaussian_blur(image, params.presmooth_sigma),
-        params.gradient_op, grad_scratch);
-  } else {
-    imgproc::compute_gradients_into(image, params.gradient_op, grad_scratch);
+    imgproc::gaussian_blur_into(image, params.presmooth_sigma, scratch.blur,
+                                scratch.smoothed);
+    src = &scratch.smoothed;
   }
-  const imgproc::GradientField& g = grad_scratch;
-  constexpr float kPi = std::numbers::pi_v<float>;
-  const float bin_width = kPi / static_cast<float>(params.bins);
-  const float inv_bin_width = 1.0f / bin_width;
+
+  // Scratch layout, 64-byte aligned pieces: the gradient row stream, two
+  // cell-row accumulator slots (cell row cy uses slot cy & 1: a pixel row
+  // touches at most two adjacent cell rows), and the horizontal weights.
+  // Accumulator columns run from -margin to span + margin; the margins stay
+  // zero, so edge cells reduce over them without bounds checks.
+  const int cols = cells_x * cell;  // trailing partial cells dropped
+  const int rows = cells_y * cell;
+  const auto span = static_cast<std::size_t>(imgproc::GradientRows::span_for(cols));
+  const std::size_t margin = padded_floats(static_cast<std::size_t>(cell));
+  const std::size_t bin_stride = padded_floats(margin + span + margin);
+  const std::size_t slot_floats = bin_stride * static_cast<std::size_t>(bins);
+  const std::size_t stream_floats = imgproc::GradientRows::scratch_floats(cols);
+  float* base = util::simd::aligned_floats(
+      scratch.rows, stream_floats + 2 * slot_floats +
+                        padded_floats(3 * static_cast<std::size_t>(cell)));
+  imgproc::GradientRows stream(*src, params.gradient_op, cols, kernels.gradient,
+                               base);
+  float* slots = base + stream_floats;
+  float* wx = slots + 2 * slot_floats;
+  std::fill(slots, slots + 2 * slot_floats, 0.0f);
+  const auto slot = [&](int cy) {
+    return slots + static_cast<std::size_t>(cy & 1) * slot_floats + margin;
+  };
+
+  // Horizontal weights of cell 0 over column offsets [r_lo, r_lo + r_n);
+  // every cell uses the same table, shifted by whole cells.
   const float inv_cell = 1.0f / static_cast<float>(cell);
-
-  const int width = cells_x * cell;   // trailing partial cells dropped
-  const int height = cells_y * cell;
-
-  for (int y = 0; y < height; ++y) {
-    for (int x = 0; x < width; ++x) {
-      const float mag = g.magnitude.at(x, y);
-      if (mag == 0.0f) continue;
-      const float angle = g.angle.at(x, y);
-
-      // Orientation vote: split between the two bins whose centers bracket
-      // the angle (bin center i sits at (i + 0.5) * bin_width).
-      int bin0;
-      int bin1;
-      float w1;
-      if (params.orientation_interp) {
-        const float pos = angle * inv_bin_width - 0.5f;
-        const float floor_pos = std::floor(pos);
-        bin0 = static_cast<int>(floor_pos);
-        w1 = pos - floor_pos;
-        bin1 = bin0 + 1;
-        // Unsigned orientation wraps: bin -1 == bins-1, bin `bins` == 0.
-        if (bin0 < 0) bin0 += params.bins;
-        if (bin1 >= params.bins) bin1 -= params.bins;
-      } else {
-        bin0 = std::min(static_cast<int>(angle * inv_bin_width), params.bins - 1);
-        bin1 = bin0;
-        w1 = 0.0f;
+  int r_lo = 0;
+  int r_n = cell;
+  if (params.spatial_interp) {
+    r_lo = -cell;
+    r_n = 0;
+    for (int r = -cell; r < 2 * cell; ++r) {
+      const int q = (r + cell) / cell - 1;  // floor(r / cell)
+      const Split s = split(r - q * cell, inv_cell);
+      const int first = q + s.first;
+      if (first != 0 && first != -1) {
+        if (r_n == 0) r_lo = r + 1;
+        continue;
       }
+      wx[r_n++] = first == 0 ? 1.0f - s.w1 : s.w1;
+    }
+  } else {
+    std::fill(wx, wx + cell, 1.0f);
+  }
 
-      auto vote_cell = [&](int cx, int cy, float weight) {
-        if (cx < 0 || cx >= cells_x || cy < 0 || cy >= cells_y) return;
-        auto h = grid.hist(cx, cy);
-        h[static_cast<std::size_t>(bin0)] += weight * mag * (1.0f - w1);
-        if (w1 > 0.0f) h[static_cast<std::size_t>(bin1)] += weight * mag * w1;
-      };
+  VoteRow vote;
+  vote.bins = bins;
+  vote.inv_bin_width = static_cast<float>(bins) / std::numbers::pi_v<float>;
+  vote.orientation_interp = params.orientation_interp;
+  vote.bin_stride = bin_stride;
+  float* hist = grid.data().data();
+  const std::size_t hist_row = static_cast<std::size_t>(cells_x) *
+                               static_cast<std::size_t>(bins);
+  int flushed = 0;  // cell rows below this are reduced into the grid
+  const auto flush_below = [&](int limit) {
+    for (; flushed < limit; ++flushed) {
+      float* acc = slot(flushed);
+      kernels.reduce(acc, bin_stride, bins, cells_x, cell, wx, r_lo, r_n,
+                     hist + static_cast<std::size_t>(flushed) * hist_row);
+      std::fill(acc - margin, acc - margin + slot_floats, 0.0f);
+    }
+  };
+  // First cell row pixel row y votes into (the second is that + 1).
+  const auto first_row = [&](int y, float* w1) {
+    const int q = y / cell;
+    if (!params.spatial_interp) {
+      *w1 = 0.0f;
+      return q;
+    }
+    const Split s = split(y - q * cell, inv_cell);
+    *w1 = s.w1;
+    return q + s.first;
+  };
 
-      if (params.spatial_interp) {
-        // Bilinear spatial vote across the four cells whose centers are
-        // nearest to the pixel.
-        const float fx = (static_cast<float>(x) + 0.5f) * inv_cell - 0.5f;
-        const float fy = (static_cast<float>(y) + 0.5f) * inv_cell - 0.5f;
-        const int cx0 = static_cast<int>(std::floor(fx));
-        const int cy0 = static_cast<int>(std::floor(fy));
-        const float wx1 = fx - static_cast<float>(cx0);
-        const float wy1 = fy - static_cast<float>(cy0);
-        vote_cell(cx0, cy0, (1.0f - wx1) * (1.0f - wy1));
-        vote_cell(cx0 + 1, cy0, wx1 * (1.0f - wy1));
-        vote_cell(cx0, cy0 + 1, (1.0f - wx1) * wy1);
-        vote_cell(cx0 + 1, cy0 + 1, wx1 * wy1);
-      } else {
-        vote_cell(x / cell, y / cell, 1.0f);
-      }
+  for (int y = 0; y < rows; ++y) {
+    stream.compute(y);
+    float w1 = 0.0f;
+    const int cy0 = first_row(y, &w1);
+    const bool has0 = cy0 >= 0;
+    const bool has1 = params.spatial_interp && cy0 + 1 < cells_y;
+    if (has0) {
+      vote.acc0 = slot(cy0);
+      vote.w0 = 1.0f - w1;
+      vote.acc1 = has1 ? slot(cy0 + 1) : nullptr;
+      vote.w1 = w1;
+    } else {
+      vote.acc0 = slot(cy0 + 1);
+      vote.w0 = w1;
+      vote.acc1 = nullptr;
+    }
+    kernels.vote(stream.magnitude(), stream.orientation(), stream.span(), vote);
+    if (y + 1 < rows) {
+      float unused = 0.0f;
+      flush_below(std::max(first_row(y + 1, &unused), 0));
     }
   }
+  flush_below(cells_y);
 }
 
 }  // namespace pdet::hog

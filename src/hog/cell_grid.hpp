@@ -63,14 +63,19 @@ void require_frame_alignment(int width, int height, const HogParams& params);
 /// Voting follows params: magnitude-weighted, bilinear in orientation
 /// between the two nearest bins, and (optionally) bilinear in space across
 /// the four nearest cell centers.
+///
+/// One streaming pass over image rows computes gradients and votes them
+/// straight into cell histograms (cell_grid_kernels.hpp); no full-frame
+/// gradient plane is built.
 CellGrid compute_cell_grid(const imgproc::ImageF& image,
                            const HogParams& params);
 
-/// `compute_cell_grid` into a caller-owned grid, routing the intermediate
-/// gradient planes through `grad_scratch` — with warm buffers the whole
-/// stage performs no allocation (the DetectionEngine workspace path). The
-/// one exception is `params.presmooth_sigma > 0`, whose Gaussian pass still
-/// allocates a temporary (the paper's configuration uses sigma = 0).
+/// `compute_cell_grid` into a caller-owned grid. `grad_scratch` is the
+/// pass's row scratch (padded input rows, one gradient row, two cell rows
+/// of vote accumulators, and the presmoothed frame when
+/// `params.presmooth_sigma > 0`); its gradient planes are left untouched.
+/// With warm buffers the stage performs no allocation, presmoothing
+/// included (the DetectionEngine workspace path).
 void compute_cell_grid_into(const imgproc::ImageF& image,
                             const HogParams& params,
                             imgproc::GradientField& grad_scratch,

@@ -4,11 +4,12 @@
 #include <cmath>
 
 namespace pdet::imgproc {
+namespace {
 
-Kernel1D gaussian_kernel(double sigma) {
+void gaussian_kernel_into(double sigma, Kernel1D& k) {
   PDET_REQUIRE(sigma > 0.0);
   const int radius = std::max(1, static_cast<int>(std::ceil(3.0 * sigma)));
-  Kernel1D k(static_cast<std::size_t>(2 * radius + 1));
+  k.resize(static_cast<std::size_t>(2 * radius + 1));
   double sum = 0.0;
   for (int i = -radius; i <= radius; ++i) {
     const double v = std::exp(-(static_cast<double>(i) * i) / (2.0 * sigma * sigma));
@@ -16,19 +17,35 @@ Kernel1D gaussian_kernel(double sigma) {
     sum += v;
   }
   for (float& v : k) v = static_cast<float>(v / sum);
+}
+
+}  // namespace
+
+Kernel1D gaussian_kernel(double sigma) {
+  Kernel1D k;
+  gaussian_kernel_into(sigma, k);
   return k;
 }
 
 ImageF separable_convolve(const ImageF& src, const Kernel1D& kx,
                           const Kernel1D& ky) {
+  ImageF mid;
+  ImageF out;
+  separable_convolve_into(src, kx, ky, mid, out);
+  return out;
+}
+
+void separable_convolve_into(const ImageF& src, const Kernel1D& kx,
+                             const Kernel1D& ky, ImageF& mid, ImageF& out) {
   PDET_REQUIRE(!src.empty());
   PDET_REQUIRE(kx.size() % 2 == 1 && ky.size() % 2 == 1);
+  PDET_REQUIRE(&out != &src && &mid != &src);
   const int w = src.width();
   const int h = src.height();
   const int rx = static_cast<int>(kx.size()) / 2;
   const int ry = static_cast<int>(ky.size()) / 2;
 
-  ImageF mid(w, h);
+  mid.reset(w, h);
   for (int y = 0; y < h; ++y) {
     for (int x = 0; x < w; ++x) {
       float acc = 0.0f;
@@ -38,7 +55,7 @@ ImageF separable_convolve(const ImageF& src, const Kernel1D& kx,
       mid.at(x, y) = acc;
     }
   }
-  ImageF out(w, h);
+  out.reset(w, h);
   for (int y = 0; y < h; ++y) {
     for (int x = 0; x < w; ++x) {
       float acc = 0.0f;
@@ -48,13 +65,25 @@ ImageF separable_convolve(const ImageF& src, const Kernel1D& kx,
       out.at(x, y) = acc;
     }
   }
-  return out;
 }
 
 ImageF gaussian_blur(const ImageF& src, double sigma) {
   if (sigma <= 0.0) return src;
-  const Kernel1D k = gaussian_kernel(sigma);
-  return separable_convolve(src, k, k);
+  BlurScratch scratch;
+  ImageF out;
+  gaussian_blur_into(src, sigma, scratch, out);
+  return out;
+}
+
+void gaussian_blur_into(const ImageF& src, double sigma, BlurScratch& scratch,
+                        ImageF& out) {
+  if (sigma <= 0.0) {
+    out = src;
+    return;
+  }
+  gaussian_kernel_into(sigma, scratch.taps);
+  separable_convolve_into(src, scratch.taps, scratch.taps, scratch.horizontal,
+                          out);
 }
 
 }  // namespace pdet::imgproc

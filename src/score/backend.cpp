@@ -1,9 +1,5 @@
 #include "src/score/backend.hpp"
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#include <immintrin.h>
-#endif
-
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -12,6 +8,7 @@
 
 #include "src/fault/injector.hpp"
 #include "src/util/assert.hpp"
+#include "src/util/simd.hpp"
 
 namespace pdet::score {
 
@@ -86,15 +83,9 @@ void ScoreBatch::configure(std::size_t dim, std::size_t capacity) {
   stride_ = (dim + kRowAlignFloats - 1) / kRowAlignFloats * kRowAlignFloats;
   capacity_ = capacity;
   count_ = 0;
-  // Over-allocate by one alignment unit so the first row can be rounded up
-  // to a 64-byte boundary regardless of where the vector's storage lands.
-  const std::size_t need = stride_ * capacity_ + kRowAlignFloats;
-  if (features_.size() < need) features_.resize(need);
+  base_ = util::simd::aligned_floats(features_, stride_ * capacity_);
   if (tags_.size() < capacity_) tags_.resize(capacity_);
   if (scores_.size() < capacity_) scores_.resize(capacity_);
-  auto addr = reinterpret_cast<std::uintptr_t>(features_.data());
-  const std::uintptr_t aligned = (addr + 63u) & ~std::uintptr_t{63};
-  base_ = features_.data() + (aligned - addr) / sizeof(float);
 }
 
 std::span<float> ScoreBatch::push(std::uint64_t tag) {
@@ -146,49 +137,30 @@ void ScalarBackend::kernel(const svm::LinearModel& model, ScoreBatch& batch) {
 
 namespace {
 
-// The kernel bodies live in backend_kernels.inc and are compiled twice:
-// once at the build's baseline ISA (portable floor) and — on x86-64 GCC —
-// once more under an AVX2+FMA target pragma. pick_kernels() chooses per
-// process via CPUID, so the repo builds for the portable baseline yet runs
-// the wide-vector copy on hosts that have it. Same source, same fold order
-// in both copies: scores stay deterministic on any given machine.
-#define PDET_KERNEL_NAME(fn) fn##_base
-#include "src/score/backend_kernels.inc"
-#undef PDET_KERNEL_NAME
-
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define PDET_SCORE_AVX2_CLONE 1
-#pragma GCC push_options
-#pragma GCC target("avx2,fma")
-#define PDET_KERNEL_NAME(fn) fn##_avx2
-#define PDET_SCORE_KERNEL_AVX2 1
-#include "src/score/backend_kernels.inc"
-#undef PDET_SCORE_KERNEL_AVX2
-#undef PDET_KERNEL_NAME
-#pragma GCC pop_options
-#endif
-
-using DotFn = float (*)(const float*, const float*, std::size_t, float);
-using PairFn = void (*)(const float*, const float*, const float*, std::size_t,
-                        float, float*, float*);
+// The kernel bodies live in backend_kernels.inc and are compiled twice
+// through the util::simd seam: at the build's baseline ISA and as an
+// AVX2+FMA copy, one of which runs per process (the seam's CPUID pick,
+// shared with the HOG front end). Same source, same fold order in both
+// copies: scores stay deterministic on any given machine.
+#define PDET_SIMD_KERNEL_FILE "src/score/backend_kernels.inc"
+#include "src/util/simd_clone.inc"
 
 struct DotKernels {
-  DotFn dot;
-  PairFn pair;
+  float (*dot)(const float*, const float*, std::size_t, float);
+  void (*pair)(const float*, const float*, const float*, std::size_t, float,
+               float*, float*);
 };
 
-DotKernels pick_kernels() {
-#ifdef PDET_SCORE_AVX2_CLONE
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return {dot_unrolled_avx2, dot_pair_avx2};
-  }
+const util::simd::Kernels<DotKernels>& dot_kernels() {
+  static const util::simd::Kernels<DotKernels> table{
+      {dot_unrolled_base, dot_pair_base},
+#ifdef PDET_SIMD_AVX2_CLONE
+      {dot_unrolled_avx2, dot_pair_avx2},
+#else
+      {dot_unrolled_base, dot_pair_base},
 #endif
-  return {dot_unrolled_base, dot_pair_base};
-}
-
-const DotKernels& kernels() {
-  static const DotKernels picked = pick_kernels();
-  return picked;
+  };
+  return table;
 }
 
 }  // namespace
@@ -197,7 +169,7 @@ void BatchBackend::kernel(const svm::LinearModel& model, ScoreBatch& batch) {
   const float* w = model.weights.data();
   const std::size_t n = batch.dimension();
   const std::size_t count = batch.size();
-  const DotKernels& k = kernels();
+  const DotKernels& k = dot_kernels().active();
   std::size_t i = 0;
   for (; i + 2 <= count; i += 2) {
     float ya = 0.0f, yb = 0.0f;

@@ -163,10 +163,11 @@ struct EquivalenceCase {
 };
 
 void expect_tiled_equals_untiled(const EquivalenceCase& c, std::uint64_t seed,
-                                 int tile_threads) {
-  hog::HogParams params;
+                                 int tile_threads,
+                                 const hog::HogParams& params = {},
+                                 int width = 512, int tile_width = 256) {
   const svm::LinearModel model = random_model(params, seed ^ 0xabcdef);
-  const imgproc::ImageF frame = scene_frame(512, 384, seed);
+  const imgproc::ImageF frame = scene_frame(width, 384, seed);
 
   detect::MultiscaleOptions ms;
   ms.strategy = c.strategy;
@@ -178,7 +179,7 @@ void expect_tiled_equals_untiled(const EquivalenceCase& c, std::uint64_t seed,
       reference.process(frame, params, model, ms);
 
   tile::TileEngineOptions topts;
-  topts.plan.tile_width = 256;
+  topts.plan.tile_width = tile_width;
   topts.plan.tile_height = 192;
   topts.threads = tile_threads;
   tile::TileEngine tiled(topts);
@@ -208,6 +209,24 @@ TEST(TiledEquivalence, ImagePyramid) {
     for (const int threads : {1, 4}) {
       expect_tiled_equals_untiled({detect::PyramidStrategy::kImage, {1.0, 2.0}},
                                   seed, threads);
+    }
+  }
+}
+
+TEST(TiledEquivalence, OddCellCountFrames) {
+  // 65 cells across with 25-cell tiles, then 87 six-pixel cells: tile seams
+  // fall on odd cells and, with 6-px cells, off the row kernels' 8-pixel
+  // span lattice, so a seam column sits mid-vector in the untiled pass.
+  hog::HogParams six;
+  six.cell_size = 6;
+  six.window_width = 48;
+  six.window_height = 96;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    for (const int threads : {1, 2}) {
+      expect_tiled_equals_untiled({detect::PyramidStrategy::kFeature, {1.0}},
+                                  seed, threads, {}, 520, 200);
+      expect_tiled_equals_untiled({detect::PyramidStrategy::kFeature, {1.0}},
+                                  seed, threads, six, 522, 200);
     }
   }
 }
