@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <vector>
 
 #include "src/detect/nms.hpp"
 #include "src/detect/scanner.hpp"
@@ -144,13 +145,15 @@ void BM_SvmDecision4608(benchmark::State& state) {
 }
 BENCHMARK(BM_SvmDecision4608);
 
-// --- scoring backends: scores/sec vs batch size ---
-// One ScoreBatch of `batch` windows (descriptor-sized random rows) pushed
-// through each backend. Scalar is the per-row reference loop; batch is the
-// blocked/unrolled kernel whose advantage should grow with batch size (one
-// weight-vector pass serves two windows); hwsim runs the quantized MACBAR
-// model with latency simulation off so the measurement is host arithmetic,
-// not modeled device time.
+// --- window scoring: windows/sec vs batch size ---
+// One grid-backed ScoreBatch: the block grid of a 640x480 level (80x60
+// cells, random features) loaded once, then the first `batch` windows of
+// its scan order pushed and scored — the scanner's shape. Kernel is the one
+// CPU window kernel (both backend names); Decision is the reference it is
+// pinned to, each window read out through the batch's accessor and scored
+// by LinearModel::decision; hwsim runs the quantized MACBAR model with
+// latency simulation off so the measurement is host arithmetic, not
+// modeled device time. LoadPlanes is the once-per-level transpose.
 svm::LinearModel scoring_model(std::size_t dim, std::uint64_t seed) {
   util::Rng rng(seed);
   svm::LinearModel model;
@@ -160,26 +163,39 @@ svm::LinearModel scoring_model(std::size_t dim, std::uint64_t seed) {
   return model;
 }
 
-void fill_batch(score::ScoreBatch& batch, std::size_t dim, std::size_t count,
-                std::uint64_t seed) {
+hog::BlockGrid scoring_grid(const hog::HogParams& params, std::uint64_t seed) {
   util::Rng rng(seed);
-  batch.configure(dim, count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::span<float> dst = batch.push(i);
-    for (std::size_t d = 0; d < dim; ++d) {
-      dst[d] = static_cast<float>(rng.uniform());
+  hog::BlockGrid grid(80, 60, params.block_feature_len(), params.layout);
+  for (int y = 0; y < grid.blocks_y(); ++y) {
+    for (int x = 0; x < grid.blocks_x(); ++x) {
+      for (float& v : grid.block(x, y)) {
+        v = static_cast<float>(rng.uniform(0.0, 0.2));
+      }
     }
+  }
+  return grid;
+}
+
+void load_batch(score::ScoreBatch& batch, const hog::BlockGrid& grid,
+                const hog::HogParams& params, std::size_t count) {
+  batch.configure(static_cast<std::size_t>(params.descriptor_size()), count);
+  batch.load(grid, params);
+  const auto nx =
+      static_cast<std::size_t>(hog::window_positions_x(grid, params));
+  for (std::size_t i = 0; i < count; ++i) {
+    batch.push(static_cast<int>(i % nx), static_cast<int>(i / nx));
   }
 }
 
 void score_backend_bench(benchmark::State& state,
                          score::ScoringBackend& backend) {
-  const auto kDim =
-      static_cast<std::size_t>(hog::HogParams().descriptor_size());
-  const svm::LinearModel model = scoring_model(kDim, 13);
+  const hog::HogParams params;
+  const svm::LinearModel model = scoring_model(
+      static_cast<std::size_t>(params.descriptor_size()), 13);
+  const hog::BlockGrid grid = scoring_grid(params, 14);
   const auto count = static_cast<std::size_t>(state.range(0));
   score::ScoreBatch batch;
-  fill_batch(batch, kDim, count, 14);
+  load_batch(batch, grid, params, count);
   for (auto _ : state) {
     backend.score(model, batch);
     benchmark::DoNotOptimize(batch.score(0));
@@ -188,17 +204,43 @@ void score_backend_bench(benchmark::State& state,
                           static_cast<std::int64_t>(count));
 }
 
-void BM_ScoreScalar(benchmark::State& state) {
-  score::ScalarBackend backend;
+void BM_ScoreKernel(benchmark::State& state) {
+  score::CpuBackend backend;
   score_backend_bench(state, backend);
 }
-BENCHMARK(BM_ScoreScalar)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_ScoreKernel)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
 
-void BM_ScoreBatch(benchmark::State& state) {
-  score::BatchBackend backend;
-  score_backend_bench(state, backend);
+void BM_ScoreDecision(benchmark::State& state) {
+  const hog::HogParams params;
+  const auto dim = static_cast<std::size_t>(params.descriptor_size());
+  const svm::LinearModel model = scoring_model(dim, 13);
+  const hog::BlockGrid grid = scoring_grid(params, 14);
+  const auto count = static_cast<std::size_t>(state.range(0));
+  score::ScoreBatch batch;
+  load_batch(batch, grid, params, count);
+  std::vector<float> row(dim);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < count; ++i) {
+      batch.window(i, row);
+      benchmark::DoNotOptimize(model.decision(row));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(count));
 }
-BENCHMARK(BM_ScoreBatch)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_ScoreDecision)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
+
+void BM_ScoreLoadPlanes(benchmark::State& state) {
+  const hog::HogParams params;
+  const hog::BlockGrid grid = scoring_grid(params, 14);
+  score::ScoreBatch batch;
+  batch.configure(static_cast<std::size_t>(params.descriptor_size()), 64);
+  for (auto _ : state) {
+    batch.load(grid, params);
+    benchmark::DoNotOptimize(batch.geometry().pitch);
+  }
+}
+BENCHMARK(BM_ScoreLoadPlanes);
 
 void BM_ScoreHwsim(benchmark::State& state) {
   hwsim::HwsimBackendOptions opts;

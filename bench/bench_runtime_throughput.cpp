@@ -30,10 +30,12 @@
 
 #include "src/core/pedestrian_detector.hpp"
 #include "src/dataset/multistream.hpp"
+#include "src/detect/engine.hpp"
 #include "src/fault/injector.hpp"
 #include "src/obs/report.hpp"
 #include "src/runtime/server.hpp"
 #include "src/score/backend.hpp"
+#include "src/score/hub.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/logging.hpp"
 #include "src/util/strings.hpp"
@@ -124,6 +126,54 @@ double drop_rate(const runtime::RuntimeStats& s) {
              : 0.0;
 }
 
+/// The reference the window kernel is pinned to, as a backend: each window
+/// read out through the batch's accessor and scored by
+/// LinearModel::decision, one serial dot product per window.
+class DecisionBackend final : public score::BackendBase {
+ public:
+  score::BackendKind kind() const override {
+    return score::BackendKind::kScalar;
+  }
+
+ protected:
+  void kernel(const svm::LinearModel& model, score::ScoreBatch& batch) override {
+    thread_local std::vector<float> row;
+    row.resize(batch.dimension());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      batch.window(i, row);
+      batch.set_score(i, model.decision(row));
+    }
+  }
+};
+
+/// Aggregate fps of `streams` cameras served flat out by `workers` engines
+/// that all score through `backend` behind one ScoreHub, as the server's
+/// engines do. Worker w serves streams w, w + workers, ... in turn.
+double engine_pool_fps(const svm::LinearModel& model,
+                       const hog::HogParams& hog,
+                       const detect::MultiscaleOptions& multiscale,
+                       const Feed& feed, int streams, int workers,
+                       int frames_per_stream, score::ScoringBackend& backend) {
+  score::ScoreHub hub(backend, static_cast<std::size_t>(workers),
+                      static_cast<std::size_t>(workers) + 8);
+  const util::Timer timer;
+  std::vector<std::thread> threads;
+  for (int w = 0; w < workers; ++w) {
+    threads.emplace_back([&, w] {
+      detect::DetectionEngine engine(detect::EngineOptions{.scorer = &hub});
+      for (int f = 0; f < frames_per_stream; ++f) {
+        for (int s = w; s < streams; s += workers) {
+          const auto& pool = feed[static_cast<std::size_t>(s)];
+          engine.process(pool[static_cast<std::size_t>(f) % pool.size()], hog,
+                         model, multiscale);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  return static_cast<double>(streams) * frames_per_stream / timer.seconds();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -133,7 +183,8 @@ int main(int argc, char** argv) {
   cli.add_int("pool", 4, "distinct frames per stream (cycled)");
   cli.add_string("backend", "scalar",
                  "scoring backend for the main sections: scalar | batch | "
-                 "hwsim (the batch-fill table always compares scalar vs batch)");
+                 "hwsim (the batch-fill table and the kernel gate always run "
+                 "the CPU kernel)");
   obs::add_cli_options(cli);
   if (!cli.parse(argc, argv)) return 1;
   score::BackendKind backend = score::BackendKind::kScalar;
@@ -225,91 +276,81 @@ int main(int argc, char** argv) {
               scaling, lossless_clean ? "none" : "UNEXPECTED");
 
 
-  // --- cross-stream window batching: scalar vs batch, flat out ---
-  // The refactor's payoff table. Every stream submits flat out (interval 0,
-  // kBlock, no deadline) so the engines are saturated and the shared
-  // ScoreHub sees concurrent scoring requests; "fill" is the mean windows
-  // per backend batch reported by the server. The gate below requires the
-  // batch backend to buy >= 1.2x aggregate fps at 4 streams.
+  // --- cross-stream window batching, flat out ---
+  // Every stream submits flat out (interval 0, kBlock, no deadline) so the
+  // engines are saturated and the shared ScoreHub sees concurrent scoring
+  // requests; "fill" is the mean windows per backend batch reported by the
+  // server. `scalar` and `batch` name the same window kernel, so one row
+  // per stream count covers both.
   std::printf("\n--- cross-stream window batching (flat out, block) ---\n");
   // A dense 12% scale ladder: the feature pyramid makes the extra levels
   // cheap to *build* (cell-grid downscale, no re-extraction) but every level
   // still pays full window-scanning cost — exactly the regime the paper's
-  // accelerator targets, and the one where the scoring backend is the
-  // bottleneck the batch kernel attacks.
+  // accelerator targets, and the one where window scoring is the bottleneck.
   detect::MultiscaleOptions fill_ms = multiscale;
   fill_ms.scales = {1.0, 1.12, 1.26, 1.41, 1.59, 1.78, 2.0};
-  util::Table fill_table({"streams", "backend", "aggregate fps",
-                          "total p99 ms", "batches", "mean fill"});
+  util::Table fill_table({"streams", "aggregate fps", "total p99 ms",
+                          "batches", "mean fill"});
   bool batch_exactly_once = true;
   for (const int n : {1, 2, 4, 8}) {
-    for (const score::BackendKind kind :
-         {score::BackendKind::kScalar, score::BackendKind::kBatch}) {
-      RunConfig cfg;
-      cfg.streams = n;
-      cfg.workers = n;
-      cfg.frames_per_stream = 3 * frames;
-      cfg.interval_ms = 0.0;
-      cfg.max_level = 0;  // lossless: every frame full-pyramid, none skipped
-      cfg.backend = kind;
-      // Best of two runs per cell: flat-out scheduling on a loaded host is
-      // noisy, and the cells are compared against each other.
-      runtime::RuntimeStats s =
-          run_server(detector.model(), hog, fill_ms, feed, cfg);
-      const runtime::RuntimeStats s2 =
-          run_server(detector.model(), hog, fill_ms, feed, cfg);
-      batch_exactly_once = batch_exactly_once && s.completed == s.submitted &&
-                           s2.completed == s2.submitted &&
-                           drop_rate(s) == 0.0 && drop_rate(s2) == 0.0;
-      if (s2.aggregate_fps > s.aggregate_fps) s = s2;
-      fill_table.add_row({std::to_string(n), score::to_string(kind),
-                          util::to_fixed(s.aggregate_fps, 1),
-                          util::to_fixed(s.total_latency_ms.p99, 1),
-                          std::to_string(s.score_batches),
-                          util::to_fixed(s.score_fill, 1)});
-      const std::string prefix = "runtime.bench.fill.streams_" +
-                                 std::to_string(n) + "." +
-                                 score::to_string(kind);
-      obs::gauge_set(prefix + ".aggregate_fps", s.aggregate_fps);
-      obs::gauge_set(prefix + ".mean_fill", s.score_fill);
-    }
+    RunConfig cfg;
+    cfg.streams = n;
+    cfg.workers = n;
+    cfg.frames_per_stream = 3 * frames;
+    cfg.interval_ms = 0.0;
+    cfg.max_level = 0;  // lossless: every frame full-pyramid, none skipped
+    cfg.backend = score::BackendKind::kBatch;
+    // Best of two runs per cell: flat-out scheduling on a loaded host is
+    // noisy.
+    runtime::RuntimeStats s =
+        run_server(detector.model(), hog, fill_ms, feed, cfg);
+    const runtime::RuntimeStats s2 =
+        run_server(detector.model(), hog, fill_ms, feed, cfg);
+    batch_exactly_once = batch_exactly_once && s.completed == s.submitted &&
+                         s2.completed == s2.submitted &&
+                         drop_rate(s) == 0.0 && drop_rate(s2) == 0.0;
+    if (s2.aggregate_fps > s.aggregate_fps) s = s2;
+    fill_table.add_row({std::to_string(n), util::to_fixed(s.aggregate_fps, 1),
+                        util::to_fixed(s.total_latency_ms.p99, 1),
+                        std::to_string(s.score_batches),
+                        util::to_fixed(s.score_fill, 1)});
+    const std::string prefix =
+        "runtime.bench.fill.streams_" + std::to_string(n);
+    obs::gauge_set(prefix + ".aggregate_fps", s.aggregate_fps);
+    obs::gauge_set(prefix + ".mean_fill", s.score_fill);
   }
   std::fputs(fill_table.to_string().c_str(), stdout);
 
-  // The refactor's acceptance gate: batch must buy >= 1.2x aggregate fps
-  // over scalar at 4 streams. A single fps sample on a busy single-core
-  // host swings by 20%+, so the gate is the *median of paired ratios*:
-  // each pair runs scalar then batch back to back (sharing the same host
-  // noise epoch) and contributes one batch/scalar ratio.
+  // The kernel's acceptance gate: scoring windows in place must buy >= 2x
+  // aggregate fps at 4 streams over the per-window reference it is pinned
+  // to (DecisionBackend: accessor + LinearModel::decision). A single fps
+  // sample on a busy host swings by 20%+, so the gate is the *median of
+  // paired ratios*: each pair runs the reference then the kernel back to
+  // back (sharing the same host noise epoch) and contributes one ratio. The
+  // runtime server builds its own backend, so the pairs drive a bare engine
+  // pool through the same ScoreHub arrangement instead.
   std::vector<double> ratios;
   obs::set_metrics_enabled(false);
   for (int pair = 0; pair < 5; ++pair) {
-    RunConfig cfg;
-    cfg.streams = 4;
-    cfg.workers = 2;  // loaded but not drowning the scheduler in threads
-    cfg.frames_per_stream = 3 * frames;
-    cfg.interval_ms = 0.0;
-    cfg.max_level = 0;
-    cfg.backend = score::BackendKind::kScalar;
-    const runtime::RuntimeStats sc =
-        run_server(detector.model(), hog, fill_ms, feed, cfg);
-    cfg.backend = score::BackendKind::kBatch;
-    const runtime::RuntimeStats bt =
-        run_server(detector.model(), hog, fill_ms, feed, cfg);
-    batch_exactly_once = batch_exactly_once && sc.completed == sc.submitted &&
-                         bt.completed == bt.submitted &&
-                         drop_rate(sc) == 0.0 && drop_rate(bt) == 0.0;
-    if (sc.aggregate_fps > 0.0) {
-      ratios.push_back(bt.aggregate_fps / sc.aggregate_fps);
-    }
+    DecisionBackend reference;
+    const std::unique_ptr<score::ScoringBackend> kernel =
+        score::make_backend(score::BackendKind::kBatch);
+    const double ref_fps =
+        engine_pool_fps(detector.model(), hog, fill_ms, feed, /*streams=*/4,
+                        /*workers=*/2, 3 * frames, reference);
+    const double kernel_fps =
+        engine_pool_fps(detector.model(), hog, fill_ms, feed, /*streams=*/4,
+                        /*workers=*/2, 3 * frames, *kernel);
+    if (ref_fps > 0.0) ratios.push_back(kernel_fps / ref_fps);
   }
   obs::set_metrics_enabled(true);
   std::sort(ratios.begin(), ratios.end());
   const double batch_gain =
       ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
   obs::gauge_set("runtime.bench.batch_gain_4", batch_gain);
-  std::printf("\nbatch backend gain at 4 streams: %.2fx median of %zu paired "
-              "runs (gate >= 1.2x; exactly-once in all cells: %s)\n",
+  std::printf("\nwindow kernel gain over per-window decision at 4 streams: "
+              "%.2fx median of %zu paired runs (gate >= 2x; exactly-once in "
+              "all cells: %s)\n",
               batch_gain, ratios.size(), batch_exactly_once ? "yes" : "NO");
 
   // --- overload: offered load past capacity, shedding instead of backlog ---
@@ -444,6 +485,6 @@ int main(int argc, char** argv) {
   }
   const bool pass_ok = scaling >= 1.5 && lossless_clean && overload_shed &&
                        steady_allocs == 0 && fault_recovered &&
-                       batch_gain >= 1.2 && batch_exactly_once;
+                       batch_gain >= 2.0 && batch_exactly_once;
   return pass_ok ? 0 : 1;
 }

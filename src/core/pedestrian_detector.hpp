@@ -28,7 +28,7 @@ struct DetectorConfig {
   svm::DcdOptions training;                ///< LIBLINEAR-style DCD
   int threads = 1;                         ///< pyramid-level lanes in detect()
 
-  /// Scoring backend for detect()/score_window() (kAuto = env or scalar).
+  /// Scoring backend for detect()/score_window() (kAuto = scalar).
   score::BackendKind backend = score::BackendKind::kAuto;
 
   /// Externally owned backend overriding `backend` (e.g. an hwsim device);

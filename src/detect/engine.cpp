@@ -376,12 +376,13 @@ float DetectionEngine::score_window(const imgproc::ImageF& window,
   hog::normalize_cells_into(ws.win_cells, params, ws.win_block_scratch,
                             ws.win_blocks);
   // Single-window batch through the engine's backend: every scoring path in
-  // the engine runs behind the same seam (scalar keeps this bit-identical
-  // to the former inline model.decision call).
+  // the engine runs behind the same seam (the CPU kernel keeps this bitwise
+  // equal to model.decision of the window's descriptor).
   score::ScoringBackend& scorer = ensure_backend();
   score::ScoreBatch& batch = ws.win_batch;
   batch.configure(static_cast<std::size_t>(params.descriptor_size()), 1);
-  hog::extract_window(ws.win_blocks, params, 0, 0, batch.push(0));
+  batch.load(ws.win_blocks, params);
+  batch.push(0, 0);
   scorer.score(model, batch);
   obs::counter_add("svm.dot_products");
   obs::counter_add("score.batches");

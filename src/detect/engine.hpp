@@ -38,11 +38,11 @@ struct EngineOptions {
   /// internal pool with identical (bit-for-bit) results.
   int threads = 1;
 
-  /// Scoring backend for the scan (kAuto = PDET_SCORE_BACKEND or scalar).
+  /// Scoring backend for the scan (kAuto = scalar).
   /// kHwsim cannot be constructed here — pass the device via `scorer`.
   score::BackendKind backend = score::BackendKind::kAuto;
 
-  /// Windows gathered per scoring batch (per level lane).
+  /// Windows per scoring batch (per level lane).
   std::size_t score_batch = score::kDefaultBatchCapacity;
 
   /// Externally owned backend shared across engines (the runtime passes its
@@ -70,8 +70,8 @@ struct LevelWorkspace {
   imgproc::GradientField grad;         ///< kImage: per-level cell-grid row scratch
   hog::CellGrid cells;                 ///< per-level (re)scaled cell grid
   hog::BlockGrid blocks;               ///< normalized features the scan reads
-  std::vector<float> block_scratch;    ///< one raw block (4 * bins floats)
-  score::ScoreBatch batch;             ///< gathered windows awaiting scoring
+  std::vector<float> block_scratch;    ///< normalize's two-block-row ring
+  score::ScoreBatch batch;             ///< level planes + windows to score
   std::vector<Detection> hits;         ///< level detections, frame coords
   LevelStats stats;
   bool scanned = false;                ///< false = dropped (window too big)

@@ -1,7 +1,6 @@
 #include "src/detect/scanner.hpp"
 
-#include <cstdint>
-#include <span>
+#include <algorithm>
 #include <vector>
 
 #include "src/obs/metrics.hpp"
@@ -11,11 +10,11 @@
 namespace pdet::detect {
 namespace {
 
-/// Score the gathered windows and emit detections in push (row-major) order.
-/// The window anchor rides in the tag: (cy << 32) | cx. Scoring metrics are
-/// recorded here, on the thread that owns the scan — not inside the backend,
-/// where a cross-stream hub drain would attribute them to the wrong stream
-/// (or to a muted lane twice, via the engine's aggregate compensation).
+/// Score the batch's windows and emit detections in push (row-major) order.
+/// Scoring metrics are recorded here, on the thread that owns the scan —
+/// not inside the backend, where a cross-stream hub drain would attribute
+/// them to the wrong stream (or to a muted lane twice, via the engine's
+/// aggregate compensation).
 void flush_batch(const svm::LinearModel& model, score::ScoringBackend& backend,
                  const ScanOptions& options, const hog::HogParams& params,
                  score::ScoreBatch& batch, std::vector<Detection>& out) {
@@ -29,10 +28,10 @@ void flush_batch(const svm::LinearModel& model, score::ScoringBackend& backend,
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const float score = batch.score(i);
     if (score > options.threshold) {
-      const std::uint64_t tag = batch.tag(i);
+      const score::ScoreBatch::Anchor a = batch.anchor(i);
       Detection d;
-      d.x = static_cast<int>(tag & 0xffffffffu) * params.cell_size;
-      d.y = static_cast<int>(tag >> 32) * params.cell_size;
+      d.x = a.x * params.cell_size;
+      d.y = a.y * params.cell_size;
       d.width = params.window_width;
       d.height = params.window_height;
       d.score = score;
@@ -49,9 +48,7 @@ std::vector<Detection> scan_level(const hog::BlockGrid& blocks,
                                   const svm::LinearModel& model,
                                   const ScanOptions& options) {
   params.validate();
-  // Local scalar backend: the reference path, deliberately insensitive to
-  // PDET_SCORE_BACKEND so equivalence tests have a fixed point to pin on.
-  score::ScalarBackend backend;
+  score::CpuBackend backend;
   score::ScoreBatch batch;
   batch.configure(static_cast<std::size_t>(params.descriptor_size()),
                   score::kDefaultBatchCapacity);
@@ -80,28 +77,23 @@ long long scan_level_into(const hog::BlockGrid& blocks,
   const int ny = hog::window_positions_y(blocks, params);
   if (nx <= 0 || ny <= 0) return 0;
 
-  // Gather row-major until the batch fills, flush, repeat: under tracing the
-  // level shows alternating "hog/extract_window" / "svm/score" spans, one
-  // pair per batch, with arithmetic identical to the historical loop.
+  // One transpose per level; windows then enter the batch as anchors only,
+  // row-major, and the batch is scored whenever it fills.
+  {
+    PDET_TRACE_SCOPE("score/load_planes");
+    batch.load(blocks, params);
+  }
   long long batches = 0;
-  int cx = 0;
-  int cy = 0;
-  while (cy < ny) {
-    {
-      PDET_TRACE_SCOPE("hog/extract_window");
-      while (cy < ny && !batch.full()) {
-        const std::uint64_t tag =
-            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cy))
-             << 32) |
-            static_cast<std::uint32_t>(cx);
-        hog::extract_window(blocks, params, cx, cy, batch.push(tag));
-        cx += options.cell_stride;
-        if (cx >= nx) {
-          cx = 0;
-          cy += options.cell_stride;
-        }
+  for (int cy = 0; cy < ny; cy += options.cell_stride) {
+    for (int cx = 0; cx < nx; cx += options.cell_stride) {
+      batch.push(cx, cy);
+      if (batch.full()) {
+        flush_batch(model, backend, options, params, batch, out);
+        ++batches;
       }
     }
+  }
+  if (!batch.empty()) {
     flush_batch(model, backend, options, params, batch, out);
     ++batches;
   }

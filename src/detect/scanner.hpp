@@ -22,25 +22,25 @@ struct ScanOptions {
 };
 
 /// Scan every window position of `blocks` with `model`, scoring through a
-/// local scalar reference backend (bit-identical to the historical inline
-/// loop at any PDET_SCORE_BACKEND setting — this is the reference path the
-/// equivalence tests pin against). Detections are reported in the *level's*
-/// pixel coordinates; the caller rescales to the original frame
-/// (multiscale.cpp does this).
+/// local CPU backend (every score bitwise equal to LinearModel::decision of
+/// the window's descriptor). Detections are reported in the *level's* pixel
+/// coordinates; the caller rescales to the original frame (multiscale.cpp
+/// does this).
 std::vector<Detection> scan_level(const hog::BlockGrid& blocks,
                                   const hog::HogParams& params,
                                   const svm::LinearModel& model,
                                   const ScanOptions& options);
 
-/// Batched scan core: windows are gathered row-major into `batch` (which the
-/// caller has configure()d to `params.descriptor_size()` with its chosen
-/// capacity) and flushed through `backend` whenever the batch fills.
-/// Detections land in `out` (cleared first) in the same row-major order as
-/// the historical per-window loop; a warm batch and warm `out` make the scan
-/// allocation-free (the DetectionEngine workspace path). Scoring metrics
-/// (svm.dot_products, score.batches, score.batch_fill) are recorded here on
-/// the calling thread — backends stay obs-silent so counters attribute to
-/// the stream that owns the windows. Returns the number of batches flushed.
+/// Batched scan core: `batch` (which the caller has configure()d to
+/// `params.descriptor_size()` with its chosen capacity) loads the level's
+/// window-minor planes once, then takes window anchors row-major and is
+/// flushed through `backend` whenever it fills — no descriptor is gathered.
+/// Detections land in `out` (cleared first) in row-major anchor order; a
+/// warm batch and warm `out` make the scan allocation-free (the
+/// DetectionEngine workspace path). Scoring metrics (svm.dot_products,
+/// score.batches, score.batch_fill) are recorded here on the calling thread
+/// — backends stay obs-silent so counters attribute to the stream that owns
+/// the windows. Returns the number of batches flushed.
 long long scan_level_into(const hog::BlockGrid& blocks,
                           const hog::HogParams& params,
                           const svm::LinearModel& model,

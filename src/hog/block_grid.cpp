@@ -121,48 +121,57 @@ void normalize_dalal(const CellGrid& cells, const HogParams& params,
 }
 
 void normalize_cell_groups(const CellGrid& cells, const HogParams& params,
-                           std::vector<float>& scratch, BlockGrid& out) {
+                           std::vector<float>& ring, BlockGrid& out) {
   const int cx_count = cells.cells_x();
   const int cy_count = cells.cells_y();
   const int bins = cells.bins();
   out.reset(cx_count, cy_count, params.block_feature_len(),
             DescriptorLayout::kCellGroups);
+  if (cx_count == 0 || cy_count == 0) return;
 
-  // Norm of the block whose top-left cell is (bx, by); border blocks are
-  // clamped to the nearest valid block so edge cells still get 4 groups
-  // (the streaming hardware does the same by replicating its line buffers).
-  scratch.resize(static_cast<std::size_t>(4 * bins));
-  auto block_normed_cell = [&](int bx, int by, int cell_cx, int cell_cy,
-                               std::span<float> dst) {
-    bx = std::clamp(bx, 0, std::max(cx_count - 2, 0));
-    by = std::clamp(by, 0, std::max(cy_count - 2, 0));
-    std::span<float> s(scratch);
-    gather_block(cells, bx, by, s);
-    // Position of the requested cell inside the gathered block.
-    const int dx = std::clamp(cell_cx - bx, 0, 1);
-    const int dy = std::clamp(cell_cy - by, 0, 1);
-    normalize_block(s, params);
-    const auto offset = static_cast<std::size_t>((dy * 2 + dx) * bins);
-    std::copy(s.begin() + static_cast<std::ptrdiff_t>(offset),
-              s.begin() + static_cast<std::ptrdiff_t>(offset) + bins,
-              dst.begin());
+  // Every 2x2 block is gathered and normalized once, into a ring of two
+  // block rows; each cell then copies its four groups out of the ring.
+  // Border blocks are clamped to the nearest valid block so edge cells
+  // still get 4 groups (the streaming hardware does the same by replicating
+  // its line buffers). A grid one cell wide or tall has no 2x2 block: its
+  // gather reads past the grid and CellGrid::hist rejects it.
+  const int bx_last = std::max(cx_count - 2, 0);
+  const int by_last = std::max(cy_count - 2, 0);
+  const auto block_len = static_cast<std::size_t>(4 * bins);
+  const auto row_len = static_cast<std::size_t>(bx_last + 1) * block_len;
+  ring.resize(2 * row_len);
+  auto ring_block = [&](int bx, int by) {
+    return ring.data() + static_cast<std::size_t>(by % 2) * row_len +
+           static_cast<std::size_t>(bx) * block_len;
+  };
+  auto normalize_block_row = [&](int by) {
+    for (int bx = 0; bx <= bx_last; ++bx) {
+      const std::span<float> blk(ring_block(bx, by), block_len);
+      gather_block(cells, bx, by, blk);
+      normalize_block(blk, params);
+    }
   };
 
+  normalize_block_row(0);
   for (int cy = 0; cy < cy_count; ++cy) {
+    // Cell row cy reads block rows cy - 1 and cy (clamped); row cy - 1 is
+    // already in the ring.
+    if (cy >= 1 && cy <= by_last) normalize_block_row(cy);
     for (int cx = 0; cx < cx_count; ++cx) {
-      auto feat = out.block(cx, cy);
+      float* feat = out.block(cx, cy).data();
       // Group order matches the paper / [10]: LU, RU, LB, RB — the cell's
-      // role within the containing block.
-      block_normed_cell(cx, cy, cx, cy, feat.subspan(0, static_cast<std::size_t>(bins)));
-      block_normed_cell(cx - 1, cy, cx, cy,
-                        feat.subspan(static_cast<std::size_t>(bins),
-                                     static_cast<std::size_t>(bins)));
-      block_normed_cell(cx, cy - 1, cx, cy,
-                        feat.subspan(static_cast<std::size_t>(2 * bins),
-                                     static_cast<std::size_t>(bins)));
-      block_normed_cell(cx - 1, cy - 1, cx, cy,
-                        feat.subspan(static_cast<std::size_t>(3 * bins),
-                                     static_cast<std::size_t>(bins)));
+      // role within the containing block, whose top-left cell is
+      // (cx - role % 2, cy - role / 2) before clamping.
+      for (int role = 0; role < 4; ++role) {
+        const int bx = std::clamp(cx - role % 2, 0, bx_last);
+        const int by = std::clamp(cy - role / 2, 0, by_last);
+        // Position of the cell inside the (possibly clamped) block.
+        const int dx = std::clamp(cx - bx, 0, 1);
+        const int dy = std::clamp(cy - by, 0, 1);
+        const float* src =
+            ring_block(bx, by) + static_cast<std::size_t>((dy * 2 + dx) * bins);
+        std::copy(src, src + bins, feat + role * bins);
+      }
     }
   }
 }

@@ -55,10 +55,12 @@ void normalize_block(std::span<float> v, const HogParams& params);
 /// Normalize a full cell grid into a block grid per params.layout.
 BlockGrid normalize_cells(const CellGrid& cells, const HogParams& params);
 
-/// `normalize_cells` into a caller-owned grid. `block_scratch` is resized to
-/// one raw block (`params.block_feature_len()` floats) and reused across
-/// blocks; with warm buffers the stage performs no allocation (the
-/// DetectionEngine workspace path).
+/// `normalize_cells` into a caller-owned grid. `block_scratch` holds the
+/// raw blocks being normalized — for the cell-group layout a ring of two
+/// block rows, so each block is normalized once however many cells share
+/// it; with warm buffers the stage performs no allocation (the
+/// DetectionEngine workspace path). A cell-group grid must be at least 2x2
+/// cells (CellGrid::hist rejects the gather otherwise).
 void normalize_cells_into(const CellGrid& cells, const HogParams& params,
                           std::vector<float>& block_scratch, BlockGrid& out);
 

@@ -58,25 +58,6 @@ CellGrid::CellGrid(int cells_x, int cells_y, int bins)
   PDET_REQUIRE(cells_x >= 0 && cells_y >= 0 && bins >= 1);
 }
 
-std::span<float> CellGrid::hist(int cx, int cy) {
-  PDET_ASSERT(cx >= 0 && cx < cells_x_ && cy >= 0 && cy < cells_y_);
-  const std::size_t offset =
-      (static_cast<std::size_t>(cy) * static_cast<std::size_t>(cells_x_) +
-       static_cast<std::size_t>(cx)) *
-      static_cast<std::size_t>(bins_);
-  return std::span<float>(data_).subspan(offset, static_cast<std::size_t>(bins_));
-}
-
-std::span<const float> CellGrid::hist(int cx, int cy) const {
-  PDET_ASSERT(cx >= 0 && cx < cells_x_ && cy >= 0 && cy < cells_y_);
-  const std::size_t offset =
-      (static_cast<std::size_t>(cy) * static_cast<std::size_t>(cells_x_) +
-       static_cast<std::size_t>(cx)) *
-      static_cast<std::size_t>(bins_);
-  return std::span<const float>(data_).subspan(offset,
-                                               static_cast<std::size_t>(bins_));
-}
-
 void CellGrid::reset(int cells_x, int cells_y, int bins) {
   PDET_REQUIRE(cells_x >= 0 && cells_y >= 0 && bins >= 1);
   cells_x_ = cells_x;

@@ -31,13 +31,28 @@ class CellGrid {
   /// never released, so a warm grid re-shapes without allocating.
   void reset(int cells_x, int cells_y, int bins);
 
-  std::span<float> hist(int cx, int cy);
-  std::span<const float> hist(int cx, int cy) const;
+  /// Cell (cx, cy)'s histogram; an index outside the grid aborts in every
+  /// build type. Inline, so callers that clamp their indices (the feature
+  /// down-scaler reads one value per call) pay neither a call nor, mostly,
+  /// the check.
+  std::span<float> hist(int cx, int cy) {
+    return {data_.data() + offset(cx, cy), static_cast<std::size_t>(bins_)};
+  }
+  std::span<const float> hist(int cx, int cy) const {
+    return {data_.data() + offset(cx, cy), static_cast<std::size_t>(bins_)};
+  }
 
   std::span<float> data() { return data_; }
   std::span<const float> data() const { return data_; }
 
  private:
+  std::size_t offset(int cx, int cy) const {
+    PDET_REQUIRE(cx >= 0 && cx < cells_x_ && cy >= 0 && cy < cells_y_);
+    return (static_cast<std::size_t>(cy) * static_cast<std::size_t>(cells_x_) +
+            static_cast<std::size_t>(cx)) *
+           static_cast<std::size_t>(bins_);
+  }
+
   int cells_x_ = 0;
   int cells_y_ = 0;
   int bins_ = 0;

@@ -32,20 +32,22 @@ void HwsimScoreBackend::kernel(const svm::LinearModel& model,
     model_key_ = model.weights.data();
     model_dim_ = model.weights.size();
   }
-  if (q_row_.size() < batch.dimension()) q_row_.resize(batch.dimension());
+  const std::size_t dim = batch.dimension();
+  if (row_.size() < dim) row_.resize(dim);
+  if (q_row_.size() < dim) q_row_.resize(dim);
+  const std::span<float> row(row_.data(), dim);
 
   // Device-boundary quantization mirrors the weight path in
   // QuantizedModel::quantize: round-to-nearest into Q(norm_frac_bits).
   const double fscale = std::ldexp(1.0, options_.fixed.norm_frac_bits);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const std::span<const float> row = batch.row(i);
-    for (std::size_t j = 0; j < row.size(); ++j) {
+    batch.window(i, row);
+    for (std::size_t j = 0; j < dim; ++j) {
       q_row_[j] = static_cast<std::int32_t>(
           std::llround(static_cast<double>(row[j]) * fscale));
     }
-    batch.set_score(
-        i, static_cast<float>(quantized_.decision(
-               std::span<const std::int32_t>(q_row_.data(), row.size()))));
+    batch.set_score(i, static_cast<float>(quantized_.decision(
+                           std::span<const std::int32_t>(q_row_.data(), dim))));
   }
 
   // Charge the batch what the RTL would pay: one pipeline fill plus one

@@ -1,8 +1,9 @@
 // Accelerator offload scoring backend (pdet::hwsim::HwsimScoreBackend).
 //
 // Plugs the MACBAR fixed-point classifier (fixed_pipeline.hpp) into the
-// pdet::score seam as an "offload device": float window descriptors are
-// quantized to Q(norm_frac_bits) at the device boundary, scored by the
+// pdet::score seam as an "offload device": each window's float descriptor,
+// read out of the batch's planes through ScoreBatch::window, is quantized
+// to Q(norm_frac_bits) at the device boundary, scored by the
 // quantized-weight integer dot product, and — when simulate_latency is on —
 // the closed-form timing model (timing.hpp) charges the batch the cycles
 // the RTL would spend:
@@ -62,6 +63,7 @@ class HwsimScoreBackend final : public score::BackendBase {
   const float* model_key_ = nullptr;  ///< weights identity of quantized_
   std::size_t model_dim_ = 0;
   QuantizedModel quantized_;
+  std::vector<float> row_;            ///< window descriptor scratch
   std::vector<std::int32_t> q_row_;   ///< quantized feature scratch
   std::uint64_t busy_cycles_ = 0;
 };

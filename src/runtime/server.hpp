@@ -114,11 +114,11 @@ struct ServerOptions {
   InputGuardOptions guard;         ///< frame-integrity gate (off by default)
 
   // Scoring backend + cross-stream batching (DESIGN "Scoring backends").
-  /// Which backend classifies windows. kAuto = PDET_SCORE_BACKEND or scalar;
-  /// kHwsim builds the MACBAR offload model (one device, shared by all
-  /// workers through a single-lane hub).
+  /// Which backend classifies windows. kAuto = scalar (= batch, the same
+  /// CPU kernel); kHwsim builds the MACBAR offload model (one device, shared
+  /// by all workers through a single-lane hub).
   score::BackendKind backend = score::BackendKind::kAuto;
-  /// Windows gathered per scoring batch inside each engine level lane.
+  /// Windows per scoring batch inside each engine level lane.
   std::size_t score_batch = score::kDefaultBatchCapacity;
   /// Route every worker's batches through one shared ScoreHub, so batches
   /// from different streams coalesce at the backend (drains back-to-back,

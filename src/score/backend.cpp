@@ -1,14 +1,10 @@
 #include "src/score/backend.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <mutex>
+#include <algorithm>
 #include <stdexcept>
-#include <string>
 
 #include "src/fault/injector.hpp"
 #include "src/util/assert.hpp"
-#include "src/util/simd.hpp"
 
 namespace pdet::score {
 
@@ -41,64 +37,126 @@ bool parse_backend(std::string_view name, BackendKind& out) {
   return true;
 }
 
-namespace {
-
-// PDET_SCORE_BACKEND applies only to kAuto requests, so a test (or user)
-// that pins a backend explicitly is never silently overridden by CI's
-// forced-batch matrix entry. Only CPU backends are accepted: hwsim needs a
-// constructed device, which an env var cannot conjure.
-BackendKind env_default() {
-  static const BackendKind cached = [] {
-    const char* env = std::getenv("PDET_SCORE_BACKEND");
-    if (env == nullptr || *env == '\0') return BackendKind::kScalar;
-    BackendKind parsed = BackendKind::kScalar;
-    if (parse_backend(env, parsed) && (parsed == BackendKind::kScalar ||
-                                       parsed == BackendKind::kBatch)) {
-      return parsed;
-    }
-    std::fprintf(stderr,
-                 "pdet: ignoring PDET_SCORE_BACKEND=%s (want scalar|batch)\n",
-                 env);
-    return BackendKind::kScalar;
-  }();
-  return cached;
-}
-
-}  // namespace
-
 BackendKind resolve(BackendKind requested) {
-  return requested == BackendKind::kAuto ? env_default() : requested;
+  return requested == BackendKind::kAuto ? BackendKind::kScalar : requested;
 }
 
 // --- ScoreBatch --------------------------------------------------------
-
-namespace {
-constexpr std::size_t kRowAlignFloats = 16;  // 64 bytes
-}
 
 void ScoreBatch::configure(std::size_t dim, std::size_t capacity) {
   PDET_REQUIRE(dim > 0);
   PDET_REQUIRE(capacity > 0);
   dim_ = dim;
-  stride_ = (dim + kRowAlignFloats - 1) / kRowAlignFloats * kRowAlignFloats;
   capacity_ = capacity;
   count_ = 0;
-  base_ = util::simd::aligned_floats(features_, stride_ * capacity_);
-  if (tags_.size() < capacity_) tags_.resize(capacity_);
+  if (anchors_.size() < capacity_) anchors_.resize(capacity_);
   if (scores_.size() < capacity_) scores_.resize(capacity_);
 }
 
-std::span<float> ScoreBatch::push(std::uint64_t tag) {
-  PDET_REQUIRE(count_ < capacity_);
-  tags_[count_] = tag;
-  float* dst = base_ + count_ * stride_;
-  ++count_;
-  return {dst, dim_};
+void ScoreBatch::load(const hog::BlockGrid& blocks,
+                      const hog::HogParams& params) {
+  PDET_REQUIRE(blocks.layout() == params.layout);
+  const int bw = params.blocks_per_window_x();
+  const int bh = params.blocks_per_window_y();
+  const int flen = blocks.feature_len();
+  PDET_REQUIRE(static_cast<std::size_t>(bw) * static_cast<std::size_t>(bh) *
+                   static_cast<std::size_t>(flen) ==
+               dim_);
+  const auto gx = static_cast<std::size_t>(blocks.blocks_x());
+  const auto gy = static_cast<std::size_t>(blocks.blocks_y());
+  const auto channels = static_cast<std::size_t>(flen);
+  windows_x_ = std::max(0, blocks.blocks_x() - bw + 1);
+  windows_y_ = std::max(0, blocks.blocks_y() - bh + 1);
+  const std::size_t pitch = util::simd::padded_floats(gx + kWindowLanes - 1);
+  geometry_ = PlaneGeometry{bw, bh, flen, pitch};
+  count_ = 0;
+  base_ = util::simd::aligned_floats(planes_, gy * channels * pitch);
+
+  // Grid row y, channel f becomes plane row y * flen + f; the padding
+  // columns are rewritten with zeros on every load.
+  const float* src = blocks.data().data();
+  for (std::size_t y = 0; y < gy; ++y) {
+    const float* grid_row = src + y * gx * channels;
+    for (std::size_t f = 0; f < channels; ++f) {
+      float* dst = base_ + (y * channels + f) * pitch;
+      for (std::size_t x = 0; x < gx; ++x) dst[x] = grid_row[x * channels + f];
+      std::fill(dst + gx, dst + pitch, 0.0f);
+    }
+  }
 }
 
-std::span<const float> ScoreBatch::row(std::size_t i) const {
+void ScoreBatch::push(int x, int y) {
+  PDET_REQUIRE(count_ < capacity_);
+  PDET_REQUIRE(x >= 0 && x < windows_x_ && y >= 0 && y < windows_y_);
+  anchors_[count_++] = Anchor{x, y};
+}
+
+const float* ScoreBatch::plane_at(std::size_t i) const {
+  PDET_ASSERT(i < count_);
+  const Anchor a = anchors_[i];
+  return base_ +
+         static_cast<std::size_t>(a.y) *
+             static_cast<std::size_t>(geometry_.feature_len) * geometry_.pitch +
+         static_cast<std::size_t>(a.x);
+}
+
+void ScoreBatch::window(std::size_t i, std::span<float> out) const {
   PDET_REQUIRE(i < count_);
-  return {base_ + i * stride_, dim_};
+  PDET_REQUIRE(out.size() == dim_);
+  const float* x = plane_at(i);
+  const PlaneGeometry& g = geometry_;
+  const auto flen = static_cast<std::size_t>(g.feature_len);
+  std::size_t k = 0;
+  for (int j = 0; j < g.window_y; ++j) {
+    const float* row = x + static_cast<std::size_t>(j) * flen * g.pitch;
+    for (int bx = 0; bx < g.window_x; ++bx) {
+      for (std::size_t f = 0; f < flen; ++f) {
+        out[k++] = row[f * g.pitch + static_cast<std::size_t>(bx)];
+      }
+    }
+  }
+}
+
+// --- the window kernel -------------------------------------------------
+
+namespace {
+
+#define PDET_SIMD_KERNEL_FILE "src/score/backend_kernels.inc"
+#include "src/util/simd_clone.inc"
+
+}  // namespace
+
+const util::simd::Kernels<WindowKernels>& window_kernels() {
+  static const util::simd::Kernels<WindowKernels> table{
+      {score_lanes_base},
+#ifdef PDET_SIMD_AVX2_CLONE
+      {score_lanes_avx2},
+#else
+      {score_lanes_base},
+#endif
+  };
+  return table;
+}
+
+void score_windows(const WindowKernels& kernels, const svm::LinearModel& model,
+                   ScoreBatch& batch) {
+  PDET_REQUIRE(model.dimension() == batch.dimension());
+  const float* w = model.weights.data();
+  float lanes[kWindowLanes];
+  std::size_t i = 0;
+  while (i < batch.size()) {
+    const ScoreBatch::Anchor first = batch.anchor(i);
+    kernels.score_lanes(w, model.bias, batch.plane_at(i), batch.geometry(),
+                        lanes);
+    // The pass covered every anchor of this row in [first.x, first.x + 16).
+    ScoreBatch::Anchor a = first;
+    do {
+      batch.set_score(i, lanes[a.x - first.x]);
+      if (++i == batch.size()) break;
+      a = batch.anchor(i);
+    } while (a.y == first.y && a.x >= first.x &&
+             a.x < first.x + kWindowLanes);
+  }
 }
 
 // --- BackendBase -------------------------------------------------------
@@ -125,73 +183,22 @@ BackendStats BackendBase::stats() const {
   return out;
 }
 
-// --- ScalarBackend -----------------------------------------------------
+// --- CpuBackend --------------------------------------------------------
 
-void ScalarBackend::kernel(const svm::LinearModel& model, ScoreBatch& batch) {
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    batch.set_score(i, model.decision(batch.row(i)));
-  }
+CpuBackend::CpuBackend(BackendKind kind) : kind_(kind) {
+  PDET_REQUIRE(kind == BackendKind::kScalar || kind == BackendKind::kBatch);
 }
 
-// --- BatchBackend ------------------------------------------------------
-
-namespace {
-
-// The kernel bodies live in backend_kernels.inc and are compiled twice
-// through the util::simd seam: at the build's baseline ISA and as an
-// AVX2+FMA copy, one of which runs per process (the seam's CPUID pick,
-// shared with the HOG front end). Same source, same fold order in both
-// copies: scores stay deterministic on any given machine.
-#define PDET_SIMD_KERNEL_FILE "src/score/backend_kernels.inc"
-#include "src/util/simd_clone.inc"
-
-struct DotKernels {
-  float (*dot)(const float*, const float*, std::size_t, float);
-  void (*pair)(const float*, const float*, const float*, std::size_t, float,
-               float*, float*);
-};
-
-const util::simd::Kernels<DotKernels>& dot_kernels() {
-  static const util::simd::Kernels<DotKernels> table{
-      {dot_unrolled_base, dot_pair_base},
-#ifdef PDET_SIMD_AVX2_CLONE
-      {dot_unrolled_avx2, dot_pair_avx2},
-#else
-      {dot_unrolled_base, dot_pair_base},
-#endif
-  };
-  return table;
-}
-
-}  // namespace
-
-void BatchBackend::kernel(const svm::LinearModel& model, ScoreBatch& batch) {
-  const float* w = model.weights.data();
-  const std::size_t n = batch.dimension();
-  const std::size_t count = batch.size();
-  const DotKernels& k = dot_kernels().active();
-  std::size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    float ya = 0.0f, yb = 0.0f;
-    k.pair(w, batch.row(i).data(), batch.row(i + 1).data(), n, model.bias,
-           &ya, &yb);
-    batch.set_score(i, ya);
-    batch.set_score(i + 1, yb);
-  }
-  if (i < count) {
-    batch.set_score(i, k.dot(w, batch.row(i).data(), n, model.bias));
-  }
+void CpuBackend::kernel(const svm::LinearModel& model, ScoreBatch& batch) {
+  score_windows(window_kernels().active(), model, batch);
 }
 
 std::unique_ptr<ScoringBackend> make_backend(BackendKind kind) {
-  switch (resolve(kind)) {
-    case BackendKind::kScalar:
-      return std::make_unique<ScalarBackend>();
-    case BackendKind::kBatch:
-      return std::make_unique<BatchBackend>();
-    default:
-      return nullptr;  // hwsim: construct via pdet_hwsim and share it
+  const BackendKind resolved = resolve(kind);
+  if (resolved == BackendKind::kHwsim) {
+    return nullptr;  // construct via pdet_hwsim and share it
   }
+  return std::make_unique<CpuBackend>(resolved);
 }
 
 }  // namespace pdet::score

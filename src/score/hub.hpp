@@ -26,7 +26,7 @@
 //    order, submitters sleep until completion — exactly the accelerator's
 //    fill/drain pipeline shape.
 //
-// Correctness: batches are scored row-independently (ScoringBackend
+// Correctness: windows are scored independently (ScoringBackend
 // contract), each request's scores land only in that request's batch, and a
 // submitter does not return until its own batch is done — so per-stream
 // results are byte-identical to calling the inner backend directly, at any

@@ -152,9 +152,8 @@ TEST(EngineScoreWindow, MatchesFreeChainAndReuses) {
   const imgproc::ImageF window = make_frame(64, 128, 21);
   const imgproc::ImageF oversized = make_frame(96, 160, 22);
 
-  // Pinned scalar: the free chain is the per-row decision() reference, and
-  // this assertion is bitwise. Under kAuto the CI forced-batch override
-  // would swap the kernel and turn "equal" into "a few ULP apart".
+  // The free chain is the per-window decision() reference, and this
+  // assertion is bitwise: the window kernel adds in decision's order.
   DetectionEngine engine(
       EngineOptions{.backend = score::BackendKind::kScalar});
   const auto free_score = [&](const imgproc::ImageF& img) {

@@ -1,8 +1,12 @@
 // Unit tests for src/hog: cell histograms, block normalization, descriptors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include "src/hog/block_grid.hpp"
@@ -272,6 +276,103 @@ TEST(BlockGrid, FeaturesBoundedByL2HysCeiling) {
     EXPECT_GE(v, 0.0f);
     EXPECT_LE(v, 1.0f);
   }
+}
+
+/// The four-fold cell-group normalization: every cell gathers and
+/// normalizes each of its four containing blocks itself (border blocks
+/// clamped to the nearest valid one). The oracle for normalize_cells_into,
+/// which normalizes each block once.
+BlockGrid four_fold_cell_groups(const CellGrid& cells, const HogParams& p) {
+  const int cx_count = cells.cells_x();
+  const int cy_count = cells.cells_y();
+  const int bins = cells.bins();
+  const auto nbins = static_cast<std::size_t>(bins);
+  BlockGrid out(cx_count, cy_count, p.block_feature_len(),
+                DescriptorLayout::kCellGroups);
+  std::vector<float> block(4 * nbins);
+  for (int cy = 0; cy < cy_count; ++cy) {
+    for (int cx = 0; cx < cx_count; ++cx) {
+      const auto feat = out.block(cx, cy);
+      for (int role = 0; role < 4; ++role) {  // LU, RU, LB, RB
+        const int bx = std::clamp(cx - role % 2, 0, std::max(cx_count - 2, 0));
+        const int by = std::clamp(cy - role / 2, 0, std::max(cy_count - 2, 0));
+        auto dst = block.begin();
+        for (int dy = 0; dy < 2; ++dy) {
+          for (int dx = 0; dx < 2; ++dx) {
+            const auto h = cells.hist(bx + dx, by + dy);
+            dst = std::copy(h.begin(), h.end(), dst);
+          }
+        }
+        normalize_block(block, p);
+        const auto at = static_cast<std::size_t>(
+            (std::clamp(cy - by, 0, 1) * 2 + std::clamp(cx - bx, 0, 1)) * bins);
+        std::copy(block.begin() + static_cast<std::ptrdiff_t>(at),
+                  block.begin() + static_cast<std::ptrdiff_t>(at + nbins),
+                  feat.begin() + static_cast<std::ptrdiff_t>(
+                                     static_cast<std::size_t>(role) * nbins));
+      }
+    }
+  }
+  return out;
+}
+
+CellGrid random_cells(int cx, int cy, int bins, std::uint64_t seed) {
+  util::Rng rng(seed);
+  CellGrid cells(cx, cy, bins);
+  for (float& v : cells.data()) {
+    // Some empty bins, magnitudes spread over several binades.
+    v = rng.chance(0.1) ? 0.0f
+                        : static_cast<float>(std::ldexp(rng.uniform(),
+                                                        rng.uniform_int(-4, 6)));
+  }
+  return cells;
+}
+
+TEST(BlockGrid, CellGroupsNormalizeOnceEqualsFourFoldOracle) {
+  std::uint64_t seed = 40;
+  int grids = 0;
+  for (const int bins : {4, 9, 12}) {
+    for (const BlockNorm norm : {BlockNorm::kL2Hys, BlockNorm::kL2,
+                                 BlockNorm::kL1, BlockNorm::kL1Sqrt}) {
+      HogParams p = default_params();
+      p.bins = bins;
+      p.norm = norm;
+      for (const auto& [cx, cy] : {std::pair{2, 2}, std::pair{3, 5},
+                                   std::pair{7, 4}, std::pair{11, 13},
+                                   std::pair{17, 9}}) {
+        const CellGrid cells = random_cells(cx, cy, bins, ++seed);
+        std::vector<float> scratch;
+        BlockGrid got;
+        normalize_cells_into(cells, p, scratch, got);
+        const BlockGrid want = four_fold_cell_groups(cells, p);
+        ASSERT_EQ(got.blocks_x(), want.blocks_x());
+        ASSERT_EQ(got.blocks_y(), want.blocks_y());
+        const std::span<const float> a = got.data();
+        const std::span<const float> b = want.data();
+        ASSERT_EQ(a.size(), b.size());
+        int differing = 0;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          if (std::bit_cast<std::uint32_t>(a[i]) !=
+              std::bit_cast<std::uint32_t>(b[i])) {
+            ++differing;
+          }
+        }
+        EXPECT_EQ(differing, 0) << "bins " << bins << " norm "
+                                << static_cast<int>(norm) << " grid " << cx
+                                << "x" << cy;
+        ++grids;
+      }
+    }
+  }
+  EXPECT_EQ(grids, 60);
+}
+
+TEST(BlockGrid, CellGroupsRejectGridsWithoutABlock) {
+  // One cell wide or tall: no 2x2 block exists, and the gather would read
+  // past the grid. The bounds check holds in release builds too.
+  const HogParams p = default_params();
+  EXPECT_DEATH(normalize_cells(random_cells(1, 5, 9, 1), p), "precondition");
+  EXPECT_DEATH(normalize_cells(random_cells(6, 1, 9, 2), p), "precondition");
 }
 
 TEST(Descriptor, WindowPositions) {

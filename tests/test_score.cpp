@@ -1,28 +1,34 @@
-// Tests for pdet::score: the ScoreBatch scratch container, backend
-// selection/parsing, the scalar/batch/hwsim scoring backends (bit-identity,
-// bounded-ULP, batch-composition independence), the cross-stream ScoreHub,
-// and the backend seam end to end through the engine and the runtime server
-// (including the "score.batch" fault site riding the poison-frame path).
+// Tests for pdet::score: the ScoreBatch scratch container (window-minor
+// planes + anchors, the window accessor), backend selection/parsing, the
+// window kernel (every ISA copy bitwise equal to LinearModel::decision
+// across geometries), the CPU and hwsim backends, the cross-stream
+// ScoreHub, and the backend seam end to end through the engine and the
+// runtime server (including the "score.batch" fault site riding the
+// poison-frame path).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
 #include "src/detect/engine.hpp"
 #include "src/detect/multiscale.hpp"
 #include "src/fault/injector.hpp"
+#include "src/hog/descriptor.hpp"
 #include "src/hwsim/score_backend.hpp"
 #include "src/runtime/server.hpp"
 #include "src/score/backend.hpp"
 #include "src/score/hub.hpp"
 #include "src/svm/linear_svm.hpp"
 #include "src/util/rng.hpp"
+#include "src/util/simd.hpp"
 
 namespace pdet::score {
 namespace {
+
+using Anchor = ScoreBatch::Anchor;
 
 svm::LinearModel make_model(std::size_t dim, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -35,60 +41,170 @@ svm::LinearModel make_model(std::size_t dim, std::uint64_t seed) {
   return model;
 }
 
-void fill_rows(ScoreBatch& batch, std::size_t dim, std::size_t count,
-               std::uint64_t seed) {
+hog::HogParams make_params(int bins, hog::DescriptorLayout layout) {
+  hog::HogParams params;
+  params.bins = bins;
+  params.layout = layout;
+  return params;
+}
+
+/// Window of 4x4 cells: small descriptors for the hub and fault tests.
+hog::HogParams small_params() {
+  hog::HogParams params;
+  params.window_width = 32;
+  params.window_height = 32;
+  return params;
+}
+
+std::size_t dim_of(const hog::HogParams& params) {
+  return static_cast<std::size_t>(params.descriptor_size());
+}
+
+/// A random `bx` x `by` block grid. Values span a dozen binades, so any
+/// change to decision's summation order would show in the low bits.
+hog::BlockGrid random_grid(int bx, int by, const hog::HogParams& params,
+                           std::uint64_t seed) {
   util::Rng rng(seed);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::span<float> dst = batch.push(i);
-    ASSERT_EQ(dst.size(), dim);
-    for (float& v : dst) v = static_cast<float>(rng.uniform());
+  hog::BlockGrid grid(bx, by, params.block_feature_len(), params.layout);
+  for (int y = 0; y < by; ++y) {
+    for (int x = 0; x < bx; ++x) {
+      for (float& v : grid.block(x, y)) {
+        v = static_cast<float>(std::ldexp(rng.uniform(),
+                                          -rng.uniform_int(0, 12)));
+      }
+    }
   }
+  return grid;
+}
+
+/// Make `model` and `grid` sensitive to summation order. Channel 0 of every
+/// block becomes 1, and the weights of the first and the last block's
+/// channel 0 become +2^40 and -2^40: every window's running sum climbs to
+/// ~2^40 at its first term and falls back at its last, so the terms between
+/// are rounded at 2^-12. In double, a reordered sum — or the bias added
+/// last instead of first — then differs at float precision, which plain
+/// random inputs (29 spare bits) almost never show.
+void make_order_sensitive(svm::LinearModel& model, hog::BlockGrid& grid,
+                          const hog::HogParams& params) {
+  for (int y = 0; y < grid.blocks_y(); ++y) {
+    for (int x = 0; x < grid.blocks_x(); ++x) grid.block(x, y)[0] = 1.0f;
+  }
+  const auto last_block = static_cast<std::size_t>(
+      params.blocks_per_window_x() * params.blocks_per_window_y() - 1);
+  model.weights.front() = 0x1p40f;
+  model.weights[last_block * static_cast<std::size_t>(
+                                 params.block_feature_len())] = -0x1p40f;
+}
+
+/// The grid's windows in scan order: row-major, `stride` cells apart.
+std::vector<Anchor> scan_anchors(const hog::BlockGrid& grid,
+                                 const hog::HogParams& params, int stride) {
+  std::vector<Anchor> anchors;
+  const int nx = hog::window_positions_x(grid, params);
+  const int ny = hog::window_positions_y(grid, params);
+  for (int y = 0; y < ny; y += stride) {
+    for (int x = 0; x < nx; x += stride) anchors.push_back({x, y});
+  }
+  return anchors;
+}
+
+/// The reference every scoring path is pinned to.
+float reference(const svm::LinearModel& model, const hog::BlockGrid& grid,
+                const hog::HogParams& params, Anchor a) {
+  return model.decision(hog::extract_window(grid, params, a.x, a.y));
+}
+
+/// Load `grid` and push `anchors` (at most capacity of them).
+void fill(ScoreBatch& batch, const hog::BlockGrid& grid,
+          const hog::HogParams& params, const std::vector<Anchor>& anchors) {
+  batch.load(grid, params);
+  for (const Anchor a : anchors) batch.push(a.x, a.y);
+}
+
+std::vector<util::simd::Isa> isa_copies() {
+  // The AVX2 copy is skipped on hosts whose CPUID lacks it.
+  std::vector<util::simd::Isa> isas{util::simd::Isa::kBaseline};
+  if (util::simd::supported(util::simd::Isa::kAvx2)) {
+    isas.push_back(util::simd::Isa::kAvx2);
+  }
+  return isas;
 }
 
 // --- ScoreBatch -------------------------------------------------------------
 
-TEST(ScoreBatch, RowsAreAlignedTaggedAndSized) {
-  ScoreBatch batch;
-  batch.configure(37, 5);  // deliberately not a multiple of the row stride
-  EXPECT_EQ(batch.dimension(), 37u);
-  EXPECT_EQ(batch.capacity(), 5u);
-  EXPECT_TRUE(batch.empty());
-  EXPECT_DOUBLE_EQ(batch.fill(), 0.0);
+TEST(ScoreBatch, AnchorsPlanesAndWindowAccessor) {
+  for (const hog::DescriptorLayout layout :
+       {hog::DescriptorLayout::kCellGroups, hog::DescriptorLayout::kDalalBlocks}) {
+    const hog::HogParams params = make_params(9, layout);
+    const hog::BlockGrid grid = random_grid(13, 19, params, 1);
+    ScoreBatch batch;
+    batch.configure(dim_of(params), 5);
+    EXPECT_EQ(batch.dimension(), dim_of(params));
+    EXPECT_EQ(batch.capacity(), 5u);
+    EXPECT_TRUE(batch.empty());
+    EXPECT_DOUBLE_EQ(batch.fill(), 0.0);
 
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    const std::span<float> dst = batch.push(100 + i);
-    EXPECT_EQ(dst.size(), 37u);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(dst.data()) % 64, 0u)
-        << "row " << i << " not 64-byte aligned";
-    dst[0] = static_cast<float>(i);
+    const std::vector<Anchor> anchors{{0, 0}, {5, 0}, {1, 3}, {4, 2}, {0, 1}};
+    fill(batch, grid, params, anchors);
+    EXPECT_TRUE(batch.full());
+    EXPECT_DOUBLE_EQ(batch.fill(), 1.0);
+
+    // Plane rows start 64-byte aligned and carry at least 15 padding columns.
+    const PlaneGeometry& g = batch.geometry();
+    EXPECT_EQ(g.pitch % util::simd::kAlignFloats, 0u);
+    EXPECT_GE(g.pitch, static_cast<std::size_t>(grid.blocks_x()) +
+                           static_cast<std::size_t>(kWindowLanes - 1));
+    EXPECT_EQ(g.window_x, params.blocks_per_window_x());
+    EXPECT_EQ(g.window_y, params.blocks_per_window_y());
+    const float* origin = batch.plane_at(1) - anchors[1].x;  // (0, 0) anchor row
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(origin) % 64, 0u);
+
+    std::vector<float> window(dim_of(params));
+    for (std::size_t i = 0; i < anchors.size(); ++i) {
+      EXPECT_EQ(batch.anchor(i).x, anchors[i].x);
+      EXPECT_EQ(batch.anchor(i).y, anchors[i].y);
+      batch.window(i, window);
+      EXPECT_EQ(window, hog::extract_window(grid, params, anchors[i].x,
+                                            anchors[i].y))
+          << "window " << i;
+    }
+    batch.clear();
+    EXPECT_TRUE(batch.empty());
+    EXPECT_EQ(batch.capacity(), 5u);  // storage and shape survive clear()
   }
-  EXPECT_TRUE(batch.full());
-  EXPECT_DOUBLE_EQ(batch.fill(), 1.0);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(batch.tag(i), 100 + i);
-    EXPECT_EQ(batch.row(i)[0], static_cast<float>(i));
-  }
-  batch.clear();
-  EXPECT_TRUE(batch.empty());
-  EXPECT_EQ(batch.capacity(), 5u);  // storage and shape survive clear()
+}
+
+TEST(ScoreBatch, PushRejectsAnchorsOutsideTheGrid) {
+  const hog::HogParams params = small_params();
+  const hog::BlockGrid grid = random_grid(6, 5, params, 2);
+  ScoreBatch batch;
+  batch.configure(dim_of(params), 4);
+  batch.load(grid, params);
+  batch.push(2, 1);  // the last valid anchor
+  EXPECT_DEATH(batch.push(3, 0), "precondition");
 }
 
 TEST(ScoreBatch, ConfigureReusesStorageAndNeverShrinks) {
+  const hog::HogParams big = make_params(9, hog::DescriptorLayout::kCellGroups);
+  const hog::BlockGrid big_grid = random_grid(40, 30, big, 3);
   ScoreBatch batch;
-  batch.configure(4608, 64);
-  fill_rows(batch, 4608, 64, 1);
+  batch.configure(dim_of(big), 64);
+  fill(batch, big_grid, big, scan_anchors(big_grid, big, 8));
   const std::size_t high_water = batch.capacity_bytes();
   ASSERT_GT(high_water, 0u);
 
   // Smaller shape: same storage, no release.
-  batch.configure(128, 4);
+  const hog::HogParams small = small_params();
+  const hog::BlockGrid small_grid = random_grid(6, 5, small, 4);
+  batch.configure(dim_of(small), 4);
   EXPECT_TRUE(batch.empty());
-  EXPECT_EQ(batch.capacity_bytes(), high_water);
-  fill_rows(batch, 128, 4, 2);
+  fill(batch, small_grid, small, {{0, 0}, {1, 0}, {2, 1}, {0, 1}});
   EXPECT_EQ(batch.size(), 4u);
+  EXPECT_EQ(batch.capacity_bytes(), high_water);
 
   // Back to the big shape: still the same storage.
-  batch.configure(4608, 64);
+  batch.configure(dim_of(big), 64);
+  batch.load(big_grid, big);
   EXPECT_EQ(batch.capacity_bytes(), high_water);
 }
 
@@ -117,21 +233,10 @@ TEST(BackendKind, ParseAcceptsCliSpellingsAndRejectsJunk) {
 }
 
 TEST(BackendKind, ResolvePinsExplicitKindsAndGroundsAuto) {
-  // Explicit kinds pass through untouched — the property that keeps tests
-  // pinned under CI's PDET_SCORE_BACKEND=batch matrix entry.
   EXPECT_EQ(resolve(BackendKind::kScalar), BackendKind::kScalar);
   EXPECT_EQ(resolve(BackendKind::kBatch), BackendKind::kBatch);
   EXPECT_EQ(resolve(BackendKind::kHwsim), BackendKind::kHwsim);
-
-  // kAuto grounds to whatever the environment says, restricted to the CPU
-  // backends (hwsim needs a constructed device).
-  const BackendKind resolved = resolve(BackendKind::kAuto);
-  EXPECT_TRUE(resolved == BackendKind::kScalar ||
-              resolved == BackendKind::kBatch);
-  const char* env = std::getenv("PDET_SCORE_BACKEND");
-  if (env != nullptr && std::string_view(env) == "batch") {
-    EXPECT_EQ(resolved, BackendKind::kBatch);
-  }
+  EXPECT_EQ(resolve(BackendKind::kAuto), BackendKind::kScalar);
 }
 
 TEST(BackendKind, MakeBackendConstructsCpuKindsOnly) {
@@ -141,98 +246,163 @@ TEST(BackendKind, MakeBackendConstructsCpuKindsOnly) {
   const auto batch = make_backend(BackendKind::kBatch);
   ASSERT_NE(batch, nullptr);
   EXPECT_EQ(batch->kind(), BackendKind::kBatch);
+  const auto automatic = make_backend(BackendKind::kAuto);
+  ASSERT_NE(automatic, nullptr);
+  EXPECT_EQ(automatic->kind(), BackendKind::kScalar);
   // hwsim is a device, not a bare enum: construct via pdet_hwsim instead.
   EXPECT_EQ(make_backend(BackendKind::kHwsim), nullptr);
 }
 
-// --- ScalarBackend: bit-identical port --------------------------------------
+// --- the window kernel: bitwise equal to decision ---------------------------
 
-TEST(ScalarBackend, BitIdenticalToLinearModelDecision) {
-  const std::size_t dim = 1023;  // odd: exercises every tail path
-  const svm::LinearModel model = make_model(dim, 3);
-  ScoreBatch batch;
-  batch.configure(dim, 9);
-  fill_rows(batch, dim, 9, 4);
+TEST(CpuBackend, BothNamesBitIdenticalToLinearModelDecision) {
+  const hog::HogParams params =
+      make_params(9, hog::DescriptorLayout::kCellGroups);
+  const hog::BlockGrid grid = random_grid(29, 21, params, 5);
+  const svm::LinearModel model = make_model(dim_of(params), 6);
+  // Nine windows from the end of row 0 into row 1: the batch straddles a row
+  // and both runs end mid-lane-group.
+  std::vector<Anchor> anchors;
+  for (int x = 16; x < 22; ++x) anchors.push_back({x, 0});
+  for (int x = 0; x < 3; ++x) anchors.push_back({x, 1});
 
-  ScalarBackend backend;
-  backend.score(model, batch);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch.score(i), model.decision(batch.row(i)))
-        << "row " << i << " diverged from the historical inline loop";
-  }
+  hog::BlockGrid sensitive_grid = grid;
+  svm::LinearModel sensitive_model = model;
+  make_order_sensitive(sensitive_model, sensitive_grid, params);
 
-  const BackendStats stats = backend.stats();
-  EXPECT_EQ(stats.batches, 1);
-  EXPECT_EQ(stats.windows, 9);
-  EXPECT_EQ(stats.capacity_sum, 9);
-  EXPECT_DOUBLE_EQ(stats.mean_fill(), 1.0);
-}
-
-// --- BatchBackend: bounded ULP + composition independence -------------------
-
-TEST(BatchBackend, BoundedUlpAgainstScalarAcrossSeeds) {
-  const std::size_t dim = 4608;  // paper descriptor size
-  for (const std::uint64_t seed : {7u, 8u, 9u}) {
-    const svm::LinearModel model = make_model(dim, seed);
-    ScoreBatch rows;
-    rows.configure(dim, 33);  // odd count: the pair loop leaves a tail row
-    fill_rows(rows, dim, 33, seed + 100);
-
-    ScoreBatch scalar_rows;
-    scalar_rows.configure(dim, 33);
-    for (std::size_t i = 0; i < 33; ++i) {
-      const std::span<float> dst = scalar_rows.push(rows.tag(i));
-      const std::span<const float> src = rows.row(i);
-      std::copy(src.begin(), src.end(), dst.begin());
+  for (const BackendKind kind : {BackendKind::kScalar, BackendKind::kBatch}) {
+    const std::unique_ptr<ScoringBackend> backend = make_backend(kind);
+    ScoreBatch batch;
+    batch.configure(dim_of(params), 9);
+    fill(batch, grid, params, anchors);
+    backend->score(model, batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(batch.score(i), reference(model, grid, params, anchors[i]))
+          << to_string(kind) << " window " << i;
     }
-
-    BatchBackend batch_backend;
-    ScalarBackend scalar_backend;
-    batch_backend.score(model, rows);
-    scalar_backend.score(model, scalar_rows);
-    for (std::size_t i = 0; i < 33; ++i) {
-      const float a = rows.score(i);
-      const float b = scalar_rows.score(i);
-      // Both kernels accumulate in double; they differ only by summation
-      // order, so the float results agree to a few ULP.
-      EXPECT_NEAR(a, b, 1e-4f * (1.0f + std::abs(b)))
-          << "seed " << seed << " row " << i;
+    fill(batch, sensitive_grid, params, anchors);
+    backend->score(sensitive_model, batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(batch.score(i), reference(sensitive_model, sensitive_grid,
+                                          params, anchors[i]))
+          << to_string(kind) << " order-sensitive window " << i;
     }
+    const BackendStats stats = backend->stats();
+    EXPECT_EQ(stats.batches, 2);
+    EXPECT_EQ(stats.windows, 18);
+    EXPECT_EQ(stats.capacity_sum, 18);
+    EXPECT_DOUBLE_EQ(stats.mean_fill(), 1.0);
   }
 }
 
-TEST(BatchBackend, ScoresAreIndependentOfBatchComposition) {
-  // The ScoringBackend contract: a row's score never depends on what else
-  // shares its batch. This is what lets the runtime coalesce windows across
-  // streams without perturbing per-stream results — so it must be bitwise,
-  // not approximate.
-  const std::size_t dim = 1536;
-  const svm::LinearModel model = make_model(dim, 21);
+TEST(WindowKernel, EveryCopyBitwiseEqualsDecisionAcrossGeometries) {
+  // Random grids x bins x both layouts x stride 1/2 x widths whose window
+  // rows end mid-lane-group, scored in batches that straddle rows (64) and
+  // in partial ones (5), through each ISA copy of the kernel — with plain
+  // and with order-sensitive inputs.
+  std::uint64_t seed = 100;
+  long long checked = 0;
+  for (const int bins : {4, 9, 12}) {
+    for (const hog::DescriptorLayout layout :
+         {hog::DescriptorLayout::kCellGroups,
+          hog::DescriptorLayout::kDalalBlocks}) {
+      const hog::HogParams params = make_params(bins, layout);
+      const int bw = params.blocks_per_window_x();
+      const int bh = params.blocks_per_window_y();
+      for (const int stride : {1, 2}) {
+        // Window positions per row: 1, 5, 16, 17, 38.
+        for (const int extra : {0, 4, 15, 16, 37}) {
+          ++seed;
+          hog::BlockGrid grid =
+              random_grid(bw + extra, bh + (extra % 7) + 1, params, seed);
+          svm::LinearModel model = make_model(dim_of(params), seed);
+          if (seed % 2 == 0) make_order_sensitive(model, grid, params);
+          const std::vector<Anchor> anchors =
+              scan_anchors(grid, params, stride);
+          std::vector<float> want;
+          for (const Anchor a : anchors) {
+            want.push_back(reference(model, grid, params, a));
+          }
+          for (const util::simd::Isa isa : isa_copies()) {
+            const WindowKernels& kernels = window_kernels().at(isa);
+            for (const std::size_t capacity : {std::size_t{5}, std::size_t{64}}) {
+              ScoreBatch batch;
+              batch.configure(dim_of(params), capacity);
+              batch.load(grid, params);
+              int mismatches = 0;
+              std::size_t next = 0;
+              for (std::size_t k = 0; k < anchors.size(); ++k) {
+                batch.push(anchors[k].x, anchors[k].y);
+                if (!batch.full() && k + 1 < anchors.size()) continue;
+                score_windows(kernels, model, batch);
+                for (std::size_t i = 0; i < batch.size(); ++i, ++next) {
+                  if (batch.score(i) != want[next]) ++mismatches;
+                }
+                batch.clear();
+              }
+              ASSERT_EQ(next, anchors.size());
+              EXPECT_EQ(mismatches, 0)
+                  << util::simd::to_string(isa) << " seed " << seed << " bins "
+                  << bins << " layout " << static_cast<int>(layout) << " stride "
+                  << stride << " grid " << grid.blocks_x() << "x"
+                  << grid.blocks_y() << " capacity " << capacity;
+              checked += static_cast<long long>(anchors.size());
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000);
+}
+
+TEST(CpuBackend, ScoresAreIndependentOfBatchComposition) {
+  // The ScoringBackend contract: a window's score never depends on what else
+  // shares its batch or which lane it lands in. This is what lets the
+  // runtime coalesce windows across streams without perturbing per-stream
+  // results — so it must be bitwise, not approximate.
+  const hog::HogParams params =
+      make_params(9, hog::DescriptorLayout::kCellGroups);
+  hog::BlockGrid grid = random_grid(30, 20, params, 21);
+  svm::LinearModel model = make_model(dim_of(params), 22);
+  make_order_sensitive(model, grid, params);
+  std::vector<Anchor> anchors = scan_anchors(grid, params, 1);
+  util::Rng rng(23);
+  for (std::size_t i = anchors.size() - 1; i > 0; --i) {  // shuffle
+    std::swap(anchors[i],
+              anchors[static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<int>(i)))]);
+  }
+  anchors.resize(40);
+  // Neighbours in one row, so they share a pass.
+  anchors.push_back({3, 2});
+  anchors.push_back({4, 2});
+  anchors.push_back({17, 2});
+
+  CpuBackend backend;
   ScoreBatch all;
-  all.configure(dim, 7);
-  fill_rows(all, dim, 7, 22);
-  BatchBackend backend;
+  all.configure(dim_of(params), anchors.size());
+  fill(all, grid, params, anchors);
   backend.score(model, all);
-
-  for (std::size_t i = 0; i < 7; ++i) {
+  for (std::size_t i = 0; i < anchors.size(); ++i) {
     ScoreBatch solo;
-    solo.configure(dim, 1);
-    const std::span<float> dst = solo.push(all.tag(i));
-    const std::span<const float> src = all.row(i);
-    std::copy(src.begin(), src.end(), dst.begin());
+    solo.configure(dim_of(params), 1);
+    fill(solo, grid, params, {anchors[i]});
     backend.score(model, solo);
-    EXPECT_EQ(solo.score(0), all.score(i)) << "row " << i;
+    EXPECT_EQ(solo.score(0), all.score(i)) << "window " << i;
+    EXPECT_EQ(all.score(i), reference(model, grid, params, anchors[i]));
   }
 }
 
 TEST(BackendBase, ScoreBatchFaultSiteThrowsBeforeTheKernel) {
-  const std::size_t dim = 64;
-  const svm::LinearModel model = make_model(dim, 30);
+  const hog::HogParams params = small_params();
+  const hog::BlockGrid grid = random_grid(6, 5, params, 30);
+  const svm::LinearModel model = make_model(dim_of(params), 31);
   ScoreBatch batch;
-  batch.configure(dim, 2);
-  fill_rows(batch, dim, 2, 31);
+  batch.configure(dim_of(params), 2);
+  fill(batch, grid, params, {{0, 0}, {1, 0}});
 
-  BatchBackend backend;
+  CpuBackend backend(BackendKind::kBatch);
   fault::ScopedPlan plan(fault::Plan{.seed = 5}.with("score.batch", 1.0));
   EXPECT_THROW(backend.score(model, batch), std::runtime_error);
   // The batch was never scored, and stats did not count the failed call.
@@ -242,11 +412,15 @@ TEST(BackendBase, ScoreBatchFaultSiteThrowsBeforeTheKernel) {
 // --- hwsim backend ----------------------------------------------------------
 
 TEST(HwsimBackend, QuantizedScoresTrackFloatWithinTolerance) {
-  const std::size_t dim = 2048;
-  const svm::LinearModel model = make_model(dim, 41);
+  const hog::HogParams params =
+      make_params(9, hog::DescriptorLayout::kCellGroups);
+  const hog::BlockGrid grid = random_grid(19, 17, params, 40);
+  const svm::LinearModel model = make_model(dim_of(params), 41);
   ScoreBatch batch;
-  batch.configure(dim, 16);
-  fill_rows(batch, dim, 16, 42);
+  batch.configure(dim_of(params), 16);
+  std::vector<Anchor> anchors = scan_anchors(grid, params, 1);
+  anchors.resize(16);  // row 0 and the start of row 1
+  fill(batch, grid, params, anchors);
 
   hwsim::HwsimBackendOptions opts;
   opts.simulate_latency = false;
@@ -255,9 +429,9 @@ TEST(HwsimBackend, QuantizedScoresTrackFloatWithinTolerance) {
   device.score(model, batch);
 
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const float want = model.decision(batch.row(i));
+    const float want = reference(model, grid, params, anchors[i]);
     // Q.14 features and weights: quantization error, not batch effects.
-    EXPECT_NEAR(batch.score(i), want, 0.05f) << "row " << i;
+    EXPECT_NEAR(batch.score(i), want, 0.05f) << "window " << i;
   }
   // Modeled device time accrues even with the sleep off: one fill plus one
   // column cadence per window.
@@ -267,26 +441,25 @@ TEST(HwsimBackend, QuantizedScoresTrackFloatWithinTolerance) {
 // --- ScoreHub ---------------------------------------------------------------
 
 TEST(ScoreHub, PassThroughScoresMatchInnerBackendExactly) {
-  const std::size_t dim = 512;
-  const svm::LinearModel model = make_model(dim, 51);
-  BatchBackend inner;
+  const hog::HogParams params = small_params();
+  const hog::BlockGrid grid = random_grid(9, 7, params, 50);
+  const svm::LinearModel model = make_model(dim_of(params), 51);
+  CpuBackend inner(BackendKind::kBatch);
   ScoreHub hub(inner, /*lanes=*/2, /*max_pending=*/8);
   EXPECT_EQ(hub.kind(), BackendKind::kBatch);  // routing layer reports inner
 
+  std::vector<Anchor> anchors = scan_anchors(grid, params, 1);
+  anchors.resize(6);
   ScoreBatch via_hub;
-  via_hub.configure(dim, 6);
-  fill_rows(via_hub, dim, 6, 52);
+  via_hub.configure(dim_of(params), 6);
+  fill(via_hub, grid, params, anchors);
   ScoreBatch direct;
-  direct.configure(dim, 6);
-  for (std::size_t i = 0; i < 6; ++i) {
-    const std::span<float> dst = direct.push(via_hub.tag(i));
-    const std::span<const float> src = via_hub.row(i);
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
+  direct.configure(dim_of(params), 6);
+  fill(direct, grid, params, anchors);
 
   hub.score(model, via_hub);
-  BatchBackend reference;
-  reference.score(model, direct);
+  CpuBackend reference_backend(BackendKind::kBatch);
+  reference_backend.score(model, direct);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(via_hub.score(i), direct.score(i));
   }
@@ -296,9 +469,9 @@ TEST(ScoreHub, PassThroughScoresMatchInnerBackendExactly) {
 }
 
 TEST(ScoreHub, SingleLaneCoalescesConcurrentSubmitters) {
-  const std::size_t dim = 1024;
-  const svm::LinearModel model = make_model(dim, 61);
-  ScalarBackend inner;
+  const hog::HogParams params = small_params();
+  const svm::LinearModel model = make_model(dim_of(params), 61);
+  CpuBackend inner;
   ScoreHub hub(inner, /*lanes=*/1, /*max_pending=*/16);
 
   constexpr int kThreads = 4;
@@ -309,14 +482,17 @@ TEST(ScoreHub, SingleLaneCoalescesConcurrentSubmitters) {
     threads.emplace_back([&, t] {
       ScoreBatch batch;
       for (int b = 0; b < kBatchesPerThread; ++b) {
-        batch.configure(dim, 3);
-        fill_rows(batch, dim, 3,
-                  static_cast<std::uint64_t>(t) * 1000 + b);
+        const hog::BlockGrid grid =
+            random_grid(7, 6, params,
+                        static_cast<std::uint64_t>(t * 1000 + b));
+        const std::vector<Anchor> anchors{{0, 0}, {3, 1}, {1, 2}};
+        batch.configure(dim_of(params), 3);
+        fill(batch, grid, params, anchors);
         hub.score(model, batch);
         for (std::size_t i = 0; i < batch.size(); ++i) {
-          // Scores must be the submitter's own rows, untouched by whoever
+          // Scores must be the submitter's own windows, untouched by whoever
           // drained the request.
-          if (batch.score(i) != model.decision(batch.row(i))) {
+          if (batch.score(i) != reference(model, grid, params, anchors[i])) {
             ++mismatches[static_cast<std::size_t>(t)];
           }
         }
@@ -370,7 +546,9 @@ TEST(EngineBackend, ScalarEngineBitIdenticalToFreeChain) {
   EXPECT_EQ(engine.stats().backend, BackendKind::kScalar);
 }
 
-TEST(EngineBackend, BatchEngineSameBoxesAfterNmsBoundedUlpBefore) {
+TEST(EngineBackend, BatchEngineBitIdenticalToScalar) {
+  // Both CPU names run the one window kernel: raw windows, scores and
+  // post-NMS boxes are identical, not merely close.
   hog::HogParams params;
   const auto dim = static_cast<std::size_t>(params.descriptor_size());
   for (const std::uint64_t seed : {81u, 82u, 83u}) {
@@ -390,22 +568,20 @@ TEST(EngineBackend, BatchEngineSameBoxesAfterNmsBoundedUlpBefore) {
         batch_engine.process(frame, params, model, ms);
     EXPECT_EQ(batch_engine.stats().backend, BackendKind::kBatch);
 
-    // Raw windows: same set, scores within a few ULP.
     ASSERT_EQ(a.raw.size(), b.raw.size()) << "seed " << seed;
     for (std::size_t i = 0; i < a.raw.size(); ++i) {
       EXPECT_EQ(a.raw[i].x, b.raw[i].x);
       EXPECT_EQ(a.raw[i].y, b.raw[i].y);
       EXPECT_EQ(a.raw[i].scale, b.raw[i].scale);
-      EXPECT_NEAR(a.raw[i].score, b.raw[i].score,
-                  1e-4f * (1.0f + std::abs(a.raw[i].score)));
+      EXPECT_EQ(a.raw[i].score, b.raw[i].score);
     }
-    // Post-NMS boxes: identical.
     ASSERT_EQ(a.detections.size(), b.detections.size()) << "seed " << seed;
     for (std::size_t i = 0; i < a.detections.size(); ++i) {
       EXPECT_EQ(a.detections[i].x, b.detections[i].x);
       EXPECT_EQ(a.detections[i].y, b.detections[i].y);
       EXPECT_EQ(a.detections[i].width, b.detections[i].width);
       EXPECT_EQ(a.detections[i].height, b.detections[i].height);
+      EXPECT_EQ(a.detections[i].score, b.detections[i].score);
     }
   }
 }
