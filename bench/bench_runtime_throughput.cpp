@@ -35,7 +35,6 @@
 #include "src/obs/report.hpp"
 #include "src/runtime/server.hpp"
 #include "src/score/backend.hpp"
-#include "src/score/hub.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/logging.hpp"
 #include "src/util/strings.hpp"
@@ -147,20 +146,19 @@ class DecisionBackend final : public score::BackendBase {
 };
 
 /// Aggregate fps of `streams` cameras served flat out by `workers` engines
-/// that all score through `backend` behind one ScoreHub, as the server's
-/// engines do. Worker w serves streams w, w + workers, ... in turn.
+/// that all call `backend` directly, as the server's engines do. Worker w
+/// serves streams w, w + workers, ... in turn.
 double engine_pool_fps(const svm::LinearModel& model,
                        const hog::HogParams& hog,
                        const detect::MultiscaleOptions& multiscale,
                        const Feed& feed, int streams, int workers,
                        int frames_per_stream, score::ScoringBackend& backend) {
-  score::ScoreHub hub(backend, static_cast<std::size_t>(workers),
-                      static_cast<std::size_t>(workers) + 8);
   const util::Timer timer;
   std::vector<std::thread> threads;
   for (int w = 0; w < workers; ++w) {
     threads.emplace_back([&, w] {
-      detect::DetectionEngine engine(detect::EngineOptions{.scorer = &hub});
+      detect::DetectionEngine engine(
+          detect::EngineOptions{.scorer = &backend});
       for (int f = 0; f < frames_per_stream; ++f) {
         for (int s = w; s < streams; s += workers) {
           const auto& pool = feed[static_cast<std::size_t>(s)];
@@ -276,13 +274,13 @@ int main(int argc, char** argv) {
               scaling, lossless_clean ? "none" : "UNEXPECTED");
 
 
-  // --- cross-stream window batching, flat out ---
-  // Every stream submits flat out (interval 0, kBlock, no deadline) so the
-  // engines are saturated and the shared ScoreHub sees concurrent scoring
-  // requests; "fill" is the mean windows per backend batch reported by the
-  // server. `scalar` and `batch` name the same window kernel, so one row
-  // per stream count covers both.
-  std::printf("\n--- cross-stream window batching (flat out, block) ---\n");
+  // --- batch fill, flat out ---
+  // Every stream submits flat out (interval 0, kBlock, no deadline) so every
+  // engine scores concurrently through the server's one backend; "mean
+  // fill" is the server's windows per unit of batch capacity
+  // (RuntimeStats::score_fill). `scalar` and `batch` name the same window
+  // kernel, so one row per stream count covers both.
+  std::printf("\n--- batch fill (flat out, block) ---\n");
   // A dense 12% scale ladder: the feature pyramid makes the extra levels
   // cheap to *build* (cell-grid downscale, no re-extraction) but every level
   // still pays full window-scanning cost — exactly the regime the paper's
@@ -313,7 +311,7 @@ int main(int argc, char** argv) {
     fill_table.add_row({std::to_string(n), util::to_fixed(s.aggregate_fps, 1),
                         util::to_fixed(s.total_latency_ms.p99, 1),
                         std::to_string(s.score_batches),
-                        util::to_fixed(s.score_fill, 1)});
+                        util::to_fixed(s.score_fill, 2)});
     const std::string prefix =
         "runtime.bench.fill.streams_" + std::to_string(n);
     obs::gauge_set(prefix + ".aggregate_fps", s.aggregate_fps);
@@ -328,7 +326,7 @@ int main(int argc, char** argv) {
   // paired ratios*: each pair runs the reference then the kernel back to
   // back (sharing the same host noise epoch) and contributes one ratio. The
   // runtime server builds its own backend, so the pairs drive a bare engine
-  // pool through the same ScoreHub arrangement instead.
+  // pool that shares one backend the same way instead.
   std::vector<double> ratios;
   obs::set_metrics_enabled(false);
   for (int pair = 0; pair < 5; ++pair) {

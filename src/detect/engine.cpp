@@ -187,7 +187,7 @@ void DetectionEngine::run_level(const imgproc::ImageF& frame,
 
   hog::normalize_cells_into(*cells, params, level.block_scratch, level.blocks);
   level.batch.configure(static_cast<std::size_t>(params.descriptor_size()),
-                        options_.score_batch);
+                        score::kDefaultBatchCapacity);
   level.score_batches =
       scan_level_into(level.blocks, params, model, *active_scorer_,
                       options.scan, level.batch, level.hits);

@@ -42,12 +42,10 @@ struct EngineOptions {
   /// kHwsim cannot be constructed here — pass the device via `scorer`.
   score::BackendKind backend = score::BackendKind::kAuto;
 
-  /// Windows per scoring batch (per level lane).
-  std::size_t score_batch = score::kDefaultBatchCapacity;
-
   /// Externally owned backend shared across engines (the runtime passes its
-  /// cross-stream ScoreHub here). Overrides `backend`; must outlive the
-  /// engine. The engine never takes ownership.
+  /// one backend here, and every pooled and tiled engine calls it directly).
+  /// Overrides `backend`; must outlive the engine and accept concurrent
+  /// score() calls. The engine never takes ownership.
   score::ScoringBackend* scorer = nullptr;
 };
 
@@ -141,7 +139,7 @@ class DetectionEngine {
   /// come in through set_scorer().
   void set_backend(score::BackendKind kind);
 
-  /// Share an externally owned backend (e.g. the runtime's ScoreHub or an
+  /// Share an externally owned backend (e.g. the runtime's backend or an
   /// hwsim device); nullptr reverts to the engine-owned backend.
   void set_scorer(score::ScoringBackend* scorer);
 

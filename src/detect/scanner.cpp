@@ -11,10 +11,9 @@ namespace pdet::detect {
 namespace {
 
 /// Score the batch's windows and emit detections in push (row-major) order.
-/// Scoring metrics are recorded here, on the thread that owns the scan —
-/// not inside the backend, where a cross-stream hub drain would attribute
-/// them to the wrong stream (or to a muted lane twice, via the engine's
-/// aggregate compensation).
+/// Scoring metrics are recorded here, on the thread that owns the scan, so
+/// a muted engine lane's counts can be compensated exactly by the engine's
+/// aggregates (backends keep only their own BackendStats).
 void flush_batch(const svm::LinearModel& model, score::ScoringBackend& backend,
                  const ScanOptions& options, const hog::HogParams& params,
                  score::ScoreBatch& batch, std::vector<Detection>& out) {

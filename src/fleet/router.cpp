@@ -1044,6 +1044,13 @@ void ShardRouter::merge_report(Backend& be, QueryCtx& ctx) {
     }
     acc.score_batches += in.score_batches;
     acc.score_windows += in.score_windows;
+    acc.guard_unusable += in.guard_unusable;
+    acc.guard_soft += in.guard_soft;
+    acc.camera_quarantines += in.camera_quarantines;
+    acc.camera_recoveries += in.camera_recoveries;
+    // Camera-state gauges sum too: each shard serves disjoint streams.
+    acc.cameras_suspect += in.cameras_suspect;
+    acc.cameras_quarantined += in.cameras_quarantined;
     return;
   }
 

@@ -11,15 +11,15 @@
 //   batch latency = (kFillCycles + count * kColumnCycles) / clock_hz
 //
 // i.e. one MACBAR fill to prime the pipeline, then one column cadence per
-// window. That per-batch fill charge is exactly why the runtime's ScoreHub
-// runs hwsim with lanes = 1: a single device, where coalescing neighbour
-// batches amortizes the fill, and submitters sleep on the hub's condition
-// variable until their batch completes — the async completion path.
+// window. Every score() call pays its own kFillCycles, whichever engine or
+// stream makes the call: batches are never merged across callers.
 //
-// The device serializes internally (one mutex = one datapath), so scores are
-// deterministic regardless of how many engine lanes or streams share it.
-// Scores differ from the float backends by quantization (Q.14 features and
-// weights), not by batch composition.
+// The device serializes internally (one mutex = one datapath, held while the
+// modeled latency sleeps), so the runtime's engines call it directly and
+// queue on that mutex the way frames queue on the paper's single MACBAR
+// pipeline. Scores are deterministic regardless of how many engine lanes or
+// streams share it, and differ from the float backends by quantization
+// (Q.14 features and weights), not by batch composition.
 #pragma once
 
 #include <cstdint>

@@ -46,7 +46,7 @@
 // v4 (breaking): StatsReport grew the scoring-backend block (which
 // ScoringBackend served — scalar/batch/hwsim — plus batch/window counts and
 // mean batch fill) so remote clients can see which backend scored their
-// frames and how well cross-stream batching coalesced.
+// frames and how full its batches ran (windows / batch capacity).
 //
 // v5 (breaking): input integrity (pdet::guard). Result grew the frame-
 // quality block (input_quality / camera_state / quality_reasons) and the

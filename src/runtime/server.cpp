@@ -61,33 +61,15 @@ DetectionServer::DetectionServer(svm::LinearModel model, ServerOptions options)
   PDET_REQUIRE(model_.dimension() ==
                static_cast<std::size_t>(options_.hog.descriptor_size()));
 
-  // One scoring backend serves the whole engine pool. hwsim is the offload
-  // case: a single modeled device, which only the server (not a bare
-  // engine) knows how to construct and share.
+  // One scoring backend serves every pooled and tiled engine, which call it
+  // directly from their own threads. hwsim is the offload case: a single
+  // modeled device, which only the server (not a bare engine) knows how to
+  // construct and share; its device mutex serializes the callers.
   const score::BackendKind kind = score::resolve(options_.backend);
   if (kind == score::BackendKind::kHwsim) {
     score_backend_ = std::make_unique<hwsim::HwsimScoreBackend>();
   } else {
     score_backend_ = score::make_backend(kind);
-  }
-  if (options_.cross_stream_batching) {
-    // lanes: one per worker keeps CPU backends pass-through (coalescing only
-    // when arrivals collide); a single lane serializes onto the one modeled
-    // hwsim device, with submitters parked on the hub's async completion.
-    const std::size_t lanes =
-        options_.score_lanes != 0
-            ? options_.score_lanes
-            : (kind == score::BackendKind::kHwsim
-                   ? 1
-                   : static_cast<std::size_t>(options_.workers));
-    // Every worker engine lane can have at most one batch in flight, plus
-    // slack for watchdog replacement workers spawned mid-run.
-    const std::size_t max_pending =
-        static_cast<std::size_t>(options_.workers) *
-            static_cast<std::size_t>(options_.engine_threads) +
-        8;
-    score_hub_ =
-        std::make_unique<score::ScoreHub>(*score_backend_, lanes, max_pending);
   }
 }
 
@@ -126,17 +108,13 @@ void DetectionServer::start() {
   submit_slots_.resize(streams_.size());
   if (options_.tiling.enabled) {
     // Per-stream tiled pipelines. The tile engines score through the same
-    // shared backend/hub as the pooled engines, so cross-stream batching and
-    // backend stats keep working on the tiled path.
+    // shared backend as the pooled engines, so backend stats cover the tiled
+    // path too.
     tile::TileEngineOptions topts;
     topts.plan = options_.tiling.plan;
     topts.threads = options_.tiling.tile_threads;
-    topts.engine = detect::EngineOptions{
-        .threads = 1,
-        .score_batch = options_.score_batch,
-        .scorer = score_hub_
-                      ? static_cast<score::ScoringBackend*>(score_hub_.get())
-                      : score_backend_.get()};
+    topts.engine = detect::EngineOptions{.threads = 1,
+                                         .scorer = score_backend_.get()};
     tile_streams_.reserve(streams_.size());
     for (std::size_t i = 0; i < streams_.size(); ++i) {
       tile_streams_.push_back(std::make_unique<TileStreamState>(
@@ -165,11 +143,7 @@ void DetectionServer::spawn_worker() {
   // Called from start() (single-threaded) and from the watchdog (the only
   // post-start appender). Deques keep existing workers' pointers stable.
   engines_.emplace_back(detect::EngineOptions{
-      .threads = options_.engine_threads,
-      .score_batch = options_.score_batch,
-      .scorer = score_hub_ ? static_cast<score::ScoringBackend*>(
-                                 score_hub_.get())
-                           : score_backend_.get()});
+      .threads = options_.engine_threads, .scorer = score_backend_.get()});
   worker_states_.emplace_back();
   WorkerState* state = &worker_states_.back();
   detect::DetectionEngine* engine = &engines_.back();

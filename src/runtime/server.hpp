@@ -60,7 +60,6 @@
 #include "src/runtime/scheduler.hpp"
 #include "src/runtime/stream.hpp"
 #include "src/score/backend.hpp"
-#include "src/score/hub.hpp"
 #include "src/svm/linear_svm.hpp"
 #include "src/tile/engine.hpp"
 #include "src/tile/roi.hpp"
@@ -113,21 +112,10 @@ struct ServerOptions {
   TilingOptions tiling;            ///< UHD tiled pipeline (off by default)
   InputGuardOptions guard;         ///< frame-integrity gate (off by default)
 
-  // Scoring backend + cross-stream batching (DESIGN "Scoring backends").
-  /// Which backend classifies windows. kAuto = scalar (= batch, the same
-  /// CPU kernel); kHwsim builds the MACBAR offload model (one device, shared
-  /// by all workers through a single-lane hub).
+  /// Which backend classifies windows (DESIGN §6.5). kAuto = scalar (= batch,
+  /// the same CPU kernel); kHwsim builds the MACBAR offload model, one device
+  /// that every worker calls directly and that serializes on its own mutex.
   score::BackendKind backend = score::BackendKind::kAuto;
-  /// Windows per scoring batch inside each engine level lane.
-  std::size_t score_batch = score::kDefaultBatchCapacity;
-  /// Route every worker's batches through one shared ScoreHub, so batches
-  /// from different streams coalesce at the backend (drains back-to-back,
-  /// weight vector stays hot). Per-stream results are unchanged — the hub
-  /// only reorders which thread executes a batch, never its contents.
-  bool cross_stream_batching = true;
-  /// Concurrent hub drains. 0 = auto: 1 for hwsim (one modeled device),
-  /// `workers` otherwise (pass-through with opportunistic coalescing).
-  std::size_t score_lanes = 0;
 
   // Fault containment / self-healing knobs (DESIGN §9).
   /// Watchdog threshold: a worker busy on one frame for longer than this is
@@ -269,10 +257,6 @@ class DetectionServer {
   /// The backend serving this server's engines (resolved, never kAuto).
   score::BackendKind backend() const { return score_backend_->kind(); }
 
-  /// The cross-stream coalescing hub, or nullptr when
-  /// ServerOptions::cross_stream_batching is off.
-  const score::ScoreHub* score_hub() const { return score_hub_.get(); }
-
   /// The per-stream timeline rings (the flight recorder). Always present;
   /// records only when ServerOptions::timeline_depth > 0.
   const obs::FlightRecorder& flight_recorder() const { return flight_; }
@@ -384,12 +368,11 @@ class DetectionServer {
 
   const ServerOptions options_;
   const svm::LinearModel model_;
-  /// The scoring backend shared by every worker engine (constructed from
-  /// ServerOptions::backend; hwsim builds the offload device here), plus the
-  /// optional cross-stream hub in front of it. Workers hold pointers into
-  /// these, so they are fixed for the server's lifetime.
+  /// The scoring backend shared by every pooled and tiled engine
+  /// (constructed from ServerOptions::backend; hwsim builds the offload
+  /// device here). Engines hold a pointer to it, so it is fixed for the
+  /// server's lifetime.
   std::unique_ptr<score::ScoringBackend> score_backend_;
-  std::unique_ptr<score::ScoreHub> score_hub_;
   /// Effective multiscale options per degradation rung, precomputed so a
   /// worker's per-frame scheduling path allocates nothing.
   std::array<detect::MultiscaleOptions, 3> rung_options_;

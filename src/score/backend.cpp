@@ -128,11 +128,11 @@ namespace {
 
 const util::simd::Kernels<WindowKernels>& window_kernels() {
   static const util::simd::Kernels<WindowKernels> table{
-      {score_lanes_base},
+      {score_pass_base},
 #ifdef PDET_SIMD_AVX2_CLONE
-      {score_lanes_avx2},
+      {score_pass_avx2},
 #else
-      {score_lanes_base},
+      {score_pass_base},
 #endif
   };
   return table;
@@ -146,8 +146,8 @@ void score_windows(const WindowKernels& kernels, const svm::LinearModel& model,
   std::size_t i = 0;
   while (i < batch.size()) {
     const ScoreBatch::Anchor first = batch.anchor(i);
-    kernels.score_lanes(w, model.bias, batch.plane_at(i), batch.geometry(),
-                        lanes);
+    kernels.score_pass(w, model.bias, batch.plane_at(i), batch.geometry(),
+                       lanes);
     // The pass covered every anchor of this row in [first.x, first.x + 16).
     ScoreBatch::Anchor a = first;
     do {

@@ -14,9 +14,9 @@
 //                      (planes+anchors)  scalar = batch | hwsim
 //
 // Backends score windows independently, so a window's score never depends
-// on what else shares its batch — the property that lets the runtime
-// coalesce batches across streams (hub.hpp) without perturbing per-stream
-// results.
+// on what else shares its batch or on which thread scores it — the property
+// that lets every engine of a server call one shared backend without
+// perturbing per-stream results.
 //
 // Contract notes:
 //  * ScoreBatch storage is plain reusable scratch in the engine workspace
@@ -25,11 +25,11 @@
 //  * Backends keep their own lock-free BackendStats; obs metrics for scoring
 //    (svm.dot_products, score.batches, score.batch_fill) are recorded at the
 //    *call site* (the scanner), not here — so a muted engine lane's counts
-//    can be compensated exactly, and a cross-stream hub draining another
-//    worker's batch does not mis-attribute them.
+//    can be compensated exactly.
 //  * The fault site "score.batch" (see fault/injector.hpp) fires inside
-//    score(): a backend failure surfaces as an exception in the frame that
-//    owns the batch and rides the runtime's poison-frame path.
+//    score(), on the thread that owns the batch: a backend failure surfaces
+//    as an exception in that batch's frame and rides the runtime's
+//    poison-frame path.
 #pragma once
 
 #include <atomic>
@@ -64,9 +64,9 @@ bool parse_backend(std::string_view name, BackendKind& out);
 /// Resolve kAuto to kScalar; explicit kinds pass through untouched.
 BackendKind resolve(BackendKind requested);
 
-/// Windows per batch unless the caller picks otherwise. Large enough to
-/// amortize per-batch costs (backend call, hub hand-off, fault check); a
-/// batch holds only anchors and scores, the features stay in its planes.
+/// Windows per scoring batch on every scan path. Large enough to amortize
+/// per-batch costs (backend call, fault check); a batch holds only anchors
+/// and scores, the features stay in its planes.
 inline constexpr std::size_t kDefaultBatchCapacity = 64;
 
 /// Horizontally adjacent windows one kernel pass scores.
@@ -165,8 +165,8 @@ struct WindowKernels {
   /// Score kWindowLanes horizontally adjacent windows, the first anchored
   /// at `x`: lane m gets bias + sum of w[k] * x_m[k], accumulated in double
   /// in k order exactly as LinearModel::decision does, rounded to float.
-  void (*score_lanes)(const float* w, float bias, const float* x,
-                      const PlaneGeometry& g, float* out);
+  void (*score_pass)(const float* w, float bias, const float* x,
+                     const PlaneGeometry& g, float* out);
 };
 
 /// The kernel's copies (util::simd seam); CPU backends run active().
@@ -181,7 +181,7 @@ void score_windows(const WindowKernels& kernels, const svm::LinearModel& model,
                    ScoreBatch& batch);
 
 /// Lifetime accounting of one backend instance (relaxed atomics inside, so
-/// concurrent engine lanes and hub drains never contend). `capacity_sum`
+/// concurrent engines and level lanes never contend). `capacity_sum`
 /// accumulates batch capacities so mean fill = windows / capacity_sum.
 struct BackendStats {
   long long batches = 0;       ///< score() calls

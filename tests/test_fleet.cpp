@@ -74,8 +74,8 @@ struct Fleet {
   }
 };
 
-void start_fleet(Fleet& fleet, int shards, RouterOptions ropts = {}) {
-  const net::ServiceOptions sopts = shard_options();
+void start_fleet(Fleet& fleet, int shards, RouterOptions ropts = {},
+                 const net::ServiceOptions& sopts = shard_options()) {
   const svm::LinearModel model = make_model(sopts.runtime.hog, 77);
   for (int i = 0; i < shards; ++i) {
     fleet.shards.push_back(
@@ -376,17 +376,34 @@ TEST(ShardRouter, DeliversExactlyOnceInOrderAcrossShards) {
 // quiesced fleet, the router's aggregated StatsReport equals the field-wise
 // sum of the per-shard reports queried directly.
 TEST(ShardRouter, AggregatedStatsMatchPerShardSums) {
+  // The shards gate their input, so the guard block has something to sum.
+  net::ServiceOptions sopts = shard_options();
+  sopts.runtime.guard.enabled = true;
   Fleet fleet;
-  start_fleet(fleet, 2);
+  start_fleet(fleet, 2, {}, sopts);
 
   net::ClientOptions copts;
   copts.port = fleet.router->port();
   copts.name = "stats-cam";
   net::Client client(copts);
   ASSERT_TRUE(client.connect()) << client.last_error();
-  const imgproc::ImageF frame = make_frame(24, 16, 5);
-  constexpr long long kFrames = 10;
-  for (long long f = 0; f < kFrames; ++f) {
+  // One frame with two dead rows (soft verdict); a frozen run that
+  // quarantines the camera; eight live frames that recover it to suspect;
+  // a second frozen run that quarantines it again. An exact repeat of the
+  // previous frame is ruled unusable.
+  imgproc::ImageF soft = make_frame(24, 16, 4);
+  for (int x = 0; x < soft.width(); ++x) {
+    soft.at(x, 3) = 0.0f;
+    soft.at(x, 4) = 0.0f;
+  }
+  std::vector<imgproc::ImageF> frames{soft};
+  frames.insert(frames.end(), 10, make_frame(24, 16, 5));
+  for (std::uint64_t seed = 100; seed < 108; ++seed) {
+    frames.push_back(make_frame(24, 16, seed));
+  }
+  frames.insert(frames.end(), 7, make_frame(24, 16, 6));
+  const auto kFrames = static_cast<long long>(frames.size());
+  for (const imgproc::ImageF& frame : frames) {
     ASSERT_TRUE(client.submit(frame));
   }
   wire::Result result;
@@ -421,6 +438,12 @@ TEST(ShardRouter, AggregatedStatsMatchPerShardSums) {
     sum.health_state = std::max(sum.health_state, r.health_state);
     sum.score_batches += r.score_batches;
     sum.score_windows += r.score_windows;
+    sum.guard_unusable += r.guard_unusable;
+    sum.guard_soft += r.guard_soft;
+    sum.camera_quarantines += r.camera_quarantines;
+    sum.camera_recoveries += r.camera_recoveries;
+    sum.cameras_suspect += r.cameras_suspect;
+    sum.cameras_quarantined += r.cameras_quarantined;
   }
 
   EXPECT_EQ(fleet_report.submitted, sum.submitted);
@@ -434,6 +457,19 @@ TEST(ShardRouter, AggregatedStatsMatchPerShardSums) {
   EXPECT_EQ(fleet_report.health_state, sum.health_state);
   EXPECT_EQ(fleet_report.score_batches, sum.score_batches);
   EXPECT_EQ(fleet_report.score_windows, sum.score_windows);
+  EXPECT_EQ(fleet_report.guard_unusable, sum.guard_unusable);
+  EXPECT_EQ(fleet_report.guard_soft, sum.guard_soft);
+  EXPECT_EQ(fleet_report.camera_quarantines, sum.camera_quarantines);
+  EXPECT_EQ(fleet_report.camera_recoveries, sum.camera_recoveries);
+  EXPECT_EQ(fleet_report.cameras_suspect, sum.cameras_suspect);
+  EXPECT_EQ(fleet_report.cameras_quarantined, sum.cameras_quarantined);
+  // The gate saw what the frames were built to show.
+  EXPECT_EQ(sum.guard_soft, 1u);
+  EXPECT_EQ(sum.guard_unusable, 15u);
+  EXPECT_EQ(sum.camera_quarantines, 2u);
+  EXPECT_EQ(sum.camera_recoveries, 1u);
+  EXPECT_EQ(sum.cameras_suspect, 0u);
+  EXPECT_EQ(sum.cameras_quarantined, 1u);
   // Every frame this test pushed went through the fleet runtime.
   EXPECT_EQ(fleet_report.submitted, static_cast<std::uint64_t>(kFrames));
   // The net block is the router's own frontend, not a shard sum.

@@ -3,6 +3,7 @@
 // end to end (nominal, blocking and deliberately overloaded regimes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -585,6 +586,16 @@ RuntimeStats random_stats(util::Rng& rng) {
   s.score_batches = counter();
   s.score_windows = counter();
   s.score_fill = rng.uniform(0.0, 1.0);
+  s.tiles_detected = counter();
+  s.tiles_reused = counter();
+  s.roi_frames = counter();
+  s.max_tile_age = rng.uniform_int(0, 100);
+  s.guard_unusable = counter();
+  s.guard_soft = counter();
+  s.camera_quarantines = counter();
+  s.camera_recoveries = counter();
+  s.cameras_suspect = rng.uniform_int(0, 64);
+  s.cameras_quarantined = rng.uniform_int(0, 64);
   return s;
 }
 
@@ -607,7 +618,16 @@ std::vector<long long> summed_fields(const RuntimeStats& s) {
           s.engine_frames,
           static_cast<long long>(s.engine_alloc_bytes),
           s.score_batches,
-          s.score_windows};
+          s.score_windows,
+          s.tiles_detected,
+          s.tiles_reused,
+          s.roi_frames,
+          s.guard_unusable,
+          s.guard_soft,
+          s.camera_quarantines,
+          s.camera_recoveries,
+          s.cameras_suspect,
+          s.cameras_quarantined};
 }
 
 }  // namespace
@@ -615,7 +635,8 @@ std::vector<long long> summed_fields(const RuntimeStats& s) {
 // Property: merging any partition of N snapshots yields the same counter
 // totals as merging all N in one pass — the identity that makes the fleet
 // router's per-shard aggregation trustworthy (associativity + commutativity
-// on every summed field, worst-of on health, window-weighted mean on fill).
+// on every summed field, worst-of on health, max on the worst tile age,
+// window-weighted mean on fill).
 TEST(StatsMerge, PartitionInvariantAndCommutative) {
   util::Rng rng(0xF1EE7);
   for (int trial = 0; trial < 20; ++trial) {
@@ -650,6 +671,13 @@ TEST(StatsMerge, PartitionInvariantAndCommutative) {
     EXPECT_EQ(summed_fields(all), summed_fields(reversed));
     EXPECT_EQ(all.health, combined.health);
     EXPECT_EQ(all.health, reversed.health);
+    int oldest = 0;
+    for (const RuntimeStats& p : parts) {
+      oldest = std::max(oldest, p.max_tile_age);
+    }
+    EXPECT_EQ(all.max_tile_age, oldest);
+    EXPECT_EQ(combined.max_tile_age, oldest);
+    EXPECT_EQ(reversed.max_tile_age, oldest);
     EXPECT_DOUBLE_EQ(all.wall_seconds, combined.wall_seconds);
     EXPECT_NEAR(all.aggregate_fps, reversed.aggregate_fps, 1e-6);
     // Window-weighted fill is partition-invariant up to float rounding.
@@ -672,6 +700,9 @@ TEST(StatsMerge, DeltaMergeRoundTrip) {
     RuntimeStats rebuilt = before;
     merge_runtime_stats(rebuilt, delta);
     EXPECT_EQ(summed_fields(rebuilt), summed_fields(after));
+    // The worst tile age is a state gauge: the delta keeps after's value.
+    EXPECT_EQ(delta.max_tile_age, after.max_tile_age);
+    EXPECT_EQ(rebuilt.max_tile_age, after.max_tile_age);
   }
 }
 

@@ -1,9 +1,9 @@
 // Tests for pdet::score: the ScoreBatch scratch container (window-minor
 // planes + anchors, the window accessor), backend selection/parsing, the
 // window kernel (every ISA copy bitwise equal to LinearModel::decision
-// across geometries), the CPU and hwsim backends, the cross-stream
-// ScoreHub, and the backend seam end to end through the engine and the
-// runtime server (including the "score.batch" fault site riding the
+// across geometries), the CPU and hwsim backends alone and shared by
+// concurrent callers, and the backend seam end to end through the engine
+// and the runtime server (including the "score.batch" fault site riding the
 // poison-frame path).
 #include <gtest/gtest.h>
 
@@ -18,9 +18,9 @@
 #include "src/fault/injector.hpp"
 #include "src/hog/descriptor.hpp"
 #include "src/hwsim/score_backend.hpp"
+#include "src/hwsim/timing.hpp"
 #include "src/runtime/server.hpp"
 #include "src/score/backend.hpp"
-#include "src/score/hub.hpp"
 #include "src/svm/linear_svm.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/simd.hpp"
@@ -48,7 +48,8 @@ hog::HogParams make_params(int bins, hog::DescriptorLayout layout) {
   return params;
 }
 
-/// Window of 4x4 cells: small descriptors for the hub and fault tests.
+/// Window of 4x4 cells: small descriptors for the concurrency and fault
+/// tests.
 hog::HogParams small_params() {
   hog::HogParams params;
   params.window_width = 32;
@@ -358,9 +359,8 @@ TEST(WindowKernel, EveryCopyBitwiseEqualsDecisionAcrossGeometries) {
 
 TEST(CpuBackend, ScoresAreIndependentOfBatchComposition) {
   // The ScoringBackend contract: a window's score never depends on what else
-  // shares its batch or which lane it lands in. This is what lets the
-  // runtime coalesce windows across streams without perturbing per-stream
-  // results — so it must be bitwise, not approximate.
+  // shares its batch or which lane it lands in, so a frame's results never
+  // depend on how its windows were batched — bitwise, not approximately.
   const hog::HogParams params =
       make_params(9, hog::DescriptorLayout::kCellGroups);
   hog::BlockGrid grid = random_grid(30, 20, params, 21);
@@ -438,79 +438,118 @@ TEST(HwsimBackend, QuantizedScoresTrackFloatWithinTolerance) {
   EXPECT_GT(device.modeled_busy_seconds(), 0.0);
 }
 
-// --- ScoreHub ---------------------------------------------------------------
+// --- shared backends -------------------------------------------------------
+// The runtime hands one backend to every pooled and tiled engine, which call
+// it directly from their own threads.
 
-TEST(ScoreHub, PassThroughScoresMatchInnerBackendExactly) {
-  const hog::HogParams params = small_params();
-  const hog::BlockGrid grid = random_grid(9, 7, params, 50);
-  const svm::LinearModel model = make_model(dim_of(params), 51);
-  CpuBackend inner(BackendKind::kBatch);
-  ScoreHub hub(inner, /*lanes=*/2, /*max_pending=*/8);
-  EXPECT_EQ(hub.kind(), BackendKind::kBatch);  // routing layer reports inner
+constexpr int kThreads = 4;
+constexpr int kBatchesPerThread = 25;
+constexpr long long kBatches = kThreads * kBatchesPerThread;
+const std::vector<Anchor> kThreadAnchors{{0, 0}, {3, 1}, {1, 2}};
+const long long kWindows =
+    kBatches * static_cast<long long>(kThreadAnchors.size());
 
-  std::vector<Anchor> anchors = scan_anchors(grid, params, 1);
-  anchors.resize(6);
-  ScoreBatch via_hub;
-  via_hub.configure(dim_of(params), 6);
-  fill(via_hub, grid, params, anchors);
-  ScoreBatch direct;
-  direct.configure(dim_of(params), 6);
-  fill(direct, grid, params, anchors);
-
-  hub.score(model, via_hub);
-  CpuBackend reference_backend(BackendKind::kBatch);
-  reference_backend.score(model, direct);
-  for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(via_hub.score(i), direct.score(i));
-  }
-  const HubStats hs = hub.hub_stats();
-  EXPECT_EQ(hs.requests, 1);
-  EXPECT_EQ(hs.drained_batches, 1);
+/// Thread `t`'s batch `b`: three windows of their own random grid.
+hog::BlockGrid thread_grid(const hog::HogParams& params, int t, int b) {
+  return random_grid(7, 6, params, static_cast<std::uint64_t>(t * 1000 + b));
 }
 
-TEST(ScoreHub, SingleLaneCoalescesConcurrentSubmitters) {
-  const hog::HogParams params = small_params();
-  const svm::LinearModel model = make_model(dim_of(params), 61);
-  CpuBackend inner;
-  ScoreHub hub(inner, /*lanes=*/1, /*max_pending=*/16);
+/// Every thread's windows scored serially by `score(grid, anchor)`, in the
+/// order the thread pushes them.
+template <class Score>
+std::vector<std::vector<float>> serial_scores(const hog::HogParams& params,
+                                              Score score) {
+  std::vector<std::vector<float>> out(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int b = 0; b < kBatchesPerThread; ++b) {
+      const hog::BlockGrid grid = thread_grid(params, t, b);
+      for (const Anchor a : kThreadAnchors) {
+        out[static_cast<std::size_t>(t)].push_back(score(grid, a));
+      }
+    }
+  }
+  return out;
+}
 
-  constexpr int kThreads = 4;
-  constexpr int kBatchesPerThread = 25;
-  std::vector<std::thread> threads;
+/// Score every thread's batches through the one `backend` from kThreads
+/// concurrent threads. Returns, per thread, how many scores differ from
+/// that thread's `expected` ones.
+std::vector<int> concurrent_mismatches(
+    ScoringBackend& backend, const svm::LinearModel& model,
+    const hog::HogParams& params,
+    const std::vector<std::vector<float>>& expected) {
   std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      const auto slot = static_cast<std::size_t>(t);
       ScoreBatch batch;
+      std::size_t next = 0;
       for (int b = 0; b < kBatchesPerThread; ++b) {
-        const hog::BlockGrid grid =
-            random_grid(7, 6, params,
-                        static_cast<std::uint64_t>(t * 1000 + b));
-        const std::vector<Anchor> anchors{{0, 0}, {3, 1}, {1, 2}};
-        batch.configure(dim_of(params), 3);
-        fill(batch, grid, params, anchors);
-        hub.score(model, batch);
+        const hog::BlockGrid grid = thread_grid(params, t, b);
+        batch.configure(dim_of(params), kThreadAnchors.size());
+        fill(batch, grid, params, kThreadAnchors);
+        backend.score(model, batch);
         for (std::size_t i = 0; i < batch.size(); ++i) {
-          // Scores must be the submitter's own windows, untouched by whoever
-          // drained the request.
-          if (batch.score(i) != reference(model, grid, params, anchors[i])) {
-            ++mismatches[static_cast<std::size_t>(t)];
-          }
+          if (batch.score(i) != expected[slot][next++]) ++mismatches[slot];
         }
       }
     });
   }
   for (std::thread& t : threads) t.join();
+  return mismatches;
+}
+
+TEST(SharedBackend, CpuBackendScoresConcurrentCallersExactly) {
+  const hog::HogParams params = small_params();
+  const svm::LinearModel model = make_model(dim_of(params), 61);
+  const auto expected =
+      serial_scores(params, [&](const hog::BlockGrid& grid, Anchor a) {
+        return reference(model, grid, params, a);
+      });
+
+  CpuBackend backend;
+  const std::vector<int> mismatches =
+      concurrent_mismatches(backend, model, params, expected);
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
   }
+  const BackendStats stats = backend.stats();
+  EXPECT_EQ(stats.batches, kBatches);
+  EXPECT_EQ(stats.windows, kWindows);
+}
 
-  const HubStats hs = hub.hub_stats();
-  EXPECT_EQ(hs.requests, kThreads * kBatchesPerThread);
-  EXPECT_EQ(hs.drained_batches, hs.requests);  // every batch scored once
-  EXPECT_GE(hs.drains, 1);
-  EXPECT_LE(hs.max_coalesced, kThreads * kBatchesPerThread);
-  EXPECT_GE(hs.mean_coalesced(), 1.0);
-  EXPECT_EQ(inner.stats().windows, hs.requests * 3);
+TEST(SharedBackend, HwsimDeviceScoresConcurrentCallersExactly) {
+  const hog::HogParams params = small_params();
+  const svm::LinearModel model = make_model(dim_of(params), 62);
+  hwsim::HwsimBackendOptions options;
+  options.simulate_latency = false;
+  // Reference: a private device scoring one window per call, serially.
+  hwsim::HwsimScoreBackend serial(options);
+  const auto expected =
+      serial_scores(params, [&](const hog::BlockGrid& grid, Anchor a) {
+        ScoreBatch one;
+        one.configure(dim_of(params), 1);
+        fill(one, grid, params, {a});
+        serial.score(model, one);
+        return one.score(0);
+      });
+
+  hwsim::HwsimScoreBackend device(options);
+  const std::vector<int> mismatches =
+      concurrent_mismatches(device, model, params, expected);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+  }
+  const BackendStats stats = device.stats();
+  EXPECT_EQ(stats.batches, kBatches);
+  EXPECT_EQ(stats.windows, kWindows);
+  // Every score() call pays its own pipeline fill: calls are never merged.
+  const double cycles =
+      static_cast<double>(kBatches * hwsim::TimingConstants::kFillCycles +
+                          kWindows * hwsim::TimingConstants::kColumnCycles);
+  EXPECT_DOUBLE_EQ(device.modeled_busy_seconds(),
+                   cycles / options.clock_hz);
 }
 
 // --- engine seam ------------------------------------------------------------
@@ -599,7 +638,7 @@ runtime::ServerOptions server_options(BackendKind backend, int workers) {
   return opts;
 }
 
-TEST(RuntimeBackend, CrossStreamBatchingKeepsPerStreamResultsIdentical) {
+TEST(RuntimeBackend, SharedBackendKeepsPerStreamResultsIdentical) {
   const runtime::ServerOptions opts =
       server_options(BackendKind::kBatch, /*workers=*/2);
   const auto dim = static_cast<std::size_t>(opts.hog.descriptor_size());
@@ -611,7 +650,7 @@ TEST(RuntimeBackend, CrossStreamBatchingKeepsPerStreamResultsIdentical) {
     frames.push_back(make_frame(160, 160, 900 + static_cast<std::uint64_t>(i)));
   }
 
-  // Reference: one engine, same backend, no hub, no concurrency.
+  // Reference: one engine, its own backend, no concurrency.
   detect::DetectionEngine reference(
       detect::EngineOptions{.backend = BackendKind::kBatch});
   std::vector<std::vector<detect::Detection>> expected;
@@ -621,7 +660,6 @@ TEST(RuntimeBackend, CrossStreamBatchingKeepsPerStreamResultsIdentical) {
   }
 
   runtime::DetectionServer server(model, opts);
-  ASSERT_NE(server.score_hub(), nullptr);
   std::vector<std::vector<std::vector<detect::Detection>>> got(kStreams);
   for (int s = 0; s < kStreams; ++s) {
     auto& sink = got[static_cast<std::size_t>(s)];
@@ -650,7 +688,7 @@ TEST(RuntimeBackend, CrossStreamBatchingKeepsPerStreamResultsIdentical) {
       for (std::size_t d = 0; d < want.size(); ++d) {
         EXPECT_EQ(have[d].x, want[d].x);
         EXPECT_EQ(have[d].y, want[d].y);
-        EXPECT_EQ(have[d].score, want[d].score);  // hub never perturbs rows
+        EXPECT_EQ(have[d].score, want[d].score);  // sharing never perturbs
       }
     }
   }
@@ -674,8 +712,6 @@ TEST(RuntimeBackend, HwsimDeviceServesAllStreamsThroughOneLane) {
 
   runtime::DetectionServer server(model, opts);
   EXPECT_EQ(server.backend(), BackendKind::kHwsim);
-  ASSERT_NE(server.score_hub(), nullptr);
-  EXPECT_EQ(server.score_hub()->lanes(), 1u);  // one modeled device
 
   std::vector<int> delivered(2, 0);
   for (int s = 0; s < 2; ++s) {
