@@ -1,6 +1,7 @@
 #include "src/util/arena.hpp"
 
 #include <algorithm>
+#include <new>
 
 #include "src/util/assert.hpp"
 
@@ -10,7 +11,10 @@ BlockArena::BlockArena(std::size_t block_bytes, std::size_t blocks)
     : block_bytes_(block_bytes), capacity_(blocks) {
   PDET_REQUIRE(block_bytes >= 1);
   PDET_REQUIRE(blocks >= 1);
-  slab_.resize(block_bytes_ * capacity_);
+  // calloc: a large slab's pages stay untouched, not resident, until written.
+  slab_.reset(
+      static_cast<std::uint8_t*>(std::calloc(capacity_, block_bytes_)));
+  if (!slab_) throw std::bad_alloc();
   free_.reserve(capacity_);
   // LIFO with descending indices so the first acquire() returns block 0 —
   // deterministic layout makes leak triage (which block is still out?) easy.
@@ -26,15 +30,15 @@ std::span<std::uint8_t> BlockArena::acquire() {
   free_.pop_back();
   acquired_[index] = 1;
   high_water_ = std::max(high_water_, in_use());
-  return {slab_.data() + static_cast<std::size_t>(index) * block_bytes_,
+  return {slab_.get() + static_cast<std::size_t>(index) * block_bytes_,
           block_bytes_};
 }
 
 void BlockArena::release(std::span<std::uint8_t> block) {
   PDET_REQUIRE(block.size() == block_bytes_);
-  PDET_REQUIRE(block.data() >= slab_.data());
+  PDET_REQUIRE(block.data() >= slab_.get());
   const std::size_t offset =
-      static_cast<std::size_t>(block.data() - slab_.data());
+      static_cast<std::size_t>(block.data() - slab_.get());
   PDET_REQUIRE(offset % block_bytes_ == 0);
   const std::size_t index = offset / block_bytes_;
   PDET_REQUIRE(index < capacity_);

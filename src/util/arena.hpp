@@ -9,10 +9,16 @@
 // condition (acquire() returns an empty span) that callers turn into
 // admission control, not a hidden malloc.
 //
+// The slab comes from calloc. A slab of the router's size is mmap-backed, so
+// its zero pages are mapped in only when first written: a block costs
+// resident memory for the bytes a connection has used, not for its size.
+//
 // Single-threaded by design: the shard router owns one arena per io thread.
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -20,7 +26,8 @@ namespace pdet::util {
 
 class BlockArena {
  public:
-  /// Preallocates `blocks` blocks of `block_bytes` each. Both must be >= 1.
+  /// Preallocates `blocks` zeroed blocks of `block_bytes` each. Both must be
+  /// >= 1. Throws std::bad_alloc when the slab cannot be allocated.
   BlockArena(std::size_t block_bytes, std::size_t blocks);
 
   BlockArena(const BlockArena&) = delete;
@@ -41,9 +48,13 @@ class BlockArena {
   std::size_t high_water() const { return high_water_; }
 
  private:
+  struct FreeSlab {
+    void operator()(std::uint8_t* p) const { std::free(p); }
+  };
+
   std::size_t block_bytes_;
   std::size_t capacity_;
-  std::vector<std::uint8_t> slab_;
+  std::unique_ptr<std::uint8_t[], FreeSlab> slab_;  ///< zeroed, from calloc
   std::vector<std::uint32_t> free_;      ///< LIFO free list of block indices
   std::vector<std::uint8_t> acquired_;   ///< per-block out/in flag
   std::size_t high_water_ = 0;

@@ -23,14 +23,35 @@ constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
 
 constexpr bool kLittleEndianHost = std::endian::native == std::endian::little;
 
-}  // namespace
-
-std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+// The CRC register `c` (pre- and post-inversion excluded) after `data`, one
+// byte at a time.
+std::uint32_t table_update(std::uint32_t c,
+                           std::span<const std::uint8_t> data) {
   for (const std::uint8_t b : data) {
     c = kCrcTable[(c ^ b) & 0xFFu] ^ (c >> 8);
   }
-  return c ^ 0xFFFFFFFFu;
+  return c;
+}
+
+#define PDET_SIMD_KERNEL_FILE "src/util/crc_kernels.inc"
+#include "src/util/simd_clone.inc"
+
+}  // namespace
+
+const simd::Kernels<CrcKernels>& crc_kernels() {
+  static const simd::Kernels<CrcKernels> table{
+      {crc32_base},
+#ifdef PDET_SIMD_AVX2_CLONE
+      {crc32_avx2},
+#else
+      {crc32_base},
+#endif
+  };
+  return table;
+}
+
+std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
+  return crc_kernels().active().crc32(data, seed);
 }
 
 void ByteWriter::u8(std::uint8_t v) { out_.push_back(v); }

@@ -27,11 +27,24 @@
 #include <string_view>
 #include <vector>
 
+#include "src/util/simd.hpp"
+
 namespace pdet::util {
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, the zlib/Ethernet one).
 /// `seed` chains incremental updates: crc32(b, crc32(a)) == crc32(a ++ b).
+/// Runs crc_kernels().active().
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed = 0);
+
+/// One ISA's copy of crc32. Every copy returns the same digest bit for bit.
+struct CrcKernels {
+  std::uint32_t (*crc32)(std::span<const std::uint8_t> data,
+                         std::uint32_t seed);
+};
+
+/// The copies (util::simd seam): the baseline byte-at-a-time table loop and
+/// the AVX2 copy's carry-less-multiply fold (crc_kernels.inc).
+const simd::Kernels<CrcKernels>& crc_kernels();
 
 class ByteWriter {
  public:

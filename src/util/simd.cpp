@@ -12,7 +12,8 @@ bool supported(Isa isa) {
   if (isa == Isa::kBaseline) return true;
 #ifdef PDET_SIMD_AVX2_CLONE
   __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+         __builtin_cpu_supports("pclmul");
 #else
   return false;
 #endif

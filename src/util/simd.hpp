@@ -3,16 +3,19 @@
 // A kernel family is written once, as a `.inc` body, and compiled twice by
 // the source file that owns it (simd_clone.inc): at the build's baseline
 // ISA, the portable floor, and — on x86-64 GCC — once more under
-// `#pragma GCC target("avx2,fma")`. The owner collects each copy's function
-// pointers into a Kernels<Table>, and Kernels::active() hands out the copy
-// for the ISA this process runs at.
+// `#pragma GCC target("avx2,fma,pclmul")`. The owner collects each copy's
+// function pointers into a Kernels<Table>, and Kernels::active() hands out
+// the copy for the ISA this process runs at. The families are the gradient
+// and HOG row kernels, the window scoring kernel and util::crc32.
 //
 // That ISA is picked once per process, from CPUID, and every family shares
 // the pick: all kernels of one process run at one ISA, so results are
-// deterministic on any given machine even though the two copies round
-// differently (FMA fusion, lane folds). No option or environment variable
-// forces a copy; tests reach a specific one through Kernels::at() and gate
-// the wide one on supported(Isa::kAvx2).
+// deterministic on any given machine even though the float kernels' two
+// copies round differently (FMA fusion, lane folds); the CRC copies agree
+// bit for bit. The wide copy runs only where CPUID reports AVX2, FMA and
+// PCLMULQDQ. No option or environment variable forces a copy;
+// tests reach a specific one through Kernels::at() and gate the wide one on
+// supported(Isa::kAvx2).
 #pragma once
 
 #include <cstddef>
@@ -27,7 +30,7 @@ namespace pdet::util::simd {
 
 enum class Isa {
   kBaseline,  ///< the build's portable floor
-  kAvx2,      ///< AVX2 + FMA, the `#pragma GCC target` copy
+  kAvx2,      ///< AVX2 + FMA + PCLMULQDQ, the `#pragma GCC target` copy
 };
 
 const char* to_string(Isa isa);

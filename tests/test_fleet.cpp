@@ -1,8 +1,8 @@
-// Tests for pdet::fleet: hash-ring stability/balance, the block arena, the
-// traffic journal (round-trip, corruption, seed consistency), the shard
-// router's exactly-once in-order delivery (steady state and across a seeded
-// backend kill), fleet stats aggregation identities, and deterministic
-// journal replay.
+// Tests for pdet::fleet: hash-ring stability/balance, the block arena (pool
+// lifecycle, lazily resident slab), the traffic journal (round-trip,
+// corruption, seed consistency), the shard router's exactly-once in-order
+// delivery (steady state and across a seeded backend kill), fleet stats
+// aggregation identities, and deterministic journal replay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,11 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 #include "src/fault/injector.hpp"
 #include "src/fleet/journal.hpp"
@@ -205,6 +210,46 @@ TEST(BlockArena, FixedPoolLifecycle) {
   auto again = arena.acquire();
   EXPECT_EQ(again.size(), 1024u);
   arena.release(again);
+}
+
+TEST(BlockArena, UnwrittenBlockHasNoResidentPages) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "needs mincore";
+#elif defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the TSan allocator zero-fills calloc'd pages";
+#else
+  // 40 MiB: over glibc's 32 MiB mmap-threshold ceiling, so always mmap-backed.
+  constexpr std::size_t kBlockBytes = std::size_t{20} << 20;
+  util::BlockArena arena(kBlockBytes, 2);
+  const std::span<std::uint8_t> block = arena.acquire();
+  ASSERT_EQ(block.size(), kBlockBytes);
+
+  // The whole pages inside the block.
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<std::uintptr_t>(block.data());
+  const std::uintptr_t first = (begin + page - 1) / page * page;
+  const std::uintptr_t last = (begin + block.size()) / page * page;
+  std::vector<unsigned char> pages((last - first) / page);
+  const auto resident_pages = [&] {
+    if (mincore(reinterpret_cast<void*>(first), last - first, pages.data()) !=
+        0) {
+      return std::ptrdiff_t{-1};
+    }
+    return std::count_if(pages.begin(), pages.end(),
+                         [](unsigned char v) { return (v & 1u) != 0; });
+  };
+
+  const std::ptrdiff_t untouched = resident_pages();
+  if (untouched < 0) GTEST_SKIP() << "mincore failed";
+  // Writing a byte must show as residency, or mincore tells us nothing.
+  block[block.size() / 2] = 1;
+  if (resident_pages() < 1) {
+    GTEST_SKIP() << "mincore does not report residency";
+  }
+  EXPECT_EQ(untouched, 0);
+  EXPECT_EQ(block[0], 0);  // the slab still reads as zeros
+  arena.release(block);
+#endif
 }
 
 // --- journal ----------------------------------------------------------------

@@ -1,4 +1,5 @@
-// Unit tests for src/util: RNG, strings, tables, CLI, statistics.
+// Unit tests for src/util: RNG, strings, tables, CLI, statistics, the byte
+// codec and both copies of its CRC-32 kernel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "src/util/cli.hpp"
 #include "src/util/logging.hpp"
 #include "src/util/rng.hpp"
+#include "src/util/simd.hpp"
 #include "src/util/stats.hpp"
 #include "src/util/strings.hpp"
 #include "src/util/table.hpp"
@@ -556,6 +558,90 @@ TEST(Bytes, Crc32SeedChains) {
   const std::uint32_t split =
       crc32(whole.subspan(3), crc32(whole.first(3)));
   EXPECT_EQ(split, crc32(whole));
+}
+
+// The polynomial one bit at a time: no table, no fold.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data,
+                            std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) {
+      c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<simd::Isa> crc_copies() {
+  // The AVX2 copy is skipped on hosts whose CPUID lacks it.
+  std::vector<simd::Isa> isas{simd::Isa::kBaseline};
+  if (simd::supported(simd::Isa::kAvx2)) isas.push_back(simd::Isa::kAvx2);
+  return isas;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng.next_u64());
+  return out;
+}
+
+TEST(Crc32Kernels, EveryLengthAndOffsetMatchesTheBitwiseReference) {
+  // Lengths 0-1024 cover the table-only inputs under 64 bytes, every
+  // 16-byte tail and many 64-byte fold counts; offsets 0-15 every
+  // misalignment of the 16-byte loads.
+  const std::vector<std::uint8_t> buf = random_bytes(1024 + 15, 7);
+  Rng rng(8);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::span<const std::uint8_t> data(buf.data() + offset, len);
+      const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+      const std::uint32_t want = crc32_bitwise(data, seed);
+      for (const simd::Isa isa : crc_copies()) {
+        ASSERT_EQ(crc_kernels().at(isa).crc32(data, seed), want)
+            << simd::to_string(isa) << " offset " << offset << " length "
+            << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32Kernels, FrameSizedBuffersMatchTheBitwiseReference) {
+  // A roi_fleet SubmitFrame (81,952 bytes) and an odd-length 640x480 one.
+  for (const std::size_t n : {std::size_t{81952}, std::size_t{1228817}}) {
+    const std::vector<std::uint8_t> buf = random_bytes(n, n);
+    const std::uint32_t want = crc32_bitwise(buf, 0);
+    for (const simd::Isa isa : crc_copies()) {
+      EXPECT_EQ(crc_kernels().at(isa).crc32(buf, 0), want)
+          << simd::to_string(isa) << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32Kernels, RandomSplitsChainThroughSeed) {
+  const std::vector<std::uint8_t> buf = random_bytes(81952, 9);
+  const std::span<const std::uint8_t> whole(buf);
+  const std::uint32_t want = crc32_bitwise(whole, 0);
+  Rng rng(10);
+  for (int trial = 0; trial < 200; ++trial) {
+    // One to four random cut points; equal cuts make empty pieces.
+    std::vector<std::size_t> cuts{0, whole.size()};
+    const int extra = rng.uniform_int(1, 4);
+    for (int i = 0; i < extra; ++i) {
+      cuts.push_back(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(whole.size()))));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    for (const simd::Isa isa : crc_copies()) {
+      std::uint32_t c = 0;
+      for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+        c = crc_kernels().at(isa).crc32(
+            whole.subspan(cuts[i], cuts[i + 1] - cuts[i]), c);
+      }
+      ASSERT_EQ(c, want) << simd::to_string(isa) << " trial " << trial;
+    }
+  }
 }
 
 TEST(Bytes, WriterReaderRoundtrip) {
