@@ -187,8 +187,7 @@ SeedOutcome run_seed(std::uint64_t seed, int chaos_frames, int recovery_budget,
       service.stop();
       return out;
     }
-    if (report.health_state ==
-        static_cast<std::uint32_t>(runtime::HealthState::kHealthy)) {
+    if (report.runtime.health == runtime::HealthState::kHealthy) {
       out.recovered = true;
       out.recovery_frames = f;
       break;
@@ -212,9 +211,10 @@ SeedOutcome run_seed(std::uint64_t seed, int chaos_frames, int recovery_budget,
     return out;
   }
   out.exactly_once =
-      report.submitted == static_cast<std::uint64_t>(submitted) &&
-      report.completed + report.frames_error == report.submitted;
-  out.final_health = report.health_state;
+      report.runtime.submitted == submitted &&
+      report.runtime.completed + report.runtime.errors ==
+          report.runtime.submitted;
+  out.final_health = static_cast<std::uint32_t>(report.runtime.health);
   out.in_order = client.in_order();
   out.protocol_errors = client.protocol_errors();
   client.disconnect();

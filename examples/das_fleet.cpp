@@ -248,16 +248,13 @@ int main(int argc, char** argv) {
                   std::to_string(rs.stream_moves)});
   rt.add_row({"backends up", std::to_string(rs.backends_up) + " / " +
                                  std::to_string(shards)});
-  if (have_fleet_stats) {
-    rt.add_row({"fleet completed / fps",
-                std::to_string(fleet_stats.completed) + " / " +
-                    util::to_fixed(fleet_stats.aggregate_fps, 1)});
-    rt.add_row({"fleet health",
-                runtime::to_string(
-                    static_cast<runtime::HealthState>(
-                        fleet_stats.health_state))});
-  }
   std::fputs(rt.to_string().c_str(), stdout);
+  if (have_fleet_stats) {
+    std::printf("\nfleet stats (the router's merge of every shard):\n");
+    util::Table merged({"metric", "value"});
+    runtime::add_stats_rows(merged, fleet_stats.runtime);
+    std::fputs(merged.to_string().c_str(), stdout);
+  }
 
   std::printf("\nper-shard:\n");
   util::Table st({"shard", "up", "forwarded", "returned", "shed", "redials"});

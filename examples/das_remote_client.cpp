@@ -31,7 +31,6 @@
 #include "src/net/client.hpp"
 #include "src/obs/timeline.hpp"
 #include "src/runtime/server.hpp"
-#include "src/score/backend.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/logging.hpp"
 #include "src/util/strings.hpp"
@@ -62,6 +61,15 @@ const char* camera_name(std::uint8_t state) {
     case 2: return "quarantined";
     default: return "?";
   }
+}
+
+/// The server's stats table rows: runtime and net frontend blocks (the
+/// guard, tile and fault rows read zero when the server runs without them).
+void print_server_stats(const pdet::net::wire::StatsReport& report) {
+  pdet::util::Table rows({"server stat", "value"});
+  pdet::runtime::add_stats_rows(rows, report.runtime);
+  pdet::runtime::add_stats_rows(rows, report.net);
+  std::fputs(rows.to_string().c_str(), stdout);
 }
 
 }  // namespace
@@ -143,18 +151,7 @@ int main(int argc, char** argv) {
           static_cast<double>(t.engine.p99_ms),
           static_cast<double>(t.total.p50_ms),
           static_cast<double>(t.total.p99_ms));
-      // Frame-quality / camera-health dashboard row (wire v5 guard block);
-      // all-zero on a server running without --guard.
-      if (client.query_stats(sr, 2000.0)) {
-        std::printf(
-            "  guard: unusable %llu  soft %llu  cams suspect/quarantined "
-            "%u/%u  quarantines/recoveries %llu/%llu\n",
-            static_cast<unsigned long long>(sr.guard_unusable),
-            static_cast<unsigned long long>(sr.guard_soft),
-            sr.cameras_suspect, sr.cameras_quarantined,
-            static_cast<unsigned long long>(sr.camera_quarantines),
-            static_cast<unsigned long long>(sr.camera_recoveries));
-      }
+      if (client.query_stats(sr, 2000.0)) print_server_stats(sr);
       if (cli.get_flag("prometheus")) {
         std::fputs(t.prometheus.c_str(), stdout);
       }
@@ -225,37 +222,6 @@ int main(int argc, char** argv) {
                  std::to_string(client.results_missed())});
   table.add_row({"reconnects", std::to_string(client.reconnects())});
   table.add_row({"protocol errors", std::to_string(client.protocol_errors())});
-  if (have_stats) {
-    table.add_row({"server fps", util::to_fixed(report.aggregate_fps, 1)});
-    table.add_row({"server frames rx / results tx",
-                   std::to_string(report.net_frames_received) + " / " +
-                       std::to_string(report.net_results_sent)});
-    table.add_row({"server sheds (queue/deadline/slow-reader)",
-                   std::to_string(report.dropped_queue) + " / " +
-                       std::to_string(report.dropped_deadline) + " / " +
-                       std::to_string(report.net_results_dropped)});
-    table.add_row({"server faults (worker/stall/poison)",
-                   std::to_string(report.worker_faults) + " / " +
-                       std::to_string(report.worker_stalls) + " / " +
-                       std::to_string(report.poison_frames)});
-    table.add_row(
-        {"server health",
-         runtime::to_string(
-             static_cast<runtime::HealthState>(report.health_state))});
-    table.add_row(
-        {"scoring backend",
-         std::string(score::to_string(
-             static_cast<score::BackendKind>(report.score_backend)))});
-    table.add_row({"score batches (mean fill)",
-                   std::to_string(report.score_batches) + " (" +
-                       util::to_fixed(report.score_fill, 1) + ")"});
-    table.add_row({"server guard (unusable/soft)",
-                   std::to_string(report.guard_unusable) + " / " +
-                       std::to_string(report.guard_soft)});
-    table.add_row({"server cameras (suspect/quarantined)",
-                   std::to_string(report.cameras_suspect) + " / " +
-                       std::to_string(report.cameras_quarantined)});
-  }
   net::wire::TelemetryReport telemetry;
   const bool have_telemetry = client.query_telemetry(telemetry, 2000.0);
   if (have_telemetry) {
@@ -277,6 +243,10 @@ int main(int argc, char** argv) {
              util::to_fixed(static_cast<double>(telemetry.total.p99_ms), 2)});
   }
   std::fputs(table.to_string().c_str(), stdout);
+  if (have_stats) {
+    std::printf("\n");
+    print_server_stats(report);
+  }
   if (have_telemetry && cli.get_flag("prometheus")) {
     std::printf("\n");
     std::fputs(telemetry.prometheus.c_str(), stdout);

@@ -203,40 +203,8 @@ int main(int argc, char** argv) {
 
     const net::ServiceStats stats = service.stats();
     util::Table table({"metric", "value"});
-    table.add_row({"connections acc/closed/refused",
-                   std::to_string(stats.connections_accepted) + " / " +
-                       std::to_string(stats.connections_closed) + " / " +
-                       std::to_string(stats.connections_refused)});
-    table.add_row({"frames received", std::to_string(stats.frames_received)});
-    table.add_row({"results sent / dropped",
-                   std::to_string(stats.results_sent) + " / " +
-                       std::to_string(stats.results_dropped)});
-    table.add_row({"decode errors / frames rejected",
-                   std::to_string(stats.decode_errors) + " / " +
-                       std::to_string(stats.frames_rejected)});
-    table.add_row({"bytes in / out", std::to_string(stats.bytes_in) + " / " +
-                                         std::to_string(stats.bytes_out)});
-    table.add_row({"worker faults / stalls / replaced",
-                   std::to_string(stats.runtime.worker_faults) + " / " +
-                       std::to_string(stats.runtime.worker_stalls) + " / " +
-                       std::to_string(stats.runtime.workers_replaced)});
-    table.add_row({"frame errors / poison",
-                   std::to_string(stats.runtime.errors) + " / " +
-                       std::to_string(stats.runtime.poison_frames)});
-    table.add_row({"health", runtime::to_string(stats.runtime.health)});
-    if (guard_on) {
-      table.add_row({"guard unusable / soft",
-                     std::to_string(stats.runtime.guard_unusable) + " / " +
-                         std::to_string(stats.runtime.guard_soft)});
-      table.add_row(
-          {"camera quarantines / recoveries",
-           std::to_string(stats.runtime.camera_quarantines) + " / " +
-               std::to_string(stats.runtime.camera_recoveries)});
-    }
-    table.add_row({"flight-recorder triggers",
-                   std::to_string(stats.runtime.flight_triggers)});
-    table.add_row({"aggregate fps",
-                   util::to_fixed(stats.runtime.aggregate_fps, 1)});
+    runtime::add_stats_rows(table, stats);
+    runtime::add_stats_rows(table, stats.runtime);
     table.add_row({"request ms p50/p99",
                    util::to_fixed(stats.request_ms.p50, 1) + " / " +
                        util::to_fixed(stats.request_ms.p99, 1)});
@@ -354,33 +322,7 @@ int main(int argc, char** argv) {
   table.add_row({"workers / queue / policy",
                  std::to_string(opts.workers) + " / " +
                      std::to_string(opts.queue_capacity) + " / " + policy_name});
-  table.add_row({"submitted", std::to_string(stats.submitted)});
-  table.add_row({"ok / degraded", std::to_string(stats.ok) + " / " +
-                                      std::to_string(stats.degraded)});
-  table.add_row({"dropped queue / deadline",
-                 std::to_string(stats.dropped_queue) + " / " +
-                     std::to_string(stats.dropped_deadline)});
-  table.add_row({"errors / poison", std::to_string(stats.errors) + " / " +
-                                        std::to_string(stats.poison_frames)});
-  table.add_row({"worker faults / stalls / replaced",
-                 std::to_string(stats.worker_faults) + " / " +
-                     std::to_string(stats.worker_stalls) + " / " +
-                     std::to_string(stats.workers_replaced)});
-  table.add_row({"health", runtime::to_string(stats.health)});
-  if (guard_on) {
-    table.add_row({"guard unusable / soft",
-                   std::to_string(stats.guard_unusable) + " / " +
-                       std::to_string(stats.guard_soft)});
-    table.add_row({"camera quarantines / recoveries",
-                   std::to_string(stats.camera_quarantines) + " / " +
-                       std::to_string(stats.camera_recoveries)});
-    table.add_row({"cameras suspect / quarantined",
-                   std::to_string(stats.cameras_suspect) + " / " +
-                       std::to_string(stats.cameras_quarantined)});
-  }
-  table.add_row({"flight-recorder triggers",
-                 std::to_string(stats.flight_triggers)});
-  table.add_row({"aggregate fps", util::to_fixed(stats.aggregate_fps, 1)});
+  runtime::add_stats_rows(table, stats);
   table.add_row({"queue wait ms p50/p99",
                  util::to_fixed(stats.queue_wait_ms.p50, 1) + " / " +
                      util::to_fixed(stats.queue_wait_ms.p99, 1)});
@@ -390,11 +332,6 @@ int main(int argc, char** argv) {
   table.add_row({"total ms p50/p99",
                  util::to_fixed(stats.total_latency_ms.p50, 1) + " / " +
                      util::to_fixed(stats.total_latency_ms.p99, 1)});
-  table.add_row({"engine frames / workspace KiB",
-                 std::to_string(stats.engine_frames) + " / " +
-                     util::to_fixed(
-                         static_cast<double>(stats.engine_alloc_bytes) / 1024.0,
-                         1)});
   std::fputs(table.to_string().c_str(), stdout);
 
   server.publish_metrics();

@@ -10,7 +10,7 @@
 #include <cstring>
 
 #include "src/fault/injector.hpp"
-#include "src/runtime/stats_merge.hpp"
+#include "src/runtime/stats_table.hpp"
 #include "src/util/assert.hpp"
 #include "src/util/bytes.hpp"
 
@@ -1010,56 +1010,15 @@ void ShardRouter::start_query(ClientConn& conn, bool telemetry) {
 void ShardRouter::merge_report(Backend& be, QueryCtx& ctx) {
   ++ctx.responded;
   if (!ctx.telemetry) {
-    const wire::StatsReport& in = msg_.stats;
-    wire::StatsReport& acc = ctx.stats;
-    acc.submitted += in.submitted;
-    acc.completed += in.completed;
-    acc.ok += in.ok;
-    acc.degraded += in.degraded;
-    acc.dropped_queue += in.dropped_queue;
-    acc.dropped_deadline += in.dropped_deadline;
-    acc.aggregate_fps += in.aggregate_fps;
-    acc.frames_error += in.frames_error;
-    acc.worker_faults += in.worker_faults;
-    acc.worker_stalls += in.worker_stalls;
-    acc.workers_replaced += in.workers_replaced;
-    acc.poison_frames += in.poison_frames;
-    acc.net_frames_received += in.net_frames_received;
-    acc.net_results_sent += in.net_results_sent;
-    acc.net_results_dropped += in.net_results_dropped;
-    acc.net_decode_errors += in.net_decode_errors;
-    acc.net_frames_rejected += in.net_frames_rejected;
-    acc.health_state = static_cast<std::uint32_t>(runtime::merge_health(
-        static_cast<runtime::HealthState>(acc.health_state),
-        static_cast<runtime::HealthState>(in.health_state)));
-    acc.score_backend = std::max(acc.score_backend, in.score_backend);
-    const std::uint64_t total_windows = acc.score_windows + in.score_windows;
-    if (total_windows > 0) {
-      acc.score_fill = static_cast<float>(
-          (static_cast<double>(acc.score_fill) *
-               static_cast<double>(acc.score_windows) +
-           static_cast<double>(in.score_fill) *
-               static_cast<double>(in.score_windows)) /
-          static_cast<double>(total_windows));
-    }
-    acc.score_batches += in.score_batches;
-    acc.score_windows += in.score_windows;
-    acc.guard_unusable += in.guard_unusable;
-    acc.guard_soft += in.guard_soft;
-    acc.camera_quarantines += in.camera_quarantines;
-    acc.camera_recoveries += in.camera_recoveries;
-    // Camera-state gauges sum too: each shard serves disjoint streams.
-    acc.cameras_suspect += in.cameras_suspect;
-    acc.cameras_quarantined += in.cameras_quarantined;
+    runtime::merge_runtime_stats(ctx.stats.runtime, msg_.stats.runtime);
     return;
   }
 
   const wire::TelemetryReport& in = msg_.telemetry;
   wire::TelemetryReport& acc = ctx.telem;
   acc.uptime_seconds = std::max(acc.uptime_seconds, in.uptime_seconds);
-  acc.health_state = static_cast<std::uint32_t>(runtime::merge_health(
-      static_cast<runtime::HealthState>(acc.health_state),
-      static_cast<runtime::HealthState>(in.health_state)));
+  // Worst-of: HealthState's order is severity (decode range-checked it).
+  acc.health_state = std::max(acc.health_state, in.health_state);
   acc.timeline_frames += in.timeline_frames;
   acc.timeline_window += in.timeline_window;
   const auto worst = [](wire::TelemetryPercentiles& a,
@@ -1095,21 +1054,17 @@ void ShardRouter::finish_query(QueryCtx& ctx) {
   if (ctx.telemetry) {
     wire::encode_telemetry_report(ctx.telem, enc_);
   } else {
-    // The runtime counters are shard sums; the net block describes THIS
+    // The runtime rows are the shards' merge; the net block describes THIS
     // frontend — the router is the net layer a fleet client talks to.
+    runtime::NetStats& net = ctx.stats.net;
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    ctx.stats.net_frames_received =
-        static_cast<std::uint64_t>(counters_.frames_received);
-    ctx.stats.net_results_sent =
-        static_cast<std::uint64_t>(counters_.results_delivered);
-    ctx.stats.net_results_dropped = static_cast<std::uint64_t>(
-        counters_.results_shed_backend + counters_.results_shed_client);
-    ctx.stats.net_decode_errors =
-        static_cast<std::uint64_t>(counters_.decode_errors);
-    ctx.stats.net_frames_rejected =
-        static_cast<std::uint64_t>(counters_.frames_rejected);
-    ctx.stats.active_connections =
-        static_cast<std::uint32_t>(counters_.active_clients);
+    net.frames_received = counters_.frames_received;
+    net.frames_rejected = counters_.frames_rejected;
+    net.results_sent = counters_.results_delivered;
+    net.results_dropped =
+        counters_.results_shed_backend + counters_.results_shed_client;
+    net.decode_errors = counters_.decode_errors;
+    net.active_connections = counters_.active_clients;
     wire::encode_stats_report(ctx.stats, enc_);
   }
   (void)append_out(conn.tx, enc_);

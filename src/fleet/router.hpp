@@ -36,8 +36,9 @@
 //
 // Fleet queries: a client StatsQuery/TelemetryQuery fans out to every up
 // shard; per-session FIFOs pair reports with pending aggregations (wire
-// ordering per session makes that exact), counters sum, health merges
-// worst-of (runtime::merge_health), telemetry text is concatenated under
+// ordering per session makes that exact). Stats reports fold through
+// runtime::merge_runtime_stats, the one merge the stats table generates;
+// telemetry health merges worst-of and its text is concatenated under
 // per-shard label lines.
 //
 // Zero steady-state allocation: every connection buffer is a fixed block

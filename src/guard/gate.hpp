@@ -37,8 +37,8 @@
 
 namespace pdet::guard {
 
-/// Per-frame verdict, ordered by severity (the camera-health machine and
-/// stats_merge rely on the ordering).
+/// Per-frame verdict, ordered by severity (the camera-health machine relies
+/// on the ordering; the wire decoder rejects values above kUnusable).
 enum class FrameQuality : std::uint8_t {
   kHealthy = 0,   ///< pixels look live; schedule normally
   kDegraded = 1,  ///< suspicious but usable; schedule, count, watch

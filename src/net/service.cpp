@@ -239,43 +239,9 @@ void DetectionService::send_error(Connection& conn, wire::ErrorCode code,
 }
 
 void DetectionService::build_stats_report(wire::StatsReport& out) {
-  const runtime::RuntimeStats rt = runtime_.stats();
-  out.submitted = static_cast<std::uint64_t>(rt.submitted);
-  out.completed = static_cast<std::uint64_t>(rt.completed);
-  out.ok = static_cast<std::uint64_t>(rt.ok);
-  out.degraded = static_cast<std::uint64_t>(rt.degraded);
-  out.dropped_queue = static_cast<std::uint64_t>(rt.dropped_queue);
-  out.dropped_deadline = static_cast<std::uint64_t>(rt.dropped_deadline);
-  out.aggregate_fps = rt.aggregate_fps;
-  out.frames_error = static_cast<std::uint64_t>(rt.errors);
-  out.worker_faults = static_cast<std::uint64_t>(rt.worker_faults);
-  out.worker_stalls = static_cast<std::uint64_t>(rt.worker_stalls);
-  out.workers_replaced = static_cast<std::uint64_t>(rt.workers_replaced);
-  out.poison_frames = static_cast<std::uint64_t>(rt.poison_frames);
-  out.health_state = static_cast<std::uint32_t>(rt.health);
-  out.score_backend = static_cast<std::uint32_t>(rt.backend);
-  out.score_batches = static_cast<std::uint64_t>(rt.score_batches);
-  out.score_windows = static_cast<std::uint64_t>(rt.score_windows);
-  out.score_fill = static_cast<float>(rt.score_fill);
-  out.guard_unusable = static_cast<std::uint64_t>(rt.guard_unusable);
-  out.guard_soft = static_cast<std::uint64_t>(rt.guard_soft);
-  out.camera_quarantines =
-      static_cast<std::uint64_t>(rt.camera_quarantines);
-  out.camera_recoveries = static_cast<std::uint64_t>(rt.camera_recoveries);
-  out.cameras_suspect = static_cast<std::uint32_t>(rt.cameras_suspect);
-  out.cameras_quarantined =
-      static_cast<std::uint32_t>(rt.cameras_quarantined);
+  out.runtime = runtime_.stats();
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  out.net_frames_received =
-      static_cast<std::uint64_t>(counters_.frames_received);
-  out.net_results_sent = static_cast<std::uint64_t>(counters_.results_sent);
-  out.net_results_dropped =
-      static_cast<std::uint64_t>(counters_.results_dropped);
-  out.net_decode_errors = static_cast<std::uint64_t>(counters_.decode_errors);
-  out.net_frames_rejected =
-      static_cast<std::uint64_t>(counters_.frames_rejected);
-  out.active_connections =
-      static_cast<std::uint32_t>(counters_.active_connections);
+  out.net = counters_;
 }
 
 void DetectionService::build_telemetry_report(wire::TelemetryReport& out) {
@@ -708,27 +674,7 @@ ServiceStats DetectionService::stats() const {
 void DetectionService::publish_metrics() {
   const ServiceStats s = stats();
   std::lock_guard<std::mutex> publish_lock(publish_mutex_);
-  const auto delta = [](const char* name, long long current, long long& last) {
-    if (current != last) {
-      obs::counter_add(name, current - last);
-      last = current;
-    }
-  };
-  delta("net.connections_accepted", s.connections_accepted,
-        published_.connections_accepted);
-  delta("net.connections_closed", s.connections_closed,
-        published_.connections_closed);
-  delta("net.connections_refused", s.connections_refused,
-        published_.connections_refused);
-  delta("net.frames_received", s.frames_received, published_.frames_received);
-  delta("net.frames_rejected", s.frames_rejected, published_.frames_rejected);
-  delta("net.results_sent", s.results_sent, published_.results_sent);
-  delta("net.results_dropped", s.results_dropped, published_.results_dropped);
-  delta("net.decode_errors", s.decode_errors, published_.decode_errors);
-  delta("net.bytes_in", s.bytes_in, published_.bytes_in);
-  delta("net.bytes_out", s.bytes_out, published_.bytes_out);
-  obs::gauge_set("net.active_connections",
-                 static_cast<double>(s.active_connections));
+  runtime::publish_stats(s, published_);
   obs::gauge_set("net.request_ms.p50", s.request_ms.p50);
   obs::gauge_set("net.request_ms.p99", s.request_ms.p99);
   runtime_.publish_metrics();

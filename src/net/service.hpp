@@ -74,20 +74,10 @@ struct ServiceOptions {
   runtime::ServerOptions runtime;  ///< engine pool / queue / scheduler
 };
 
-/// Service-lifetime accounting (monotonic counters + a latency histogram
-/// summary). Wire-level traffic on top of the embedded RuntimeStats.
-struct ServiceStats {
-  long long connections_accepted = 0;
-  long long connections_closed = 0;
-  long long connections_refused = 0;  ///< kBusy (no free slot)
-  long long frames_received = 0;
-  long long frames_rejected = 0;  ///< bad SubmitFrame answered with Error
-  long long results_sent = 0;
-  long long results_dropped = 0;  ///< shed on slow-reader queues
-  long long decode_errors = 0;
-  long long bytes_in = 0;
-  long long bytes_out = 0;
-  int active_connections = 0;
+/// Service-lifetime accounting: the stats table's net frontend rows
+/// (runtime::NetStats), the request-latency histogram summary and the
+/// embedded runtime snapshot.
+struct ServiceStats : runtime::NetStats {
   obs::HistogramSummary request_ms;  ///< submit -> result encoded, per frame
   runtime::RuntimeStats runtime;
 };
@@ -116,9 +106,10 @@ class DetectionService {
 
   ServiceStats stats() const;
 
-  /// Write net.* counters/histograms and the runtime.* set into the global
-  /// obs registry. Delta-tracked and thread-safe (telemetry queries publish
-  /// from the io thread; a periodic owner loop may run concurrently).
+  /// Write the stats table's net rows, the request-latency p50/p99 gauges
+  /// and the runtime.* set into the global obs registry. Delta-tracked and
+  /// thread-safe (telemetry queries publish from the io thread; a periodic
+  /// owner loop may run concurrently).
   void publish_metrics();
 
  private:
@@ -163,7 +154,7 @@ class DetectionService {
   /// Delta-publishing state, own lock (io thread and owner may both call
   /// publish_metrics).
   std::mutex publish_mutex_;
-  ServiceStats published_;  ///< last values written to the registry
+  runtime::NetStats published_;  ///< last values written to the registry
 };
 
 }  // namespace pdet::net

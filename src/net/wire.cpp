@@ -1,7 +1,12 @@
 #include "src/net/wire.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <type_traits>
+#include <utility>
 
+#include "src/guard/gate.hpp"
+#include "src/guard/health.hpp"
 #include "src/util/bytes.hpp"
 
 namespace pdet::net::wire {
@@ -13,6 +18,34 @@ using util::ByteWriter;
 /// Offsets within the fixed header (see the header-file diagram).
 constexpr std::size_t kLenOffset = 8;
 constexpr std::size_t kCrcOffset = 12;
+/// One StatsReport pair: u16 id + 8-byte value.
+constexpr std::size_t kStatPairBytes = 10;
+
+/// A stats-table value as its 8 wire bytes (see the v6 note in wire.hpp).
+template <class T>
+std::uint64_t stat_bits(T v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::bit_cast<std::uint64_t>(v);
+  } else {
+    return static_cast<std::uint64_t>(v);
+  }
+}
+
+/// The inverse of stat_bits; false when `bits` is out of T's range.
+template <class T>
+bool read_stat(std::uint64_t bits, T& out) {
+  if constexpr (std::is_floating_point_v<T>) {
+    out = std::bit_cast<T>(bits);
+  } else if constexpr (std::is_enum_v<T>) {
+    if (bits > runtime::enum_max(T{})) return false;
+    out = static_cast<T>(bits);
+  } else {
+    const auto v = static_cast<std::int64_t>(bits);
+    if (!std::in_range<T>(v)) return false;
+    out = static_cast<T>(v);
+  }
+  return true;
+}
 
 /// Begin one frame: write the header with length/CRC placeholders and return
 /// the absolute offset of the frame start for end_frame() to patch.
@@ -90,6 +123,12 @@ bool decode_result(ByteReader& r, Result& out) {
   // v5 frame-quality block: integrity verdict + camera health + reasons.
   out.input_quality = r.u8();
   out.camera_state = r.u8();
+  if (out.input_quality >
+          static_cast<std::uint8_t>(guard::FrameQuality::kUnusable) ||
+      out.camera_state >
+          static_cast<std::uint8_t>(guard::CameraState::kQuarantined)) {
+    return false;
+  }
   r.skip(2);  // pad
   out.quality_reasons = r.u32();
   const std::uint32_t count = r.u32();
@@ -130,6 +169,9 @@ bool decode_result(ByteReader& r, Result& out) {
 bool decode_telemetry_report(ByteReader& r, TelemetryReport& out) {
   out.uptime_seconds = r.f64();
   out.health_state = r.u32();
+  if (out.health_state > runtime::enum_max(runtime::HealthState{})) {
+    return false;
+  }
   out.timeline_frames = r.u64();
   out.timeline_window = r.u32();
   for (TelemetryPercentiles* p :
@@ -142,36 +184,29 @@ bool decode_telemetry_report(ByteReader& r, TelemetryReport& out) {
 }
 
 bool decode_stats_report(ByteReader& r, StatsReport& out) {
-  out.submitted = r.u64();
-  out.completed = r.u64();
-  out.ok = r.u64();
-  out.degraded = r.u64();
-  out.dropped_queue = r.u64();
-  out.dropped_deadline = r.u64();
-  out.aggregate_fps = r.f64();
-  out.net_frames_received = r.u64();
-  out.net_results_sent = r.u64();
-  out.net_results_dropped = r.u64();
-  out.net_decode_errors = r.u64();
-  out.active_connections = r.u32();
-  out.frames_error = r.u64();
-  out.worker_faults = r.u64();
-  out.worker_stalls = r.u64();
-  out.workers_replaced = r.u64();
-  out.poison_frames = r.u64();
-  out.net_frames_rejected = r.u64();
-  out.health_state = r.u32();
-  out.score_backend = r.u32();
-  out.score_batches = r.u64();
-  out.score_windows = r.u64();
-  out.score_fill = r.f32();
-  out.guard_unusable = r.u64();
-  out.guard_soft = r.u64();
-  out.camera_quarantines = r.u64();
-  out.camera_recoveries = r.u64();
-  out.cameras_suspect = r.u32();
-  out.cameras_quarantined = r.u32();
-  return r.ok() && r.exhausted();
+  out = StatsReport{};  // rows the peer did not send read as zero
+  const std::uint16_t count = r.u16();
+  if (!r.ok() || count > kMaxStatPairs ||
+      r.remaining() != std::size_t{count} * kStatPairBytes) {
+    return false;
+  }
+  std::array<std::uint16_t, kMaxStatPairs> seen{};
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint16_t id = r.u16();
+    const std::uint64_t bits = r.u64();
+    const auto seen_end = seen.begin() + static_cast<std::ptrdiff_t>(i);
+    if (std::find(seen.begin(), seen_end, id) != seen_end) return false;
+    seen[i] = id;
+    bool valid = true;
+    const auto read = [&](const runtime::StatField& f, auto& value) {
+      if (id != 0 && f.id == id) valid = read_stat(bits, value);
+    };
+    runtime::RuntimeStats::visit(read, out.runtime);
+    runtime::NetStats::visit(read, out.net);
+    if (!valid) return false;
+  }
+  runtime::derive_stats(out.runtime);
+  return r.exhausted();
 }
 
 bool decode_error(ByteReader& r, Error& out) {
@@ -288,35 +323,14 @@ void encode_stats_report(const StatsReport& msg,
                          std::vector<std::uint8_t>& out) {
   ByteWriter w(out);
   const std::size_t at = begin_frame(w, MsgType::kStatsReport);
-  w.u64(msg.submitted);
-  w.u64(msg.completed);
-  w.u64(msg.ok);
-  w.u64(msg.degraded);
-  w.u64(msg.dropped_queue);
-  w.u64(msg.dropped_deadline);
-  w.f64(msg.aggregate_fps);
-  w.u64(msg.net_frames_received);
-  w.u64(msg.net_results_sent);
-  w.u64(msg.net_results_dropped);
-  w.u64(msg.net_decode_errors);
-  w.u32(msg.active_connections);
-  w.u64(msg.frames_error);
-  w.u64(msg.worker_faults);
-  w.u64(msg.worker_stalls);
-  w.u64(msg.workers_replaced);
-  w.u64(msg.poison_frames);
-  w.u64(msg.net_frames_rejected);
-  w.u32(msg.health_state);
-  w.u32(msg.score_backend);
-  w.u64(msg.score_batches);
-  w.u64(msg.score_windows);
-  w.f32(msg.score_fill);
-  w.u64(msg.guard_unusable);
-  w.u64(msg.guard_soft);
-  w.u64(msg.camera_quarantines);
-  w.u64(msg.camera_recoveries);
-  w.u32(msg.cameras_suspect);
-  w.u32(msg.cameras_quarantined);
+  w.u16(static_cast<std::uint16_t>(runtime::kWireStatCount));
+  const auto write = [&w](const runtime::StatField& f, const auto& value) {
+    if (f.id == 0) return;
+    w.u16(f.id);
+    w.u64(stat_bits(value));
+  };
+  runtime::RuntimeStats::visit(write, msg.runtime);
+  runtime::NetStats::visit(write, msg.net);
   end_frame(w, out, at);
 }
 

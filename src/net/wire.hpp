@@ -28,12 +28,13 @@
 // fingerprint (dimension + CRC of the canonical model bytes) and the stream
 // id it assigned. A server that cannot speak the client's version replies
 // Error{kVersionMismatch} and closes. Within one protocol version, unknown
-// message types are a decode error (kUnknownType) — there are no optional
-// extensions.
+// message types are a decode error (kUnknownType). The one optional
+// extension is the StatsReport's stat ids (v6): a reader skips ids it does
+// not know, so adding a stat does not bump the version.
 //
 // v2 (breaking): Result grew the kError frame status and StatsReport grew
-// the fault/health block (worker_faults..health_state) so remote clients
-// can observe the server's self-healing state machine.
+// the fault/health block so remote clients can observe the server's
+// self-healing state machine.
 //
 // v3 (breaking): the telemetry plane. Result grew a trailing FrameTrace
 // block (server-side hop offsets in microseconds relative to service
@@ -51,9 +52,20 @@
 // v5 (breaking): input integrity (pdet::guard). Result grew the frame-
 // quality block (input_quality / camera_state / quality_reasons) and the
 // kDegradedInput frame status, FrameTrace grew the gate_us hop, and
-// StatsReport grew the guard block (guard_unusable..cameras_quarantined) so
-// a remote client can see per-frame integrity verdicts and per-camera
-// health without scraping telemetry.
+// StatsReport grew the guard block (gate verdicts, quarantines, camera
+// states) so a remote client can see per-frame integrity verdicts and
+// per-camera health without scraping telemetry.
+//
+// v6 (breaking): StatsReport is generated from the one stats table
+// (runtime/stats_table.hpp) and carries every runtime and net frontend row:
+// a u16 count, then that many (u16 id, u64 value) pairs. Integers travel as
+// two's-complement 64-bit values, doubles as their IEEE-754 bits, enums as
+// their integer value; the derived (kRatio) rows are not sent but
+// recomputed after decode. A reader skips ids it does not know,
+// so a new stat needs no version bump, and rejects (kBadPayload) a
+// duplicate id, a count above kMaxStatPairs, a payload that is not exactly
+// `count` pairs, and an enum or int value out of range. The enum fields of
+// Result and TelemetryReport are range-checked the same way.
 #pragma once
 
 #include <array>
@@ -65,12 +77,13 @@
 #include "src/detect/detection.hpp"
 #include "src/imgproc/image.hpp"
 #include "src/obs/timeline.hpp"
+#include "src/runtime/stats_table.hpp"
 #include "src/runtime/stream.hpp"
 
 namespace pdet::net::wire {
 
 inline constexpr std::uint32_t kMagic = 0x50444E31u;  // "PDN1"
-inline constexpr std::uint8_t kProtocolVersion = 5;
+inline constexpr std::uint8_t kProtocolVersion = 6;
 inline constexpr std::size_t kHeaderSize = 16;
 /// Upper bound on a frame payload; a 4K-UHD float luminance plane is ~33 MiB,
 /// anything larger is a corrupt or hostile length field.
@@ -83,6 +96,11 @@ inline constexpr std::uint32_t kMaxDetections = 1u << 16;
 /// Cap on the Prometheus text payload of a TelemetryReport. A registry of a
 /// few hundred series renders to tens of KiB; 1 MiB headroom is generous.
 inline constexpr std::size_t kMaxTelemetryTextLen = 1u << 20;
+/// Cap on a StatsReport's (id, value) pair count. It bounds the stats table
+/// rather than equalling it, so a peer whose table has grown still decodes
+/// here (its new ids are skipped).
+inline constexpr std::size_t kMaxStatPairs = 256;
+static_assert(runtime::kWireStatCount <= kMaxStatPairs);
 
 enum class MsgType : std::uint8_t {
   kHello = 1,        ///< client -> server, first message on a connection
@@ -162,41 +180,12 @@ struct Result {
   std::vector<detect::Detection> detections;
 };
 
+/// One server's stats, or a fleet's merged ones: the stats table's runtime
+/// and net frontend rows. Histogram summaries are not sent (they decode as
+/// zero).
 struct StatsReport {
-  // Runtime aggregate (subset of runtime::RuntimeStats).
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t degraded = 0;
-  std::uint64_t dropped_queue = 0;
-  std::uint64_t dropped_deadline = 0;
-  double aggregate_fps = 0.0;
-  // Net frontend accounting.
-  std::uint64_t net_frames_received = 0;
-  std::uint64_t net_results_sent = 0;
-  std::uint64_t net_results_dropped = 0;  ///< shed to slow readers
-  std::uint64_t net_decode_errors = 0;
-  std::uint32_t active_connections = 0;
-  // Fault containment / self-healing block (v2; mirrors RuntimeStats).
-  std::uint64_t frames_error = 0;      ///< frames delivered as kError
-  std::uint64_t worker_faults = 0;     ///< contained engine exceptions
-  std::uint64_t worker_stalls = 0;     ///< watchdog-detected hung frames
-  std::uint64_t workers_replaced = 0;  ///< replacement workers spawned
-  std::uint64_t poison_frames = 0;     ///< frames rejected after max faults
-  std::uint64_t net_frames_rejected = 0;  ///< bad SubmitFrames answered Error
-  std::uint32_t health_state = 0;      ///< runtime::HealthState as integer
-  // Scoring-backend block (v4; mirrors RuntimeStats).
-  std::uint32_t score_backend = 0;     ///< score::BackendKind as integer
-  std::uint64_t score_batches = 0;     ///< batches the backend scored
-  std::uint64_t score_windows = 0;     ///< windows the backend scored
-  float score_fill = 0.0f;             ///< mean batch fill [0, 1]
-  // Input-integrity block (v5; mirrors RuntimeStats).
-  std::uint64_t guard_unusable = 0;    ///< frames short-circuited by the gate
-  std::uint64_t guard_soft = 0;        ///< degraded-but-usable verdicts
-  std::uint64_t camera_quarantines = 0;  ///< healthy->quarantined transitions
-  std::uint64_t camera_recoveries = 0;   ///< quarantined->suspect transitions
-  std::uint32_t cameras_suspect = 0;     ///< streams currently suspect
-  std::uint32_t cameras_quarantined = 0;  ///< streams currently quarantined
+  runtime::RuntimeStats runtime;
+  runtime::NetStats net;
 };
 
 /// p50/p99 of one hop duration over the server's flight-recorder window.

@@ -29,15 +29,6 @@ std::vector<double> latency_bounds() {
 
 }  // namespace
 
-const char* to_string(HealthState state) {
-  switch (state) {
-    case HealthState::kHealthy: return "healthy";
-    case HealthState::kDegraded: return "degraded";
-    case HealthState::kDraining: return "draining";
-  }
-  return "unknown";
-}
-
 DetectionServer::DetectionServer(svm::LinearModel model, ServerOptions options)
     : options_(options),
       model_(std::move(model)),
@@ -722,7 +713,7 @@ RuntimeStats DetectionServer::stats() const {
   const score::BackendStats bs = score_backend_->stats();
   out.score_batches = bs.batches;
   out.score_windows = bs.windows;
-  out.score_fill = bs.mean_fill();
+  out.score_capacity = bs.capacity_sum;
   if (started_) {
     out.wall_seconds =
         running_.load(std::memory_order_acquire)
@@ -732,59 +723,14 @@ RuntimeStats DetectionServer::stats() const {
   out.aggregate_fps = out.wall_seconds > 0.0
                           ? static_cast<double>(out.completed) / out.wall_seconds
                           : 0.0;
+  derive_stats(out);
   return out;
 }
 
 void DetectionServer::publish_metrics() {
   const RuntimeStats s = stats();
   std::lock_guard<std::mutex> publish_lock(publish_mutex_);
-  const auto delta = [](const char* name, long long current, long long& last) {
-    if (current != last) {
-      obs::counter_add(name, current - last);
-      last = current;
-    }
-  };
-  delta("runtime.frames_submitted", s.submitted, published_.submitted);
-  delta("runtime.frames_completed", s.completed, published_.completed);
-  delta("runtime.frames_ok", s.ok, published_.ok);
-  delta("runtime.frames_degraded", s.degraded, published_.degraded);
-  delta("runtime.frames_dropped_queue", s.dropped_queue,
-        published_.dropped_queue);
-  delta("runtime.frames_dropped_deadline", s.dropped_deadline,
-        published_.dropped_deadline);
-  delta("runtime.frames_error", s.errors, published_.errors);
-  delta("runtime.worker_faults", s.worker_faults, published_.worker_faults);
-  delta("runtime.worker_stalls", s.worker_stalls, published_.worker_stalls);
-  delta("runtime.workers_replaced", s.workers_replaced,
-        published_.workers_replaced);
-  delta("runtime.poison_frames", s.poison_frames, published_.poison_frames);
-  delta("runtime.flight_triggers", s.flight_triggers,
-        published_.flight_triggers);
-  delta("runtime.tiles_detected", s.tiles_detected, published_.tiles_detected);
-  delta("runtime.tiles_reused", s.tiles_reused, published_.tiles_reused);
-  delta("runtime.roi_frames", s.roi_frames, published_.roi_frames);
-  if (options_.tiling.enabled) {
-    obs::gauge_set("runtime.max_tile_age",
-                   static_cast<double>(s.max_tile_age));
-  }
-  delta("runtime.guard_unusable", s.guard_unusable, published_.guard_unusable);
-  delta("runtime.guard_soft", s.guard_soft, published_.guard_soft);
-  delta("runtime.camera_quarantines", s.camera_quarantines,
-        published_.camera_quarantines);
-  delta("runtime.camera_recoveries", s.camera_recoveries,
-        published_.camera_recoveries);
-  if (options_.guard.enabled) {
-    obs::gauge_set("runtime.cameras_suspect",
-                   static_cast<double>(s.cameras_suspect));
-    obs::gauge_set("runtime.cameras_quarantined",
-                   static_cast<double>(s.cameras_quarantined));
-  }
-  obs::gauge_set("runtime.health", static_cast<double>(s.health));
-  obs::gauge_set("runtime.score_backend", static_cast<double>(s.backend));
-  obs::gauge_set("runtime.score_fill", s.score_fill);
-  obs::gauge_set("runtime.queue_depth", static_cast<double>(s.queue_depth));
-  obs::gauge_set("runtime.degrade_level", static_cast<double>(s.degrade_level));
-  obs::gauge_set("runtime.aggregate_fps", s.aggregate_fps);
+  publish_stats(s, published_);
   obs::gauge_set("runtime.queue_wait_ms.p50", s.queue_wait_ms.p50);
   obs::gauge_set("runtime.queue_wait_ms.p99", s.queue_wait_ms.p99);
   obs::gauge_set("runtime.service_ms.p50", s.service_ms.p50);

@@ -58,6 +58,7 @@
 #include "src/obs/timeline.hpp"
 #include "src/runtime/bounded_queue.hpp"
 #include "src/runtime/scheduler.hpp"
+#include "src/runtime/stats_table.hpp"
 #include "src/runtime/stream.hpp"
 #include "src/score/backend.hpp"
 #include "src/svm/linear_svm.hpp"
@@ -143,68 +144,12 @@ struct ServerOptions {
   int max_flight_dumps = 4;
 };
 
-/// Coarse serving-health summary, fed by the fault counters: kDegraded while
-/// the server is within `recovery_frames` clean completions of a fault,
-/// kDraining once stop() has begun. Published as the `runtime.health` gauge
-/// and mirrored into the remote StatsReport.
-enum class HealthState { kHealthy = 0, kDegraded = 1, kDraining = 2 };
-
-const char* to_string(HealthState state);
-
 /// Outcome of one submit() call, from the producer's point of view. Every
 /// submitted frame additionally receives exactly one in-order delivery.
 enum class SubmitStatus {
   kAccepted,        ///< queued for processing
   kAcceptedEvicted, ///< queued; an older queued frame was dropped for it
   kRejected,        ///< refused (kDropNewest full queue, or server stopping)
-};
-
-/// Aggregate accounting snapshot. Counters cover the server's lifetime;
-/// histograms summarize worker-side measurements (server-local obs::Histogram
-/// instances, so stats() reads one consistent snapshot without coupling to
-/// whatever else the process publishes into the global registry).
-struct RuntimeStats {
-  long long submitted = 0;         ///< submit() calls
-  long long completed = 0;         ///< frames processed (ok + degraded)
-  long long ok = 0;                ///< processed at full quality
-  long long degraded = 0;          ///< processed on a degraded rung (1-2)
-  long long dropped_queue = 0;     ///< evicted or refused at the queue
-  long long dropped_deadline = 0;  ///< skipped by the scheduler
-  long long errors = 0;            ///< frames delivered as kError
-  long long worker_faults = 0;     ///< engine exceptions contained in workers
-  long long worker_stalls = 0;     ///< hung frames detected by the watchdog
-  long long workers_replaced = 0;  ///< replacement workers spawned
-  long long poison_frames = 0;     ///< frames that faulted max_frame_faults times
-  long long flight_triggers = 0;   ///< flight-recorder dump triggers fired
-  HealthState health = HealthState::kHealthy;  ///< at snapshot time
-  double wall_seconds = 0.0;       ///< start() to stop() (or to now)
-  double aggregate_fps = 0.0;      ///< completed / wall_seconds
-  std::size_t queue_depth = 0;     ///< frames queued at snapshot time
-  int degrade_level = 0;           ///< scheduler rung at snapshot time
-  obs::HistogramSummary queue_wait_ms;     ///< submit -> dequeue
-  obs::HistogramSummary service_ms;        ///< engine time per frame
-  obs::HistogramSummary total_latency_ms;  ///< submit -> delivery
-  // Engine-pool aggregates; valid after stop() (workers own their engines
-  // while running).
-  long long engine_frames = 0;
-  std::size_t engine_alloc_bytes = 0;  ///< summed workspace high water
-  // Scoring-backend dimension (live at any time; backends count atomically).
-  score::BackendKind backend = score::BackendKind::kScalar;  ///< what scored
-  long long score_batches = 0;  ///< batches the backend scored
-  long long score_windows = 0;  ///< windows the backend scored
-  double score_fill = 0.0;      ///< mean batch fill, windows / capacity
-  // Tiled-pipeline dimension (all zero unless ServerOptions::tiling.enabled).
-  long long tiles_detected = 0;  ///< tiles freshly detected across streams
-  long long tiles_reused = 0;    ///< tiles served from their detection cache
-  long long roi_frames = 0;      ///< frames processed under ROI selection
-  int max_tile_age = 0;          ///< worst tile age seen (gauge)
-  // Input-integrity dimension (all zero unless ServerOptions::guard.enabled).
-  long long guard_unusable = 0;  ///< frames short-circuited as kDegradedInput
-  long long guard_soft = 0;      ///< frames gated kDegraded but still run
-  long long camera_quarantines = 0;  ///< entries into kQuarantined
-  long long camera_recoveries = 0;   ///< exits from kQuarantined
-  int cameras_suspect = 0;       ///< streams currently suspect (gauge)
-  int cameras_quarantined = 0;   ///< streams currently quarantined (gauge)
 };
 
 class DetectionServer {
@@ -261,9 +206,9 @@ class DetectionServer {
   /// records only when ServerOptions::timeline_depth > 0.
   const obs::FlightRecorder& flight_recorder() const { return flight_; }
 
-  /// Write the runtime counters/gauges into the global obs registry
-  /// (runtime.frames_*, runtime.queue_depth, runtime.*_ms.p50/p99...).
-  /// Counter deltas are tracked so repeated publishes accumulate correctly.
+  /// Write the stats table's runtime rows (publish_stats) and the latency
+  /// histograms' p50/p99 gauges into the global obs registry. Counter
+  /// deltas are tracked so repeated publishes accumulate correctly.
   /// Thread-safe: the delta state has its own lock and the registry itself
   /// is thread-safe, so a periodic publisher and a telemetry query may race.
   void publish_metrics();

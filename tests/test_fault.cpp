@@ -631,12 +631,10 @@ TEST(ChaosService, SeededFaultScheduleKeepsExactlyOnceAccounting) {
     // The remote stats view must carry the fault story end to end.
     net::wire::StatsReport report;
     ASSERT_TRUE(client.query_stats(report, 60000.0)) << client.last_error();
-    EXPECT_EQ(report.health_state,
-              static_cast<std::uint32_t>(runtime::HealthState::kHealthy));
-    EXPECT_EQ(report.submitted,
-              static_cast<std::uint64_t>(kChaosFrames + kRecoveryFrames));
-    EXPECT_EQ(report.completed + report.frames_error,
-              static_cast<std::uint64_t>(kChaosFrames + kRecoveryFrames));
+    EXPECT_EQ(report.runtime.health, runtime::HealthState::kHealthy);
+    EXPECT_EQ(report.runtime.submitted, kChaosFrames + kRecoveryFrames);
+    EXPECT_EQ(report.runtime.completed + report.runtime.errors,
+              kChaosFrames + kRecoveryFrames);
 
     client.disconnect();
     service.stop();

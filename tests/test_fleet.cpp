@@ -12,6 +12,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #if defined(__linux__)
@@ -418,8 +419,9 @@ TEST(ShardRouter, DeliversExactlyOnceInOrderAcrossShards) {
 // --- router: fleet stats aggregation ----------------------------------------
 
 // The aggregation identity (satellite of the merge property test): on a
-// quiesced fleet, the router's aggregated StatsReport equals the field-wise
-// sum of the per-shard reports queried directly.
+// quiesced fleet, the router's aggregated StatsReport equals the one merge
+// (runtime::merge_runtime_stats) of the per-shard reports queried directly,
+// on every row of the stats table.
 TEST(ShardRouter, AggregatedStatsMatchPerShardSums) {
   // The shards gate their input, so the guard block has something to sum.
   net::ServiceOptions sopts = shard_options();
@@ -461,8 +463,8 @@ TEST(ShardRouter, AggregatedStatsMatchPerShardSums) {
   ASSERT_TRUE(client.query_stats(fleet_report, 15000.0))
       << client.last_error();
 
-  // Then each shard directly.
-  wire::StatsReport sum;
+  // Then each shard directly, folded through the same merge.
+  runtime::RuntimeStats merged;
   for (const auto& shard : fleet.shards) {
     net::ClientOptions direct;
     direct.port = shard->port();
@@ -472,60 +474,47 @@ TEST(ShardRouter, AggregatedStatsMatchPerShardSums) {
     wire::StatsReport r;
     ASSERT_TRUE(probe.query_stats(r, 15000.0)) << probe.last_error();
     probe.disconnect();
-    sum.submitted += r.submitted;
-    sum.completed += r.completed;
-    sum.ok += r.ok;
-    sum.degraded += r.degraded;
-    sum.dropped_queue += r.dropped_queue;
-    sum.dropped_deadline += r.dropped_deadline;
-    sum.frames_error += r.frames_error;
-    sum.worker_faults += r.worker_faults;
-    sum.health_state = std::max(sum.health_state, r.health_state);
-    sum.score_batches += r.score_batches;
-    sum.score_windows += r.score_windows;
-    sum.guard_unusable += r.guard_unusable;
-    sum.guard_soft += r.guard_soft;
-    sum.camera_quarantines += r.camera_quarantines;
-    sum.camera_recoveries += r.camera_recoveries;
-    sum.cameras_suspect += r.cameras_suspect;
-    sum.cameras_quarantined += r.cameras_quarantined;
+    runtime::merge_runtime_stats(merged, r.runtime);
   }
 
-  EXPECT_EQ(fleet_report.submitted, sum.submitted);
-  EXPECT_EQ(fleet_report.completed, sum.completed);
-  EXPECT_EQ(fleet_report.ok, sum.ok);
-  EXPECT_EQ(fleet_report.degraded, sum.degraded);
-  EXPECT_EQ(fleet_report.dropped_queue, sum.dropped_queue);
-  EXPECT_EQ(fleet_report.dropped_deadline, sum.dropped_deadline);
-  EXPECT_EQ(fleet_report.frames_error, sum.frames_error);
-  EXPECT_EQ(fleet_report.worker_faults, sum.worker_faults);
-  EXPECT_EQ(fleet_report.health_state, sum.health_state);
-  EXPECT_EQ(fleet_report.score_batches, sum.score_batches);
-  EXPECT_EQ(fleet_report.score_windows, sum.score_windows);
-  EXPECT_EQ(fleet_report.guard_unusable, sum.guard_unusable);
-  EXPECT_EQ(fleet_report.guard_soft, sum.guard_soft);
-  EXPECT_EQ(fleet_report.camera_quarantines, sum.camera_quarantines);
-  EXPECT_EQ(fleet_report.camera_recoveries, sum.camera_recoveries);
-  EXPECT_EQ(fleet_report.cameras_suspect, sum.cameras_suspect);
-  EXPECT_EQ(fleet_report.cameras_quarantined, sum.cameras_quarantined);
+  // Every row matches, except that the fleet was asked first: its wall
+  // clock (kMax) reads no later, and its fps (completions over a shorter
+  // wall clock, kRate) no lower, than the direct reports.
+  runtime::RuntimeStats::visit(
+      [](const runtime::StatField& f, const auto& fleet_value,
+         const auto& direct_value) {
+        if constexpr (std::is_floating_point_v<
+                          std::decay_t<decltype(fleet_value)>>) {
+          if (f.kind == runtime::StatKind::kMax) {
+            EXPECT_LE(fleet_value, direct_value) << f.name;
+            return;
+          }
+          if (f.kind == runtime::StatKind::kRate) {
+            EXPECT_GE(fleet_value, direct_value) << f.name;
+            return;
+          }
+        }
+        EXPECT_EQ(fleet_value, direct_value) << f.name;
+      },
+      fleet_report.runtime, merged);
   // The gate saw what the frames were built to show.
-  EXPECT_EQ(sum.guard_soft, 1u);
-  EXPECT_EQ(sum.guard_unusable, 15u);
-  EXPECT_EQ(sum.camera_quarantines, 2u);
-  EXPECT_EQ(sum.camera_recoveries, 1u);
-  EXPECT_EQ(sum.cameras_suspect, 0u);
-  EXPECT_EQ(sum.cameras_quarantined, 1u);
+  EXPECT_EQ(merged.guard_soft, 1);
+  EXPECT_EQ(merged.guard_unusable, 15);
+  EXPECT_EQ(merged.camera_quarantines, 2);
+  EXPECT_EQ(merged.camera_recoveries, 1);
+  EXPECT_EQ(merged.cameras_suspect, 0);
+  EXPECT_EQ(merged.cameras_quarantined, 1);
   // Every frame this test pushed went through the fleet runtime.
-  EXPECT_EQ(fleet_report.submitted, static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(fleet_report.runtime.submitted, kFrames);
   // The net block is the router's own frontend, not a shard sum.
-  EXPECT_EQ(fleet_report.net_frames_received,
-            static_cast<std::uint64_t>(kFrames));
-  EXPECT_EQ(fleet_report.active_connections, 1u);
+  EXPECT_EQ(fleet_report.net.frames_received, kFrames);
+  EXPECT_EQ(fleet_report.net.results_sent, client.results_received());
+  EXPECT_EQ(fleet_report.net.active_connections, 1);
 
   // Telemetry aggregates too: worst-of health, per-shard labels in the text.
   wire::TelemetryReport telem;
   ASSERT_TRUE(client.query_telemetry(telem, 15000.0)) << client.last_error();
-  EXPECT_EQ(telem.health_state, sum.health_state);
+  EXPECT_EQ(telem.health_state, static_cast<std::uint32_t>(merged.health));
   EXPECT_NE(telem.prometheus.find("pdet_fleet_shard 0"), std::string::npos);
   EXPECT_NE(telem.prometheus.find("pdet_fleet_shard 1"), std::string::npos);
 

@@ -579,17 +579,14 @@ TEST(DetectionService, SeededSensorChaosOverTcpIsExactlyOnceAndDetected) {
 
   net::wire::StatsReport report;
   ASSERT_TRUE(client.query_stats(report, 30000.0)) << client.last_error();
-  EXPECT_EQ(report.submitted, static_cast<std::uint64_t>(kFrames));
-  EXPECT_EQ(report.guard_unusable,
-            static_cast<std::uint64_t>(unusable_seen));
-  EXPECT_EQ(report.completed + report.guard_unusable,
-            static_cast<std::uint64_t>(kFrames));
-  EXPECT_EQ(report.camera_quarantines,
-            static_cast<std::uint64_t>(expected_quarantines));
-  EXPECT_EQ(report.camera_recoveries,
-            static_cast<std::uint64_t>(expected_recoveries));
-  EXPECT_EQ(report.net_frames_received, static_cast<std::uint64_t>(kFrames));
-  EXPECT_EQ(report.net_results_sent, static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(report.runtime.submitted, kFrames);
+  EXPECT_EQ(report.runtime.guard_unusable, unusable_seen);
+  EXPECT_EQ(report.runtime.completed + report.runtime.guard_unusable,
+            kFrames);
+  EXPECT_EQ(report.runtime.camera_quarantines, expected_quarantines);
+  EXPECT_EQ(report.runtime.camera_recoveries, expected_recoveries);
+  EXPECT_EQ(report.net.frames_received, kFrames);
+  EXPECT_EQ(report.net.results_sent, kFrames);
 
   client.disconnect();
   service.stop();
@@ -633,11 +630,11 @@ TEST(DetectionService, CleanSeedsOverTcpNeverTripTheGate) {
   }
   net::wire::StatsReport report;
   ASSERT_TRUE(client.query_stats(report, 30000.0));
-  EXPECT_EQ(report.guard_unusable, 0u);
-  EXPECT_EQ(report.guard_soft, 0u);
-  EXPECT_EQ(report.camera_quarantines, 0u);
-  EXPECT_EQ(report.cameras_suspect, 0u);
-  EXPECT_EQ(report.cameras_quarantined, 0u);
+  EXPECT_EQ(report.runtime.guard_unusable, 0);
+  EXPECT_EQ(report.runtime.guard_soft, 0);
+  EXPECT_EQ(report.runtime.camera_quarantines, 0);
+  EXPECT_EQ(report.runtime.cameras_suspect, 0);
+  EXPECT_EQ(report.runtime.cameras_quarantined, 0);
   client.disconnect();
   service.stop();
 }

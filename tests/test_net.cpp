@@ -14,6 +14,8 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/fault/injector.hpp"
@@ -25,6 +27,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/timeline.hpp"
 #include "src/svm/model_io.hpp"
+#include "src/util/bytes.hpp"
 #include "src/util/rng.hpp"
 
 namespace pdet::net {
@@ -111,6 +114,96 @@ wire::TelemetryReport sample_telemetry() {
   return t;
 }
 
+/// A report in which every table row is distinct and nonzero (enums at
+/// their largest valid value, everything else counting up from 100), the
+/// derived rows recomputed.
+wire::StatsReport sample_stats() {
+  wire::StatsReport r;
+  long long next = 100;
+  const auto fill = [&next](const runtime::StatField&, auto& v) {
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (std::is_enum_v<T>) {
+      v = static_cast<T>(runtime::enum_max(T{}));
+    } else if constexpr (std::is_floating_point_v<T>) {
+      v = static_cast<T>(next++) + 0.25;
+    } else {
+      v = static_cast<T>(next++);
+    }
+  };
+  runtime::RuntimeStats::visit(fill, r.runtime);
+  runtime::NetStats::visit(fill, r.net);
+  runtime::derive_stats(r.runtime);
+  return r;
+}
+
+/// Every table row of `a` equals `b`'s.
+void expect_same_report(const wire::StatsReport& a,
+                        const wire::StatsReport& b) {
+  const auto same = [](const runtime::StatField& f, const auto& x,
+                       const auto& y) { EXPECT_EQ(x, y) << f.name; };
+  runtime::RuntimeStats::visit(same, a.runtime, b.runtime);
+  runtime::NetStats::visit(same, a.net, b.net);
+}
+
+using StatPair = std::pair<std::uint16_t, std::uint64_t>;
+
+/// Rewrite a frame's payload length and CRC after a test edited it, so the
+/// decoder sees a well-framed, CRC-valid payload defect.
+void resign(std::vector<std::uint8_t>& frame) {
+  const auto len = static_cast<std::uint32_t>(frame.size() - wire::kHeaderSize);
+  const std::span<const std::uint8_t> all(frame);
+  for (std::size_t i = 0; i < 4; ++i) {
+    frame[8 + i] = static_cast<std::uint8_t>(len >> (8 * i));
+  }
+  const std::uint32_t crc = util::crc32(
+      all.subspan(wire::kHeaderSize), util::crc32(all.subspan(0, 12)));
+  for (std::size_t i = 0; i < 4; ++i) {
+    frame[12 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+}
+
+/// The (id, value) pairs the encoder writes for `report`.
+std::vector<StatPair> pairs_of(const wire::StatsReport& report) {
+  std::vector<std::uint8_t> frame;
+  wire::encode_stats_report(report, frame);
+  util::ByteReader r(std::span<const std::uint8_t>(frame).subspan(wire::kHeaderSize));
+  std::vector<StatPair> pairs(r.u16());
+  for (auto& [id, value] : pairs) {
+    id = r.u16();
+    value = r.u64();
+  }
+  EXPECT_TRUE(r.exhausted());
+  return pairs;
+}
+
+/// A StatsReport frame encoded by hand: `count`, then `pairs` as given.
+std::vector<std::uint8_t> stats_frame(std::size_t count,
+                                      const std::vector<StatPair>& pairs) {
+  std::vector<std::uint8_t> frame;
+  wire::encode_stats_report(wire::StatsReport{}, frame);
+  frame.resize(wire::kHeaderSize);
+  util::ByteWriter w(frame);
+  w.u16(static_cast<std::uint16_t>(count));
+  for (const auto& [id, value] : pairs) {
+    w.u16(id);
+    w.u64(value);
+  }
+  resign(frame);
+  return frame;
+}
+
+/// Decode one whole frame; a payload defect must still consume all of it.
+wire::DecodeStatus decode_whole(const std::vector<std::uint8_t>& frame,
+                                wire::Message& out) {
+  std::size_t consumed = 0;
+  const wire::DecodeStatus status = wire::decode_message(frame, out, consumed);
+  if (status == wire::DecodeStatus::kOk ||
+      status == wire::DecodeStatus::kBadPayload) {
+    EXPECT_EQ(consumed, frame.size());
+  }
+  return status;
+}
+
 /// Encode each message type once, in a fixed order, into separate buffers.
 std::vector<std::vector<std::uint8_t>> encode_one_of_each() {
   std::vector<std::vector<std::uint8_t>> frames(10);
@@ -129,37 +222,7 @@ std::vector<std::vector<std::uint8_t>> encode_one_of_each() {
   wire::encode_submit_frame(submit, frames[2]);
   wire::encode_result(sample_result(), frames[3]);
   wire::encode_stats_query(frames[4]);
-  wire::StatsReport stats;
-  stats.submitted = 100;
-  stats.completed = 99;
-  stats.ok = 90;
-  stats.degraded = 6;
-  stats.dropped_queue = 2;
-  stats.dropped_deadline = 1;
-  stats.aggregate_fps = 61.5;
-  stats.net_frames_received = 100;
-  stats.net_results_sent = 98;
-  stats.net_results_dropped = 1;
-  stats.net_decode_errors = 0;
-  stats.active_connections = 4;
-  stats.frames_error = 3;  // the v2 fault/health block
-  stats.worker_faults = 5;
-  stats.worker_stalls = 1;
-  stats.workers_replaced = 1;
-  stats.poison_frames = 2;
-  stats.net_frames_rejected = 7;
-  stats.health_state = 1;          // degraded
-  stats.score_backend = 2;         // the v4 scoring-backend block
-  stats.score_batches = 40;
-  stats.score_windows = 5120;
-  stats.score_fill = 0.8125f;
-  stats.guard_unusable = 11;       // the v5 input-integrity block
-  stats.guard_soft = 23;
-  stats.camera_quarantines = 2;
-  stats.camera_recoveries = 1;
-  stats.cameras_suspect = 1;
-  stats.cameras_quarantined = 1;
-  wire::encode_stats_report(stats, frames[5]);
+  wire::encode_stats_report(sample_stats(), frames[5]);
   wire::Error err;
   err.code = wire::ErrorCode::kBusy;
   err.message = "no free stream slot";
@@ -374,28 +437,14 @@ TEST(WireCodec, StatsAndControlRoundtrip) {
   ASSERT_EQ(wire::decode_message(frames[5], out, consumed),
             wire::DecodeStatus::kOk);
   ASSERT_EQ(out.type, wire::MsgType::kStatsReport);
-  EXPECT_EQ(out.stats.submitted, 100u);
-  EXPECT_EQ(out.stats.dropped_queue, 2u);
-  EXPECT_DOUBLE_EQ(out.stats.aggregate_fps, 61.5);
-  EXPECT_EQ(out.stats.net_results_dropped, 1u);
-  EXPECT_EQ(out.stats.active_connections, 4u);
-  EXPECT_EQ(out.stats.frames_error, 3u);  // v2 fault/health block survives
-  EXPECT_EQ(out.stats.score_backend, 2u);  // v4 backend block survives
-  EXPECT_EQ(out.stats.score_batches, 40u);
-  EXPECT_EQ(out.stats.score_windows, 5120u);
-  EXPECT_FLOAT_EQ(out.stats.score_fill, 0.8125f);
-  EXPECT_EQ(out.stats.worker_faults, 5u);
-  EXPECT_EQ(out.stats.worker_stalls, 1u);
-  EXPECT_EQ(out.stats.workers_replaced, 1u);
-  EXPECT_EQ(out.stats.poison_frames, 2u);
-  EXPECT_EQ(out.stats.net_frames_rejected, 7u);
-  EXPECT_EQ(out.stats.health_state, 1u);
-  EXPECT_EQ(out.stats.guard_unusable, 11u);  // v5 guard block survives
-  EXPECT_EQ(out.stats.guard_soft, 23u);
-  EXPECT_EQ(out.stats.camera_quarantines, 2u);
-  EXPECT_EQ(out.stats.camera_recoveries, 1u);
-  EXPECT_EQ(out.stats.cameras_suspect, 1u);
-  EXPECT_EQ(out.stats.cameras_quarantined, 1u);
+  // v6: every row of the stats table survives, each one distinct.
+  const wire::StatsReport in = sample_stats();
+  expect_same_report(out.stats, in);
+  const auto nonzero = [](const runtime::StatField& f, const auto& v) {
+    EXPECT_NE(v, std::decay_t<decltype(v)>{}) << f.name;
+  };
+  runtime::RuntimeStats::visit(nonzero, in.runtime);
+  runtime::NetStats::visit(nonzero, in.net);
   ASSERT_EQ(wire::decode_message(frames[6], out, consumed),
             wire::DecodeStatus::kOk);
   ASSERT_EQ(out.type, wire::MsgType::kError);
@@ -404,6 +453,125 @@ TEST(WireCodec, StatsAndControlRoundtrip) {
   ASSERT_EQ(wire::decode_message(frames[7], out, consumed),
             wire::DecodeStatus::kOk);
   EXPECT_EQ(out.type, wire::MsgType::kShutdown);
+}
+
+TEST(WireCodec, StatsReportSkipsUnknownIds) {
+  // A newer peer's rows (and id 0, which no sent row has) are skipped; the
+  // known rows still decode wherever they sit in the list.
+  const wire::StatsReport in = sample_stats();
+  std::vector<StatPair> pairs = pairs_of(in);
+  ASSERT_EQ(pairs.size(), runtime::kWireStatCount);
+  pairs.insert(pairs.begin() + 3, {999, ~0ull});
+  pairs.push_back({0, 7});
+  wire::Message out;
+  ASSERT_EQ(decode_whole(stats_frame(pairs.size(), pairs), out),
+            wire::DecodeStatus::kOk);
+  expect_same_report(out.stats, in);
+
+  // Up to kMaxStatPairs pairs decode, all of them unknown here.
+  std::vector<StatPair> many;
+  for (std::size_t i = 0; i < wire::kMaxStatPairs; ++i) {
+    many.push_back({static_cast<std::uint16_t>(1000 + i), i});
+  }
+  ASSERT_EQ(decode_whole(stats_frame(many.size(), many), out),
+            wire::DecodeStatus::kOk);
+  expect_same_report(out.stats, wire::StatsReport{});
+}
+
+TEST(WireCodec, StatsReportRejectsMalformedBlocks) {
+  const std::vector<StatPair> pairs = pairs_of(sample_stats());
+  wire::Message out;
+  ASSERT_EQ(decode_whole(stats_frame(pairs.size(), pairs), out),
+            wire::DecodeStatus::kOk);
+
+  std::vector<StatPair> dup = pairs;  // one row twice, same value
+  dup.push_back(pairs[4]);
+  EXPECT_EQ(decode_whole(stats_frame(dup.size(), dup), out),
+            wire::DecodeStatus::kBadPayload);
+  std::vector<StatPair> dup_unknown = pairs;  // unknown ids count too
+  dup_unknown.push_back({999, 1});
+  dup_unknown.push_back({999, 1});
+  EXPECT_EQ(decode_whole(stats_frame(dup_unknown.size(), dup_unknown), out),
+            wire::DecodeStatus::kBadPayload);
+
+  std::vector<StatPair> many;  // one pair over the cap, all ids distinct
+  for (std::size_t i = 0; i <= wire::kMaxStatPairs; ++i) {
+    many.push_back({static_cast<std::uint16_t>(1000 + i), i});
+  }
+  EXPECT_EQ(decode_whole(stats_frame(many.size(), many), out),
+            wire::DecodeStatus::kBadPayload);
+
+  std::vector<std::uint8_t> truncated = stats_frame(pairs.size(), pairs);
+  truncated.resize(truncated.size() - 3);  // the last pair loses 3 bytes
+  resign(truncated);
+  EXPECT_EQ(decode_whole(truncated, out), wire::DecodeStatus::kBadPayload);
+  EXPECT_EQ(decode_whole(stats_frame(pairs.size() + 1, pairs), out),
+            wire::DecodeStatus::kBadPayload);  // a pair short of the count
+
+  std::vector<std::uint8_t> trailing = stats_frame(pairs.size(), pairs);
+  trailing.push_back(0);
+  resign(trailing);
+  EXPECT_EQ(decode_whole(trailing, out), wire::DecodeStatus::kBadPayload);
+}
+
+// The out-of-range corpus: one CRC-valid, well-framed message per enum (and
+// int) field that crosses the wire, holding the smallest value past its
+// range. Only the range check can refuse each one — a shard reporting
+// health 9 must not become the fleet's health through the worst-of merge.
+TEST(WireCodec, OutOfRangeValuesAreBadPayload) {
+  struct Case {
+    std::string field;
+    std::vector<std::uint8_t> frame;
+  };
+  std::vector<Case> corpus;
+  const wire::StatsReport sample = sample_stats();
+  const std::vector<StatPair> pairs = pairs_of(sample);
+  const auto past_range = [&](const runtime::StatField& f, const auto& v) {
+    using T = std::decay_t<decltype(v)>;
+    std::uint64_t bad = 0;
+    if constexpr (std::is_enum_v<T>) {
+      bad = runtime::enum_max(T{}) + 1;
+    } else if constexpr (std::is_same_v<T, int>) {
+      bad = std::uint64_t{1} << 31;
+    } else {
+      return;
+    }
+    std::vector<StatPair> edited = pairs;
+    for (auto& [id, value] : edited) {
+      if (id == f.id) value = bad;
+    }
+    corpus.push_back({std::string("StatsReport.") + f.name,
+                      stats_frame(edited.size(), edited)});
+  };
+  runtime::RuntimeStats::visit(past_range, sample.runtime);
+  runtime::NetStats::visit(past_range, sample.net);
+
+  std::vector<std::uint8_t> telemetry;
+  wire::encode_telemetry_report(sample_telemetry(), telemetry);
+  telemetry[wire::kHeaderSize + 8] = 3;  // health_state, after the f64 uptime
+  resign(telemetry);
+  corpus.push_back({"TelemetryReport.health_state", telemetry});
+  std::vector<std::uint8_t> result;
+  wire::encode_result(sample_result(), result);
+  result[wire::kHeaderSize + 32] = 3;  // input_quality
+  resign(result);
+  corpus.push_back({"Result.input_quality", result});
+  result.clear();
+  wire::encode_result(sample_result(), result);
+  result[wire::kHeaderSize + 33] = 3;  // camera_state
+  resign(result);
+  corpus.push_back({"Result.camera_state", result});
+
+  for (const char* field : {"StatsReport.health", "StatsReport.backend"}) {
+    EXPECT_TRUE(std::any_of(corpus.begin(), corpus.end(),
+                            [&](const Case& c) { return c.field == field; }))
+        << field;
+  }
+  for (const Case& c : corpus) {
+    wire::Message out;
+    EXPECT_EQ(decode_whole(c.frame, out), wire::DecodeStatus::kBadPayload)
+        << c.field;
+  }
 }
 
 TEST(WireCodec, ConcatenatedFramesDecodeInSequence) {
@@ -539,9 +707,10 @@ TEST(DetectionService, SingleClientSubmitsAndReadsInOrder) {
 
   wire::StatsReport report;
   ASSERT_TRUE(client.query_stats(report, 30000.0)) << client.last_error();
-  EXPECT_EQ(report.net_frames_received, static_cast<std::uint64_t>(kFrames));
-  EXPECT_EQ(report.net_results_sent, static_cast<std::uint64_t>(kFrames));
-  EXPECT_EQ(report.active_connections, 1u);
+  EXPECT_EQ(report.net.frames_received, kFrames);
+  EXPECT_EQ(report.net.results_sent, kFrames);
+  EXPECT_EQ(report.net.active_connections, 1);
+  EXPECT_EQ(report.runtime.submitted, kFrames);
 
   client.disconnect();
   service.stop();

@@ -7,13 +7,14 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/detect/multiscale.hpp"
 #include "src/runtime/bounded_queue.hpp"
 #include "src/runtime/scheduler.hpp"
 #include "src/runtime/server.hpp"
-#include "src/runtime/stats_merge.hpp"
+#include "src/runtime/stats_table.hpp"
 #include "src/runtime/stream.hpp"
 #include "src/util/rng.hpp"
 
@@ -560,83 +561,49 @@ TEST(DetectionServer, PublishMetricsWritesDeltasToRegistry) {
 
 namespace {
 
+/// A snapshot with every table row drawn at random (enums over their valid
+/// range), derived rows recomputed: new rows are covered automatically.
 RuntimeStats random_stats(util::Rng& rng) {
   RuntimeStats s;
-  const auto counter = [&rng] {
-    return static_cast<long long>(rng.uniform_int(0, 10000));
-  };
-  s.submitted = counter();
-  s.completed = counter();
-  s.ok = counter();
-  s.degraded = counter();
-  s.dropped_queue = counter();
-  s.dropped_deadline = counter();
-  s.errors = counter();
-  s.worker_faults = counter();
-  s.worker_stalls = counter();
-  s.workers_replaced = counter();
-  s.poison_frames = counter();
-  s.flight_triggers = counter();
-  s.health = static_cast<HealthState>(rng.uniform_int(0, 2));
-  s.wall_seconds = rng.uniform(0.0, 100.0);
-  s.aggregate_fps = rng.uniform(0.0, 500.0);
-  s.queue_depth = static_cast<std::size_t>(rng.uniform_int(0, 64));
-  s.engine_frames = counter();
-  s.engine_alloc_bytes = static_cast<std::size_t>(rng.uniform_int(0, 1 << 20));
-  s.score_batches = counter();
-  s.score_windows = counter();
-  s.score_fill = rng.uniform(0.0, 1.0);
-  s.tiles_detected = counter();
-  s.tiles_reused = counter();
-  s.roi_frames = counter();
-  s.max_tile_age = rng.uniform_int(0, 100);
-  s.guard_unusable = counter();
-  s.guard_soft = counter();
-  s.camera_quarantines = counter();
-  s.camera_recoveries = counter();
-  s.cameras_suspect = rng.uniform_int(0, 64);
-  s.cameras_quarantined = rng.uniform_int(0, 64);
+  RuntimeStats::visit(
+      [&rng](const StatField&, auto& v) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_enum_v<T>) {
+          v = static_cast<T>(
+              rng.uniform_int(0, static_cast<int>(enum_max(T{}))));
+        } else if constexpr (std::is_floating_point_v<T>) {
+          v = rng.uniform(0.0, 500.0);
+        } else {
+          v = static_cast<T>(rng.uniform_int(0, 10000));
+        }
+      },
+      s);
+  derive_stats(s);
   return s;
 }
 
-/// The summed fields merge_runtime_stats folds — equality on these is what
-/// the partition-invariance property asserts.
-std::vector<long long> summed_fields(const RuntimeStats& s) {
-  return {s.submitted,
-          s.completed,
-          s.ok,
-          s.degraded,
-          s.dropped_queue,
-          s.dropped_deadline,
-          s.errors,
-          s.worker_faults,
-          s.worker_stalls,
-          s.workers_replaced,
-          s.poison_frames,
-          s.flight_triggers,
-          static_cast<long long>(s.queue_depth),
-          s.engine_frames,
-          static_cast<long long>(s.engine_alloc_bytes),
-          s.score_batches,
-          s.score_windows,
-          s.tiles_detected,
-          s.tiles_reused,
-          s.roi_frames,
-          s.guard_unusable,
-          s.guard_soft,
-          s.camera_quarantines,
-          s.camera_recoveries,
-          s.cameras_suspect,
-          s.cameras_quarantined};
+/// Every row equal; kRate rows (double sums, reassociated by a different
+/// merge order) to rounding.
+void expect_same_stats(const RuntimeStats& a, const RuntimeStats& b) {
+  RuntimeStats::visit(
+      [](const StatField& f, const auto& x, const auto& y) {
+        if constexpr (std::is_floating_point_v<std::decay_t<decltype(x)>>) {
+          if (f.kind == StatKind::kRate) {
+            EXPECT_NEAR(x, y, 1e-6) << f.name;
+            return;
+          }
+        }
+        EXPECT_EQ(x, y) << f.name;
+      },
+      a, b);
 }
 
 }  // namespace
 
-// Property: merging any partition of N snapshots yields the same counter
-// totals as merging all N in one pass — the identity that makes the fleet
-// router's per-shard aggregation trustworthy (associativity + commutativity
-// on every summed field, worst-of on health, max on the worst tile age,
-// window-weighted mean on fill).
+// Property: merging any partition of N snapshots gives the same result as
+// merging all N in one pass, on every table row — the identity that makes
+// the fleet router's per-shard aggregation trustworthy (associativity and
+// commutativity of each row's kind; the derived fill follows its counters).
 TEST(StatsMerge, PartitionInvariantAndCommutative) {
   util::Rng rng(0xF1EE7);
   for (int trial = 0; trial < 20; ++trial) {
@@ -667,53 +634,91 @@ TEST(StatsMerge, PartitionInvariantAndCommutative) {
       merge_runtime_stats(reversed, parts[static_cast<std::size_t>(i)]);
     }
 
-    EXPECT_EQ(summed_fields(all), summed_fields(combined));
-    EXPECT_EQ(summed_fields(all), summed_fields(reversed));
-    EXPECT_EQ(all.health, combined.health);
-    EXPECT_EQ(all.health, reversed.health);
-    int oldest = 0;
-    for (const RuntimeStats& p : parts) {
-      oldest = std::max(oldest, p.max_tile_age);
-    }
-    EXPECT_EQ(all.max_tile_age, oldest);
-    EXPECT_EQ(combined.max_tile_age, oldest);
-    EXPECT_EQ(reversed.max_tile_age, oldest);
-    EXPECT_DOUBLE_EQ(all.wall_seconds, combined.wall_seconds);
-    EXPECT_NEAR(all.aggregate_fps, reversed.aggregate_fps, 1e-6);
-    // Window-weighted fill is partition-invariant up to float rounding.
-    EXPECT_NEAR(all.score_fill, combined.score_fill, 1e-9);
-    EXPECT_NEAR(all.score_fill, reversed.score_fill, 1e-9);
+    expect_same_stats(all, combined);
+    expect_same_stats(all, reversed);
+    // Merging into an empty snapshot is the identity.
+    RuntimeStats from_empty;
+    for (const RuntimeStats& p : parts) merge_runtime_stats(from_empty, p);
+    expect_same_stats(all, from_empty);
   }
 }
 
 // Property: delta then merge round-trips — merge(before, delta(after,
-// before)) restores after's counters. This is the identity benches lean on
-// to attribute a measurement window out of lifetime snapshots.
+// before)) restores after on every summed row, and the delta keeps after's
+// value on the kMax and kRate rows. This is the identity benches lean on to
+// attribute a measurement window out of lifetime snapshots.
 TEST(StatsMerge, DeltaMergeRoundTrip) {
   util::Rng rng(0xD317A);
   for (int trial = 0; trial < 20; ++trial) {
     const RuntimeStats before = random_stats(rng);
     RuntimeStats after = before;
-    merge_runtime_stats(after, random_stats(rng));  // after >= before field-wise
+    merge_runtime_stats(after, random_stats(rng));  // after >= before row-wise
 
     const RuntimeStats delta = runtime_stats_delta(after, before);
     RuntimeStats rebuilt = before;
     merge_runtime_stats(rebuilt, delta);
-    EXPECT_EQ(summed_fields(rebuilt), summed_fields(after));
-    // The worst tile age is a state gauge: the delta keeps after's value.
-    EXPECT_EQ(delta.max_tile_age, after.max_tile_age);
-    EXPECT_EQ(rebuilt.max_tile_age, after.max_tile_age);
+    RuntimeStats::visit(
+        [](const StatField& f, const auto& d, const auto& r, const auto& a) {
+          switch (f.kind) {
+            case StatKind::kCounter:
+            case StatKind::kGauge:
+            case StatKind::kRatio:
+              EXPECT_EQ(r, a) << f.name;
+              break;
+            case StatKind::kMax:
+              EXPECT_EQ(d, a) << f.name;
+              EXPECT_EQ(r, a) << f.name;
+              break;
+            case StatKind::kRate:
+              EXPECT_EQ(d, a) << f.name;
+              break;
+          }
+        },
+        delta, rebuilt, after);
   }
 }
 
+// The fleet's batch fill is its windows over its capacity, not a
+// window-weighted mean of per-shard fills: a full shard (640 / 640) and a
+// nearly idle one (10 / 640) fill 650 / 1280 of the fleet's batches. The
+// weighted mean would say (640 * 1 + 10 / 64 * 10) / 650 = 0.985.
+TEST(StatsMerge, FleetFillIsWindowsOverCapacity) {
+  RuntimeStats full;
+  full.score_windows = 640;
+  full.score_capacity = 640;
+  derive_stats(full);
+  RuntimeStats idle;
+  idle.score_windows = 10;
+  idle.score_capacity = 640;
+  derive_stats(idle);
+  EXPECT_DOUBLE_EQ(full.score_fill, 1.0);
+  EXPECT_DOUBLE_EQ(idle.score_fill, 1.0 / 64.0);
+
+  RuntimeStats fleet = full;
+  merge_runtime_stats(fleet, idle);
+  EXPECT_EQ(fleet.score_windows, 650);
+  EXPECT_EQ(fleet.score_capacity, 1280);
+  EXPECT_DOUBLE_EQ(fleet.score_fill, 650.0 / 1280.0);
+  // And a window's delta recomputes its own fill.
+  EXPECT_DOUBLE_EQ(runtime_stats_delta(fleet, full).score_fill, 1.0 / 64.0);
+}
+
 TEST(StatsMerge, HealthIsWorstOf) {
-  EXPECT_EQ(merge_health(HealthState::kHealthy, HealthState::kHealthy),
+  const auto merged = [](HealthState a, HealthState b) {
+    RuntimeStats acc;
+    acc.health = a;
+    RuntimeStats in;
+    in.health = b;
+    merge_runtime_stats(acc, in);
+    return acc.health;
+  };
+  EXPECT_EQ(merged(HealthState::kHealthy, HealthState::kHealthy),
             HealthState::kHealthy);
-  EXPECT_EQ(merge_health(HealthState::kHealthy, HealthState::kDegraded),
+  EXPECT_EQ(merged(HealthState::kHealthy, HealthState::kDegraded),
             HealthState::kDegraded);
-  EXPECT_EQ(merge_health(HealthState::kDraining, HealthState::kDegraded),
+  EXPECT_EQ(merged(HealthState::kDraining, HealthState::kDegraded),
             HealthState::kDraining);
-  EXPECT_EQ(merge_health(HealthState::kDegraded, HealthState::kHealthy),
+  EXPECT_EQ(merged(HealthState::kDegraded, HealthState::kHealthy),
             HealthState::kDegraded);
 }
 
