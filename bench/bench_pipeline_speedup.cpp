@@ -3,12 +3,24 @@
 // computational complexity significantly" because the expensive histogram
 // generation runs once instead of once per pyramid level.
 //
-// We measure the software realization directly: wall-clock per frame for the
-// conventional image pyramid (Figure 3a) vs the proposed feature pyramid
-// (Figure 3b) at increasing scale counts, with the per-stage split, plus the
-// design-choice ablations DESIGN.md lists (block norm scheme and feature
-// interpolation kernel vs accuracy).
+// We measure the software realization directly: wall-clock per frame of the
+// engine's pyramid half (DetectionEngine::build_pyramid — shared inputs,
+// resize or feature down-scale, normalization, no scan), warm on one lane,
+// for the conventional image pyramid (Figure 3a), Dollar's hybrid and the
+// proposed feature pyramid (Figure 3b) at increasing scale counts, with the
+// per-stage split, plus the design-choice ablations DESIGN.md lists (block
+// norm scheme and feature interpolation kernel vs accuracy).
+//
+// Exit 1 unless every ladder, at 1 and 2 lanes, runs the cell-grid
+// extractions its strategy promises per frame (the hog.cell_grids counter:
+// 1 for the feature pyramid, the ladder length for the image pyramid, the
+// octave-anchor count for the hybrid). Times are printed, not gated: they
+// measure the host. Under PDET_OBS_DISABLED the counter does not exist and
+// the gate is skipped with a message.
+#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/model_pyramid.hpp"
@@ -19,6 +31,7 @@
 #include "src/dataset/synth.hpp"
 #include "src/hog/feature_scale.hpp"
 #include "src/hwsim/timing.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/obs/report.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/logging.hpp"
@@ -29,39 +42,37 @@
 namespace {
 
 using namespace pdet;
+using detect::PyramidStrategy;
 
-enum class Strategy { kImage, kFeature, kHybrid };
-
-double time_pyramid(const imgproc::ImageF& frame, const hog::HogParams& params,
-                    Strategy strategy, const std::vector<double>& scales,
-                    int repeats) {
-  util::Timer timer;
-  for (int r = 0; r < repeats; ++r) {
-    switch (strategy) {
-      case Strategy::kFeature: {
-        hog::FeaturePyramidOptions opts;
-        opts.scales = scales;
-        const auto levels = hog::build_feature_pyramid(frame, params, opts);
-        if (levels.empty()) return -1;
-        break;
-      }
-      case Strategy::kImage: {
-        hog::ImagePyramidOptions opts;
-        opts.scales = scales;
-        const auto levels = hog::build_image_pyramid(frame, params, opts);
-        if (levels.empty()) return -1;
-        break;
-      }
-      case Strategy::kHybrid: {
-        hog::HybridPyramidOptions opts;
-        opts.scales = scales;
-        const auto levels = hog::build_hybrid_pyramid(frame, params, opts);
-        if (levels.empty()) return -1;
-        break;
-      }
+/// Cell-grid extractions one frame of `strategy` runs: the paper's feature
+/// pyramid extracts once, the image pyramid once per level, Dollar's hybrid
+/// once per octave anchor (1, 2, 4, ... up to the largest scale).
+long long expected_cell_grids(PyramidStrategy strategy,
+                              const std::vector<double>& scales) {
+  switch (strategy) {
+    case PyramidStrategy::kFeature:
+      return 1;
+    case PyramidStrategy::kImage:
+      return static_cast<long long>(scales.size());
+    case PyramidStrategy::kHybrid: {
+      const double max_scale = *std::max_element(scales.begin(), scales.end());
+      long long anchors = 0;
+      for (double a = 1.0; a <= max_scale + 1e-9; a *= 2.0) ++anchors;
+      return anchors;
     }
   }
-  return timer.milliseconds() / repeats;
+  return -1;
+}
+
+/// The `hog.cell_grids` count of one build_pyramid call.
+long long cell_grids_per_frame(detect::DetectionEngine& engine,
+                               const imgproc::ImageF& frame,
+                               const hog::HogParams& params,
+                               const detect::MultiscaleOptions& options) {
+  const obs::Registry& registry = obs::Registry::instance();
+  const long long before = registry.counter("hog.cell_grids");
+  (void)engine.build_pyramid(frame, params, options);
+  return registry.counter("hog.cell_grids") - before;
 }
 
 }  // namespace
@@ -90,32 +101,86 @@ int main(int argc, char** argv) {
   const dataset::Scene scene = dataset::render_scene(rng, sopts);
   const hog::HogParams params;
 
-  std::printf("E5: pyramid construction cost, %dx%d frame\n\n", width, height);
+  std::printf(
+      "E5: pyramid construction cost (DetectionEngine::build_pyramid, warm, "
+      "1 lane), %dx%d frame\n\n",
+      width, height);
   util::Table table({"scales", "image pyr ms", "hybrid [4] ms", "feature pyr ms",
-                     "speedup"});
+                     "speedup", "cell grids img/hyb/feat"});
   const std::vector<std::vector<double>> scale_sets{
       {1.0, 2.0},                            // the paper's hardware config
       {1.0, 1.3, 1.6, 2.0},
       {1.0, 1.2, 1.4, 1.6, 1.8, 2.0},
       {1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.8, 2.0},
   };
+  // The gate reads the hog.cell_grids counter, which PDET_OBS_DISABLED
+  // compiles out.
+#ifdef PDET_OBS_DISABLED
+  constexpr bool kGateCellGrids = false;
+#else
+  constexpr bool kGateCellGrids = true;
+#endif
+  bool gate_ok = true;
   for (const auto& scales : scale_sets) {
-    const double img_ms =
-        time_pyramid(scene.image, params, Strategy::kImage, scales, repeats);
-    const double hyb_ms =
-        time_pyramid(scene.image, params, Strategy::kHybrid, scales, repeats);
-    const double feat_ms =
-        time_pyramid(scene.image, params, Strategy::kFeature, scales, repeats);
-    table.add_row({util::format("%zu", scales.size()),
-                   util::to_fixed(img_ms, 1), util::to_fixed(hyb_ms, 1),
-                   util::to_fixed(feat_ms, 1),
-                   util::to_fixed(img_ms / feat_ms, 2) + "x"});
+    std::vector<std::string> row{util::format("%zu", scales.size())};
+    std::string grids;
+    double image_ms = 0.0;
+    for (const auto& [strategy, name] :
+         {std::pair{PyramidStrategy::kImage, "image"},
+          {PyramidStrategy::kHybrid, "hybrid"},
+          {PyramidStrategy::kFeature, "feature"}}) {
+      detect::MultiscaleOptions options;
+      options.strategy = strategy;
+      options.scales = scales;
+      detect::DetectionEngine engine;
+      (void)engine.build_pyramid(scene.image, params, options);  // warm-up
+      const util::Timer timer;
+      for (int r = 0; r < repeats; ++r) {
+        (void)engine.build_pyramid(scene.image, params, options);
+      }
+      const double ms = timer.milliseconds() / repeats;
+      if (strategy == PyramidStrategy::kImage) image_ms = ms;
+      row.push_back(util::to_fixed(ms, 1));
+      if (strategy == PyramidStrategy::kFeature) {
+        row.push_back(util::to_fixed(image_ms / ms, 2) + "x");
+      }
+
+      const long long want = expected_cell_grids(strategy, scales);
+      for (const int lanes : {1, 2}) {
+        engine.set_threads(lanes);
+        const long long got =
+            cell_grids_per_frame(engine, scene.image, params, options);
+        if (lanes == 1) {
+          grids += (grids.empty() ? "" : "/") +
+                   (kGateCellGrids ? std::to_string(got) : std::string("-"));
+        }
+        if (kGateCellGrids && got != want) {
+          std::printf("GATE FAIL: %s pyramid, %zu scales, %d lane(s): %lld "
+                      "cell grids per frame, want %lld\n",
+                      name, scales.size(), lanes, got, want);
+          gate_ok = false;
+        }
+      }
+    }
+    row.push_back(grids);
+    table.add_row(row);
   }
   std::fputs(table.to_string().c_str(), stdout);
   std::printf(
       "\npaper shape: the image pyramid re-runs gradient+histogram per level\n"
       "so its cost grows with the scale count, while the feature pyramid\n"
       "pays extraction once — the gap widens with more scales.\n");
+  if (!kGateCellGrids) {
+    std::printf(
+        "cell-grid gate skipped: metrics are compiled out "
+        "(PDET_OBS_DISABLED)\n");
+  } else if (!gate_ok) {
+    return 1;
+  } else {
+    std::printf(
+        "cell-grid gate: ok (feature 1, image = ladder length, hybrid = "
+        "octave anchors; every ladder at 1 and 2 lanes)\n");
+  }
 
   // Extraction-only accounting (the stage the paper moves out of the loop).
   {

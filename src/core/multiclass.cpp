@@ -5,7 +5,6 @@
 
 #include "src/detect/nms.hpp"
 #include "src/detect/scanner.hpp"
-#include "src/hog/feature_scale.hpp"
 #include "src/util/assert.hpp"
 
 namespace pdet::core {
@@ -25,6 +24,9 @@ void MultiClassDetector::add_class(std::string name,
     PDET_REQUIRE(params.gradient_op == ref.gradient_op);
     PDET_REQUIRE(params.spatial_interp == ref.spatial_interp);
     PDET_REQUIRE(params.orientation_interp == ref.orientation_interp);
+    PDET_REQUIRE(params.normalize_epsilon == ref.normalize_epsilon);
+    PDET_REQUIRE(params.l2hys_clip == ref.l2hys_clip);
+    PDET_REQUIRE(params.presmooth_sigma == ref.presmooth_sigma);
   }
   classes_.push_back({std::move(name), params, std::move(model), threshold});
 }
@@ -46,17 +48,19 @@ std::vector<ClassDetection> MultiClassDetector::detect(
     shared.window_height =
         std::min(shared.window_height, cls.params.window_height);
   }
-  hog::FeaturePyramidOptions fopt;
-  fopt.scales = options.scales;
-  fopt.interp = options.feature_interp;
-  const auto levels = hog::build_feature_pyramid(frame, shared, fopt);
+  detect::MultiscaleOptions pyramid;
+  pyramid.strategy = detect::PyramidStrategy::kFeature;
+  pyramid.scales = options.scales;
+  pyramid.feature_interp = options.feature_interp;
+  const auto levels = engine_.build_pyramid(frame, shared, pyramid);
 
   std::vector<ClassDetection> out;
   for (std::size_t c = 0; c < classes_.size(); ++c) {
     const ObjectClass& cls = classes_[c];
     std::vector<detect::Detection> raw;
-    for (const auto& level : levels) {
-      if (level.blocks.blocks_x() < cls.params.blocks_per_window_x() ||
+    for (const detect::LevelWorkspace& level : levels) {
+      if (!level.kept ||
+          level.blocks.blocks_x() < cls.params.blocks_per_window_x() ||
           level.blocks.blocks_y() < cls.params.blocks_per_window_y()) {
         continue;
       }

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "src/detect/multiscale.hpp"
+#include "src/detect/engine.hpp"
 #include "src/svm/linear_svm.hpp"
 
 namespace pdet::core {
@@ -34,8 +34,8 @@ class MultiClassDetector {
  public:
   MultiClassDetector() = default;
 
-  /// Register a class. All classes must agree on cell size, bin count,
-  /// normalization, layout and gradient operator (they share the feature
+  /// Register a class. All classes must agree on every HogParams field but
+  /// the window size (they share the cells and blocks of one feature
   /// pyramid); window geometry and model are per class.
   void add_class(std::string name, const hog::HogParams& params,
                  svm::LinearModel model, float threshold = 0.0f);
@@ -44,7 +44,9 @@ class MultiClassDetector {
   const std::string& class_name(std::size_t i) const;
 
   /// Detect all registered classes in one pass: one feature pyramid, one
-  /// normalization, N sliding-window scans.
+  /// normalization, N sliding-window scans. The frame must be cell-aligned
+  /// (see hog::require_frame_alignment). Not safe for concurrent calls: the
+  /// pyramid is built in one reusable engine workspace.
   std::vector<ClassDetection> detect(const imgproc::ImageF& frame,
                                      const MulticlassOptions& options = {}) const;
 
@@ -56,6 +58,9 @@ class MultiClassDetector {
     float threshold;
   };
   std::vector<ObjectClass> classes_;
+  /// Builds the shared pyramid (kFeature, one lane); its warm workspace is
+  /// scratch behind the const detect(), like PedestrianDetector's engine.
+  mutable detect::DetectionEngine engine_;
 };
 
 }  // namespace pdet::core

@@ -118,7 +118,7 @@ score::ScoringBackend& DetectionEngine::ensure_backend() {
 
 void DetectionEngine::run_level(const imgproc::ImageF& frame,
                                 const hog::HogParams& params,
-                                const svm::LinearModel& model,
+                                const svm::LinearModel* model,
                                 const MultiscaleOptions& options, int index) {
   const util::Timer level_timer;
   FrameWorkspace& ws = workspace_;
@@ -126,7 +126,7 @@ void DetectionEngine::run_level(const imgproc::ImageF& frame,
   const double s = options.scales[static_cast<std::size_t>(index)];
   PDET_REQUIRE(s >= 1.0);
   level.scale = s;
-  level.scanned = false;
+  level.kept = false;
   level.cell_grids = 0;
   level.gradient_pixels = 0;
   level.score_batches = 0;
@@ -186,50 +186,53 @@ void DetectionEngine::run_level(const imgproc::ImageF& frame,
   }
 
   hog::normalize_cells_into(*cells, params, level.block_scratch, level.blocks);
-  level.batch.configure(static_cast<std::size_t>(params.descriptor_size()),
-                        score::kDefaultBatchCapacity);
-  level.score_batches =
-      scan_level_into(level.blocks, params, model, *active_scorer_,
-                      options.scan, level.batch, level.hits);
+  level.stats = LevelStats{.scale = s,
+                           .cells_x = cells->cells_x(),
+                           .cells_y = cells->cells_y()};
+  level.kept = true;
 
-  level.stats.scale = s;
-  level.stats.cells_x = cells->cells_x();
-  level.stats.cells_y = cells->cells_y();
-  level.stats.windows =
-      scan_window_count(level.blocks, params, options.scan.cell_stride);
-  level.stats.detections = static_cast<long long>(level.hits.size());
-  for (Detection& d : level.hits) {
-    // Map level coordinates back to the original frame — same arithmetic as
-    // detect_multiscale for every strategy.
-    d.x = static_cast<int>(std::lround(d.x * s));
-    d.y = static_cast<int>(std::lround(d.y * s));
-    d.width = static_cast<int>(std::lround(d.width * s));
-    d.height = static_cast<int>(std::lround(d.height * s));
-    d.scale = s;
+  if (model != nullptr) {
+    level.batch.configure(static_cast<std::size_t>(params.descriptor_size()),
+                          score::kDefaultBatchCapacity);
+    level.score_batches =
+        scan_level_into(level.blocks, params, *model, *active_scorer_,
+                        options.scan, level.batch, level.hits);
+    level.stats.windows =
+        scan_window_count(level.blocks, params, options.scan.cell_stride);
+    level.stats.detections = static_cast<long long>(level.hits.size());
+    for (Detection& d : level.hits) {
+      // Map level coordinates back to the original frame — same arithmetic
+      // for every strategy.
+      d.x = static_cast<int>(std::lround(d.x * s));
+      d.y = static_cast<int>(std::lround(d.y * s));
+      d.width = static_cast<int>(std::lround(d.width * s));
+      d.height = static_cast<int>(std::lround(d.height * s));
+      d.scale = s;
+    }
   }
   level.stats.ms = level_timer.milliseconds();
-  level.scanned = true;
 }
 
-const MultiscaleResult& DetectionEngine::process(
-    const imgproc::ImageF& frame, const hog::HogParams& params,
-    const svm::LinearModel& model, const MultiscaleOptions& options) {
-  PDET_TRACE_SCOPE("detect/multiscale");
-  const util::Timer frame_timer;
+void DetectionEngine::run_levels(const imgproc::ImageF& frame,
+                                 const hog::HogParams& params,
+                                 const svm::LinearModel* model,
+                                 const MultiscaleOptions& options) {
   params.validate();
   // Input frames must be cell-aligned (throws std::invalid_argument — see
   // hog::require_frame_alignment); resized pyramid *levels* of arbitrary
   // dimensions remain fine, truncation there is inherent to the pyramid.
   hog::require_frame_alignment(frame.width(), frame.height(), params);
-  PDET_REQUIRE(model.dimension() ==
-               static_cast<std::size_t>(params.descriptor_size()));
+  if (model != nullptr) {
+    PDET_REQUIRE(model->dimension() ==
+                 static_cast<std::size_t>(params.descriptor_size()));
+    ensure_backend();  // settle the scorer before any level lane reads it
+  }
 
   FrameWorkspace& ws = workspace_;
   const int n = static_cast<int>(options.scales.size());
   if (static_cast<int>(ws.levels.size()) < n) {
     ws.levels.resize(static_cast<std::size_t>(n));
   }
-  ensure_backend();  // settle the scorer before any level lane reads it
 
   // Shared inputs are prepared on the calling thread (unmuted, so their
   // spans/counters record normally); levels then only read them.
@@ -265,36 +268,80 @@ const MultiscaleResult& DetectionEngine::process(
     PDET_REQUIRE(ws.anchor_count > 0);
   }
 
-  const bool threaded = options_.threads > 1 && n > 1;
-  if (threaded) {
-    ensure_pool();
-    LevelJobCtx ctx{this, &frame, &params, &model, &options};
-    pool_->parallel_for(
-        n,
-        +[](void* raw_ctx, int index) {
-          auto* job = static_cast<LevelJobCtx*>(raw_ctx);
-          // Level lanes are muted by policy, not for safety (the obs layer
-          // is thread-safe): the engine publishes their counters as one
-          // per-frame aggregate below so counter totals stay identical at
-          // every --threads setting.
-          obs::ScopedThreadMute mute;
-          job->engine->run_level(*job->frame, *job->params, *job->model,
-                                 *job->options, index);
-        },
-        &ctx);
-  } else {
+  if (options_.threads <= 1 || n <= 1) {
     for (int i = 0; i < n; ++i) run_level(frame, params, model, options, i);
+    return;
   }
+
+  ensure_pool();
+  LevelJobCtx ctx{this, &frame, &params, model, &options};
+  pool_->parallel_for(
+      n,
+      +[](void* raw_ctx, int index) {
+        auto* job = static_cast<LevelJobCtx*>(raw_ctx);
+        // Level lanes are muted by policy, not for safety (the obs layer
+        // is thread-safe): the engine publishes their counters as one
+        // per-frame aggregate below so counter totals stay identical at
+        // every --threads setting.
+        obs::ScopedThreadMute mute;
+        job->engine->run_level(*job->frame, *job->params, job->model,
+                               *job->options, index);
+      },
+      &ctx);
+
+  // Counters the muted workers would have recorded, published once.
+  long long cell_grids = 0;
+  long long gradient_pixels = 0;
+  long long dot_products = 0;
+  long long score_batches = 0;
+  for (int i = 0; i < n; ++i) {
+    const LevelWorkspace& level = ws.levels[static_cast<std::size_t>(i)];
+    cell_grids += level.cell_grids;
+    gradient_pixels += level.gradient_pixels;
+    if (level.kept) dot_products += level.stats.windows;
+    score_batches += level.score_batches;
+  }
+  if (cell_grids > 0) obs::counter_add("hog.cell_grids", cell_grids);
+  if (gradient_pixels > 0) {
+    obs::counter_add("imgproc.gradient_pixels", gradient_pixels);
+  }
+  if (dot_products > 0) obs::counter_add("svm.dot_products", dot_products);
+  if (score_batches > 0) obs::counter_add("score.batches", score_batches);
+}
+
+std::span<const LevelWorkspace> DetectionEngine::build_pyramid(
+    const imgproc::ImageF& frame, const hog::HogParams& params,
+    const MultiscaleOptions& options) {
+  PDET_TRACE_SCOPE("detect/pyramid");
+  run_levels(frame, params, nullptr, options);
+  const std::span<const LevelWorkspace> levels(workspace_.levels.data(),
+                                               options.scales.size());
+  obs::counter_add("hog.pyramid_levels",
+                   std::count_if(levels.begin(), levels.end(),
+                                 [](const LevelWorkspace& level) {
+                                   return level.kept;
+                                 }));
+  return levels;
+}
+
+const MultiscaleResult& DetectionEngine::process(
+    const imgproc::ImageF& frame, const hog::HogParams& params,
+    const svm::LinearModel& model, const MultiscaleOptions& options) {
+  PDET_TRACE_SCOPE("detect/multiscale");
+  const util::Timer frame_timer;
+  run_levels(frame, params, &model, options);
 
   // Merge in level (scale) order: output is independent of which thread ran
   // which level, hence bit-identical to the single-threaded run.
+  FrameWorkspace& ws = workspace_;
+  const int n = static_cast<int>(options.scales.size());
   MultiscaleResult& result = ws.result;
   result.raw.clear();
   result.per_level.clear();
   result.windows_evaluated = 0;
   for (int i = 0; i < n; ++i) {
     const LevelWorkspace& level = ws.levels[static_cast<std::size_t>(i)];
-    if (!level.scanned) continue;
+    if (!level.kept) continue;
     result.per_level.push_back(level.stats);
     result.windows_evaluated += level.stats.windows;
     result.raw.insert(result.raw.end(), level.hits.begin(), level.hits.end());
@@ -306,26 +353,6 @@ const MultiscaleResult& DetectionEngine::process(
     result.detections = result.raw;
   }
 
-  if (threaded) {
-    // Counters the muted workers would have recorded, published once.
-    long long cell_grids = 0;
-    long long gradient_pixels = 0;
-    long long dot_products = 0;
-    long long score_batches = 0;
-    for (int i = 0; i < n; ++i) {
-      const LevelWorkspace& level = ws.levels[static_cast<std::size_t>(i)];
-      cell_grids += level.cell_grids;
-      gradient_pixels += level.gradient_pixels;
-      if (level.scanned) dot_products += level.stats.windows;
-      score_batches += level.score_batches;
-    }
-    if (cell_grids > 0) obs::counter_add("hog.cell_grids", cell_grids);
-    if (gradient_pixels > 0) {
-      obs::counter_add("imgproc.gradient_pixels", gradient_pixels);
-    }
-    if (dot_products > 0) obs::counter_add("svm.dot_products", dot_products);
-    if (score_batches > 0) obs::counter_add("score.batches", score_batches);
-  }
   obs::counter_add("hog.pyramid_levels", result.levels);
   obs::counter_add("detect.frames");
   obs::counter_add("detect.levels", result.levels);

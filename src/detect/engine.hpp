@@ -23,6 +23,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/detect/multiscale.hpp"
@@ -72,7 +73,7 @@ struct LevelWorkspace {
   score::ScoreBatch batch;             ///< level planes + windows to score
   std::vector<Detection> hits;         ///< level detections, frame coords
   LevelStats stats;
-  bool scanned = false;                ///< false = dropped (window too big)
+  bool kept = false;                   ///< false = dropped (window too big)
   int cell_grids = 0;                  ///< obs compensation when muted
   long long gradient_pixels = 0;       ///< obs compensation when muted
   long long score_batches = 0;         ///< obs compensation when muted
@@ -98,7 +99,7 @@ struct AnchorWorkspace {
 struct FrameWorkspace {
   imgproc::GradientField base_grad;    ///< kFeature: native-scale row scratch
   hog::CellGrid base_cells;            ///< kFeature: native-scale cell grid
-  std::vector<LevelWorkspace> levels;  ///< grown to max level count, kept
+  std::vector<LevelWorkspace> levels;  ///< grown to max level count, never shrunk
   std::vector<AnchorWorkspace> anchors;
   int anchor_count = 0;                ///< anchors active this frame
   std::vector<Detection> nms_scratch;
@@ -152,6 +153,19 @@ class DetectionEngine {
                                   const svm::LinearModel& model,
                                   const MultiscaleOptions& options);
 
+  /// The pyramid half of process(): the same shared inputs and level pass
+  /// (image resize or feature down-scale, the too-small-level drop, block
+  /// normalization) on the same lanes, stopping before the scan. Reads only
+  /// the pyramid fields of `options` (scales, strategy, interpolations).
+  /// Returns this frame's level slots in ladder order; a slot with `kept`
+  /// set holds its `scale`, `stats.cells_x/cells_y` and normalized `blocks`.
+  /// The span points into the workspace and is valid until the next
+  /// process()/build_pyramid() call. Engine stats count process() frames
+  /// only.
+  std::span<const LevelWorkspace> build_pyramid(
+      const imgproc::ImageF& frame, const hog::HogParams& params,
+      const MultiscaleOptions& options);
+
   /// Score one window-sized image (center-cropped if larger), equal to
   /// hog::compute_window_descriptor + decision but through workspace scratch.
   float score_window(const imgproc::ImageF& window,
@@ -162,8 +176,14 @@ class DetectionEngine {
   const FrameWorkspace& workspace() const { return workspace_; }
 
  private:
+  /// Check the frame, build the shared inputs (native cells or octave
+  /// anchors) on the calling thread, then run every level inline or on the
+  /// lanes. A null `model` stops each level before the scan.
+  void run_levels(const imgproc::ImageF& frame, const hog::HogParams& params,
+                  const svm::LinearModel* model,
+                  const MultiscaleOptions& options);
   void run_level(const imgproc::ImageF& frame, const hog::HogParams& params,
-                 const svm::LinearModel& model,
+                 const svm::LinearModel* model,
                  const MultiscaleOptions& options, int index);
   void ensure_pool();
 

@@ -10,6 +10,7 @@
 #include "src/detect/nms.hpp"
 #include "src/detect/scanner.hpp"
 #include "src/hog/feature_scale.hpp"
+#include "src/imgproc/resize.hpp"
 
 namespace pdet::detect {
 
@@ -31,7 +32,7 @@ struct MultiscaleOptions {
 
 /// Per-level accounting, filled identically for every PyramidStrategy (and
 /// by core::ModelPyramidDetector): one entry per level actually scanned,
-/// after too-small levels are dropped by the pyramid builder.
+/// after the engine drops levels smaller than one window.
 struct LevelStats {
   double scale = 1.0;
   int cells_x = 0;            ///< cell-grid width of the scanned level

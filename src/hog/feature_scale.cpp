@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/imgproc/resize.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 
 namespace pdet::hog {
@@ -128,114 +126,6 @@ void downscale_cell_grid_into(const CellGrid& src, double factor,
   const int oy = std::max(
       1, static_cast<int>(std::lround(src.cells_y() / factor)));
   scale_cell_grid_into(src, ox, oy, interp, out);
-}
-
-std::vector<PyramidLevel> build_feature_pyramid(
-    const imgproc::ImageF& image, const HogParams& params,
-    const FeaturePyramidOptions& options) {
-  PDET_TRACE_SCOPE("hog/feature_pyramid");
-  params.validate();
-  // The expensive stage runs exactly once (the point of the paper).
-  const CellGrid base = compute_cell_grid(image, params);
-  std::vector<PyramidLevel> levels;
-  for (const double s : options.scales) {
-    PDET_REQUIRE(s >= 1.0);
-    PyramidLevel level;
-    level.scale = s;
-    level.cells = s == 1.0 ? base : downscale_cell_grid(base, s, options.interp);
-    if (level.cells.cells_x() < params.cells_per_window_x() ||
-        level.cells.cells_y() < params.cells_per_window_y()) {
-      continue;  // object larger than the remaining field of view
-    }
-    level.blocks = normalize_cells(level.cells, params);
-    levels.push_back(std::move(level));
-  }
-  obs::counter_add("hog.pyramid_levels",
-                   static_cast<long long>(levels.size()));
-  return levels;
-}
-
-std::vector<PyramidLevel> build_image_pyramid(
-    const imgproc::ImageF& image, const HogParams& params,
-    const ImagePyramidOptions& options) {
-  PDET_TRACE_SCOPE("hog/image_pyramid");
-  params.validate();
-  std::vector<PyramidLevel> levels;
-  for (const double s : options.scales) {
-    PDET_REQUIRE(s >= 1.0);
-    PyramidLevel level;
-    level.scale = s;
-    const imgproc::ImageF scaled =
-        s == 1.0 ? image : imgproc::resize_scale(image, 1.0 / s, options.interp);
-    level.cells = compute_cell_grid(scaled, params);
-    if (level.cells.cells_x() < params.cells_per_window_x() ||
-        level.cells.cells_y() < params.cells_per_window_y()) {
-      continue;
-    }
-    level.blocks = normalize_cells(level.cells, params);
-    levels.push_back(std::move(level));
-  }
-  obs::counter_add("hog.pyramid_levels",
-                   static_cast<long long>(levels.size()));
-  return levels;
-}
-
-std::vector<PyramidLevel> build_hybrid_pyramid(
-    const imgproc::ImageF& image, const HogParams& params,
-    const HybridPyramidOptions& options) {
-  PDET_TRACE_SCOPE("hog/hybrid_pyramid");
-  params.validate();
-  PDET_REQUIRE(options.lambda >= 0.0);
-
-  // Octave anchors: real extraction at 1, 2, 4, ... covering the span.
-  double max_scale = 1.0;
-  for (const double s : options.scales) {
-    PDET_REQUIRE(s >= 1.0);
-    max_scale = std::max(max_scale, s);
-  }
-  struct Anchor {
-    double scale;
-    CellGrid cells;
-  };
-  std::vector<Anchor> anchors;
-  for (double a = 1.0; a <= max_scale + 1e-9; a *= 2.0) {
-    const imgproc::ImageF scaled =
-        a == 1.0 ? image
-                 : imgproc::resize_scale(image, 1.0 / a, options.image_interp);
-    if (scaled.width() < params.cell_size || scaled.height() < params.cell_size) {
-      break;
-    }
-    anchors.push_back({a, compute_cell_grid(scaled, params)});
-  }
-  PDET_REQUIRE(!anchors.empty());
-
-  std::vector<PyramidLevel> levels;
-  for (const double s : options.scales) {
-    // Nearest anchor at or below s: resampling only ever *shrinks* features.
-    const Anchor* anchor = &anchors.front();
-    for (const Anchor& a : anchors) {
-      if (a.scale <= s + 1e-9) anchor = &a;
-    }
-    PyramidLevel level;
-    level.scale = s;
-    const double rel = s / anchor->scale;  // within one octave: [1, 2)
-    level.cells = rel <= 1.0 + 1e-9
-                      ? anchor->cells
-                      : downscale_cell_grid(anchor->cells, rel, options.interp);
-    if (options.lambda > 0.0 && rel > 1.0 + 1e-9) {
-      const auto gain = static_cast<float>(std::pow(rel, -options.lambda));
-      for (float& v : level.cells.data()) v *= gain;
-    }
-    if (level.cells.cells_x() < params.cells_per_window_x() ||
-        level.cells.cells_y() < params.cells_per_window_y()) {
-      continue;
-    }
-    level.blocks = normalize_cells(level.cells, params);
-    levels.push_back(std::move(level));
-  }
-  obs::counter_add("hog.pyramid_levels",
-                   static_cast<long long>(levels.size()));
-  return levels;
 }
 
 }  // namespace pdet::hog

@@ -9,13 +9,13 @@
 // down-sampling commutes approximately with gradient extraction for modest
 // factors (the paper validates s <= 1.5 on INRIA), and block normalization
 // is reapplied after scaling, so local contrast handling is preserved.
+//
+// This file holds the resampling stage only. The pyramids built from it
+// (feature, image and Dollar's hybrid) live in one place,
+// detect::DetectionEngine (see detect/multiscale.hpp's PyramidStrategy).
 #pragma once
 
-#include <vector>
-
-#include "src/hog/block_grid.hpp"
 #include "src/hog/cell_grid.hpp"
-#include "src/imgproc/resize.hpp"
 
 namespace pdet::hog {
 
@@ -45,57 +45,5 @@ void scale_cell_grid_into(const CellGrid& src, int out_cells_x,
                           int out_cells_y, FeatureInterp interp, CellGrid& out);
 void downscale_cell_grid_into(const CellGrid& src, double factor,
                               FeatureInterp interp, CellGrid& out);
-
-/// One level of a pyramid: the object scale it detects, its cell grid, and
-/// the normalized blocks the classifier scans.
-struct PyramidLevel {
-  double scale = 1.0;  ///< object magnification handled by this level
-  CellGrid cells;
-  BlockGrid blocks;
-};
-
-struct FeaturePyramidOptions {
-  std::vector<double> scales{1.0, 2.0};  ///< paper's hardware uses 2 levels
-  FeatureInterp interp = FeatureInterp::kBilinear;
-};
-
-/// Build the paper's feature pyramid: extract cells once from `image`, then
-/// produce every level by feature down-sampling + renormalization. Levels
-/// whose scaled grid is smaller than one detection window are dropped.
-std::vector<PyramidLevel> build_feature_pyramid(
-    const imgproc::ImageF& image, const HogParams& params,
-    const FeaturePyramidOptions& options);
-
-/// The conventional baseline (paper Figure 3a): down-sample the image per
-/// level and re-extract HOG. Same drop rule for too-small levels.
-struct ImagePyramidOptions {
-  std::vector<double> scales{1.0, 2.0};
-  imgproc::Interp interp = imgproc::Interp::kBilinear;
-};
-
-std::vector<PyramidLevel> build_image_pyramid(
-    const imgproc::ImageF& image, const HogParams& params,
-    const ImagePyramidOptions& options);
-
-/// Dollar et al.'s fast feature pyramid (the paper's reference [4]), as a
-/// middle ground between the two: features are re-extracted from resized
-/// images only at octave scales (1, 2, 4, ...), and every intermediate level
-/// is approximated by down-sampling the nearest octave *at or below* it —
-/// so the approximation span never exceeds one octave (the regime where the
-/// paper's Table 1 shows feature scaling is reliable), while extraction cost
-/// grows with log(levels) instead of levels. `lambda` applies Dollar's
-/// power-law magnitude correction s^-lambda to resampled histograms; for
-/// block-normalized HOG the factor cancels in normalization, so the default
-/// 0 is exact for this descriptor (kept configurable for unnormalized use).
-struct HybridPyramidOptions {
-  std::vector<double> scales{1.0, 2.0};
-  FeatureInterp interp = FeatureInterp::kBilinear;
-  imgproc::Interp image_interp = imgproc::Interp::kBilinear;
-  double lambda = 0.0;
-};
-
-std::vector<PyramidLevel> build_hybrid_pyramid(
-    const imgproc::ImageF& image, const HogParams& params,
-    const HybridPyramidOptions& options);
 
 }  // namespace pdet::hog

@@ -305,7 +305,6 @@ class DetectionServer {
   void watchdog_main();
   void handle_fault(FrameTask& task, StreamResult& result);
   void finish(StreamResult& result);
-  void record_drop(const StreamResult& result);
   /// Flight-recorder dump trigger (poison frame, quarantine, health left
   /// healthy). Counts the trigger; writes dump files when configured and
   /// under the cap. Call without locks held.

@@ -1,6 +1,11 @@
 // Tests for detect::DetectionEngine: equivalence with the free-function
-// chain, buffer-reuse determinism, and thread-count invariance.
+// chain, buffer-reuse determinism, thread-count invariance, and the level
+// structure of build_pyramid for each PyramidStrategy.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <span>
+#include <vector>
 
 #include "src/core/pedestrian_detector.hpp"
 #include "src/detect/engine.hpp"
@@ -145,6 +150,128 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, EngineTest,
                              default: return "Hybrid";
                            }
                          });
+
+// --- build_pyramid: the pyramid half of process() ---------------------------
+
+MultiscaleOptions pyramid_options(PyramidStrategy strategy,
+                                  std::vector<double> scales) {
+  MultiscaleOptions opts;
+  opts.strategy = strategy;
+  opts.scales = std::move(scales);
+  return opts;
+}
+
+void expect_same_blocks(const hog::BlockGrid& a, const hog::BlockGrid& b) {
+  ASSERT_EQ(a.blocks_x(), b.blocks_x());
+  ASSERT_EQ(a.blocks_y(), b.blocks_y());
+  EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
+                        a.data().size_bytes()),
+            0);
+}
+
+constexpr PyramidStrategy kAllStrategies[] = {
+    PyramidStrategy::kImage, PyramidStrategy::kFeature,
+    PyramidStrategy::kHybrid};
+
+TEST(EnginePyramid, NativeLevelIsTheDirectExtraction) {
+  hog::HogParams params;
+  const imgproc::ImageF frame = make_frame(160, 256, 5);
+  const hog::CellGrid direct = hog::compute_cell_grid(frame, params);
+  for (const PyramidStrategy strategy : kAllStrategies) {
+    DetectionEngine engine;
+    const auto levels =
+        engine.build_pyramid(frame, params, pyramid_options(strategy, {1.0}));
+    ASSERT_EQ(levels.size(), 1u);
+    ASSERT_TRUE(levels[0].kept);
+    EXPECT_EQ(levels[0].stats.cells_x, direct.cells_x());
+    EXPECT_EQ(levels[0].stats.cells_y, direct.cells_y());
+    expect_same_blocks(levels[0].blocks, hog::normalize_cells(direct, params));
+  }
+}
+
+TEST(EnginePyramid, TwoLevelDims) {
+  hog::HogParams params;
+  const imgproc::ImageF frame = make_frame(256, 256, 6);
+  for (const PyramidStrategy strategy : kAllStrategies) {
+    DetectionEngine engine;
+    const auto levels = engine.build_pyramid(
+        frame, params, pyramid_options(strategy, {1.0, 2.0}));
+    ASSERT_EQ(levels.size(), 2u);
+    ASSERT_TRUE(levels[0].kept && levels[1].kept);
+    EXPECT_EQ(levels[0].stats.cells_x, 32);
+    EXPECT_EQ(levels[1].stats.cells_x, 16);
+    EXPECT_DOUBLE_EQ(levels[1].scale, 2.0);
+    EXPECT_EQ(levels[1].blocks.blocks_x(), 16);  // cell-group layout
+  }
+}
+
+TEST(EnginePyramid, DropsLevelsSmallerThanWindow) {
+  hog::HogParams params;
+  // 128x160 frame: 16x20 cells; at scale 3 -> 5x7 cells < 8x16 window.
+  const imgproc::ImageF frame = make_frame(128, 160, 7);
+  for (const PyramidStrategy strategy : kAllStrategies) {
+    DetectionEngine engine;
+    const auto levels = engine.build_pyramid(
+        frame, params, pyramid_options(strategy, {1.0, 3.0}));
+    ASSERT_EQ(levels.size(), 2u);
+    EXPECT_TRUE(levels[0].kept);
+    EXPECT_DOUBLE_EQ(levels[0].scale, 1.0);
+    EXPECT_FALSE(levels[1].kept);
+  }
+}
+
+TEST(EnginePyramid, ImageLevelsMirrorFeatureLevels) {
+  hog::HogParams params;
+  const imgproc::ImageF frame = make_frame(320, 320, 9);
+  DetectionEngine feature_engine;
+  DetectionEngine image_engine;
+  const auto feature = feature_engine.build_pyramid(
+      frame, params, pyramid_options(PyramidStrategy::kFeature,
+                                     {1.0, 1.5, 2.0}));
+  const auto image = image_engine.build_pyramid(
+      frame, params, pyramid_options(PyramidStrategy::kImage,
+                                     {1.0, 1.5, 2.0}));
+  ASSERT_EQ(feature.size(), image.size());
+  for (std::size_t i = 0; i < feature.size(); ++i) {
+    ASSERT_TRUE(feature[i].kept && image[i].kept);
+    // Rounding conventions may differ by one cell at fractional scales.
+    EXPECT_NEAR(feature[i].stats.cells_x, image[i].stats.cells_x, 1);
+    EXPECT_NEAR(feature[i].stats.cells_y, image[i].stats.cells_y, 1);
+    EXPECT_FALSE(image[i].blocks.empty());
+  }
+}
+
+TEST(EnginePyramid, HybridOctaveLevelsAreExactExtractions) {
+  // At octaves the hybrid re-extracts, exactly as the image pyramid does.
+  hog::HogParams params;
+  const imgproc::ImageF frame = make_frame(256, 256, 65);
+  DetectionEngine hybrid_engine;
+  DetectionEngine image_engine;
+  const auto hybrid = hybrid_engine.build_pyramid(
+      frame, params, pyramid_options(PyramidStrategy::kHybrid, {1.0, 2.0}));
+  const auto image = image_engine.build_pyramid(
+      frame, params, pyramid_options(PyramidStrategy::kImage, {1.0, 2.0}));
+  ASSERT_EQ(hybrid.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(hybrid[i].kept && image[i].kept);
+    expect_same_blocks(hybrid[i].blocks, image[i].blocks);
+  }
+}
+
+TEST(EnginePyramid, HybridIntermediateLevelsFromNearestLowerOctave) {
+  hog::HogParams params;
+  // Tall frame so the 8x16-cell window still fits at scale 3.
+  const imgproc::ImageF frame = make_frame(320, 640, 66);
+  DetectionEngine engine;
+  const auto levels = engine.build_pyramid(
+      frame, params, pyramid_options(PyramidStrategy::kHybrid, {1.5, 3.0}));
+  ASSERT_EQ(levels.size(), 2u);
+  ASSERT_TRUE(levels[0].kept && levels[1].kept);
+  // Scale 1.5 resamples the 40-cell octave-1 grid by 1.5 -> 27 cells;
+  // scale 3 resamples the 20-cell octave-2 grid by 1.5 -> 13 cells.
+  EXPECT_EQ(levels[0].stats.cells_x, 27);
+  EXPECT_EQ(levels[1].stats.cells_x, 13);
+}
 
 TEST(EngineScoreWindow, MatchesFreeChainAndReuses) {
   hog::HogParams params;

@@ -1,4 +1,6 @@
-// Tests for the paper's core idea: HOG feature pyramids (src/hog/feature_scale).
+// Tests for the paper's core idea: HOG feature down-scaling
+// (src/hog/feature_scale). The pyramids built from it are tested on
+// detect::DetectionEngine (test_engine, test_score).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -200,69 +202,6 @@ TEST(FeatureVsImageScale, FidelityDegradesWithScale) {
     cos_large += cosine(native, approx_at(1.75));
   }
   EXPECT_GT(cos_small, cos_large);
-}
-
-TEST(FeaturePyramid, BaseLevelMatchesDirectExtraction) {
-  const HogParams p = default_params();
-  const imgproc::ImageF img = random_image(160, 256, 5);
-  FeaturePyramidOptions opts;
-  opts.scales = {1.0};
-  const auto levels = build_feature_pyramid(img, p, opts);
-  ASSERT_EQ(levels.size(), 1u);
-  const CellGrid direct = compute_cell_grid(img, p);
-  EXPECT_EQ(levels[0].cells.cells_x(), direct.cells_x());
-  for (std::size_t i = 0; i < direct.data().size(); ++i) {
-    EXPECT_FLOAT_EQ(levels[0].cells.data()[i], direct.data()[i]);
-  }
-}
-
-TEST(FeaturePyramid, TwoLevelDims) {
-  const HogParams p = default_params();
-  const imgproc::ImageF img = random_image(256, 256, 6);
-  FeaturePyramidOptions opts;  // {1.0, 2.0} default
-  const auto levels = build_feature_pyramid(img, p, opts);
-  ASSERT_EQ(levels.size(), 2u);
-  EXPECT_EQ(levels[0].cells.cells_x(), 32);
-  EXPECT_EQ(levels[1].cells.cells_x(), 16);
-  EXPECT_DOUBLE_EQ(levels[1].scale, 2.0);
-}
-
-TEST(FeaturePyramid, DropsLevelsSmallerThanWindow) {
-  const HogParams p = default_params();
-  // 128x160 image: 16x20 cells; at scale 3 -> 5x7 cells < 8x16 window.
-  const imgproc::ImageF img = random_image(128, 160, 7);
-  FeaturePyramidOptions opts;
-  opts.scales = {1.0, 3.0};
-  const auto levels = build_feature_pyramid(img, p, opts);
-  ASSERT_EQ(levels.size(), 1u);
-  EXPECT_DOUBLE_EQ(levels[0].scale, 1.0);
-}
-
-TEST(ImagePyramid, MirrorsFeaturePyramidStructure) {
-  const HogParams p = default_params();
-  const imgproc::ImageF img = random_image(256, 256, 8);
-  ImagePyramidOptions opts;
-  const auto levels = build_image_pyramid(img, p, opts);
-  ASSERT_EQ(levels.size(), 2u);
-  EXPECT_EQ(levels[1].cells.cells_x(), 16);
-  EXPECT_FALSE(levels[1].blocks.empty());
-}
-
-TEST(ImagePyramid, LevelGridsAgreeWithFeaturePyramidDims) {
-  const HogParams p = default_params();
-  const imgproc::ImageF img = random_image(320, 320, 9);
-  FeaturePyramidOptions fo;
-  fo.scales = {1.0, 1.5, 2.0};
-  ImagePyramidOptions io;
-  io.scales = {1.0, 1.5, 2.0};
-  const auto fl = build_feature_pyramid(img, p, fo);
-  const auto il = build_image_pyramid(img, p, io);
-  ASSERT_EQ(fl.size(), il.size());
-  for (std::size_t i = 0; i < fl.size(); ++i) {
-    // Rounding conventions may differ by one cell at fractional scales.
-    EXPECT_NEAR(fl[i].cells.cells_x(), il[i].cells.cells_x(), 1);
-    EXPECT_NEAR(fl[i].cells.cells_y(), il[i].cells.cells_y(), 1);
-  }
 }
 
 TEST(FeaturePyramid, CostAsymmetry) {

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cmath>
+#include <string>
 
 #include "src/core/model_pyramid.hpp"
 #include "src/core/multiclass.hpp"
@@ -137,63 +138,53 @@ TEST_F(MultiClassFixture, VehicleWindowsAreSquare) {
 }
 
 TEST(MultiClass, RejectsIncompatibleClassParams) {
-  core::MultiClassDetector detector;
-  hog::HogParams a;
-  svm::LinearModel ma;
-  ma.weights.assign(static_cast<std::size_t>(a.descriptor_size()), 0.0f);
-  detector.add_class("a", a, ma);
+  // Every field but the window size shapes the shared cells or blocks, so
+  // a second class must match the first on each of them.
+  const auto add_second = [](const hog::HogParams& b) {
+    core::MultiClassDetector detector;
+    hog::HogParams a;
+    svm::LinearModel ma;
+    ma.weights.assign(static_cast<std::size_t>(a.descriptor_size()), 0.0f);
+    detector.add_class("a", a, ma);
+    svm::LinearModel mb;
+    mb.weights.assign(static_cast<std::size_t>(b.descriptor_size()), 0.0f);
+    detector.add_class("b", b, mb);
+  };
   hog::HogParams b;
-  b.bins = 6;
-  b.window_width = 48;
-  svm::LinearModel mb;
-  mb.weights.assign(static_cast<std::size_t>(b.descriptor_size()), 0.0f);
-  EXPECT_DEATH(detector.add_class("b", b, mb), "bins");
+  b.window_width = 48;  // window geometry alone is per class
+  b.window_height = 64;
+  add_second(b);
+
+  const auto expect_rejected = [&](auto mutate, const char* field) {
+    hog::HogParams p = b;
+    mutate(p);
+    EXPECT_DEATH(add_second(p), std::string("params.") + field + " == ref.");
+  };
+  expect_rejected([](hog::HogParams& p) { p.cell_size = 4; }, "cell_size");
+  expect_rejected([](hog::HogParams& p) { p.bins = 6; }, "bins");
+  expect_rejected([](hog::HogParams& p) { p.norm = hog::BlockNorm::kL1; },
+                  "norm");
+  expect_rejected(
+      [](hog::HogParams& p) {
+        p.layout = hog::DescriptorLayout::kDalalBlocks;
+      },
+      "layout");
+  expect_rejected(
+      [](hog::HogParams& p) { p.gradient_op = imgproc::GradientOp::kSobel; },
+      "gradient_op");
+  expect_rejected([](hog::HogParams& p) { p.spatial_interp = false; },
+                  "spatial_interp");
+  expect_rejected([](hog::HogParams& p) { p.orientation_interp = false; },
+                  "orientation_interp");
+  expect_rejected([](hog::HogParams& p) { p.normalize_epsilon = 1e-2f; },
+                  "normalize_epsilon");
+  expect_rejected([](hog::HogParams& p) { p.l2hys_clip = 0.3f; },
+                  "l2hys_clip");
+  expect_rejected([](hog::HogParams& p) { p.presmooth_sigma = 0.8f; },
+                  "presmooth_sigma");
 }
 
 // ------------------------------------------------------ hybrid pyramid -----
-
-TEST(HybridPyramid, OctaveLevelsAreExactExtractions) {
-  hog::HogParams params;
-  util::Rng rng(65);
-  imgproc::ImageF img(256, 256);
-  for (float& p : img.pixels()) p = static_cast<float>(rng.uniform());
-
-  hog::HybridPyramidOptions hopt;
-  hopt.scales = {1.0, 2.0};
-  const auto hybrid = hog::build_hybrid_pyramid(img, params, hopt);
-  hog::ImagePyramidOptions iopt;
-  iopt.scales = {1.0, 2.0};
-  const auto image_pyr = hog::build_image_pyramid(img, params, iopt);
-  ASSERT_EQ(hybrid.size(), 2u);
-  ASSERT_EQ(image_pyr.size(), 2u);
-  // At octaves, hybrid == image pyramid exactly (same extraction).
-  for (std::size_t level = 0; level < 2; ++level) {
-    ASSERT_EQ(hybrid[level].cells.data().size(),
-              image_pyr[level].cells.data().size());
-    for (std::size_t i = 0; i < hybrid[level].cells.data().size(); ++i) {
-      EXPECT_FLOAT_EQ(hybrid[level].cells.data()[i],
-                      image_pyr[level].cells.data()[i]);
-    }
-  }
-}
-
-TEST(HybridPyramid, IntermediateLevelsFromNearestLowerOctave) {
-  hog::HogParams params;
-  util::Rng rng(66);
-  // Tall frame so the 8x16-cell window still fits at scale 3.
-  imgproc::ImageF img(320, 640);
-  for (float& p : img.pixels()) p = static_cast<float>(rng.uniform());
-
-  hog::HybridPyramidOptions hopt;
-  hopt.scales = {1.5, 3.0};
-  const auto hybrid = hog::build_hybrid_pyramid(img, params, hopt);
-  ASSERT_EQ(hybrid.size(), 2u);
-  // 40 cells / 1.5 ~ 27; 40 / 3 ~ 13... derived from the *octave* grid:
-  // scale 1.5 resamples the 40-cell octave-1 grid by 1.5 -> 27 cells;
-  // scale 3 resamples the 20-cell octave-2 grid by 1.5 -> 13 cells.
-  EXPECT_EQ(hybrid[0].cells.cells_x(), 27);
-  EXPECT_EQ(hybrid[1].cells.cells_x(), 13);
-}
 
 TEST(HybridPyramid, DetectsLikeOtherStrategies) {
   util::set_log_level(util::LogLevel::kWarn);

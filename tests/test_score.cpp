@@ -10,15 +10,20 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "src/detect/engine.hpp"
 #include "src/detect/multiscale.hpp"
+#include "src/detect/scanner.hpp"
 #include "src/fault/injector.hpp"
 #include "src/hog/descriptor.hpp"
+#include "src/hog/feature_scale.hpp"
 #include "src/hwsim/score_backend.hpp"
 #include "src/hwsim/timing.hpp"
+#include "src/imgproc/resize.hpp"
 #include "src/runtime/server.hpp"
 #include "src/score/backend.hpp"
 #include "src/svm/linear_svm.hpp"
@@ -561,28 +566,167 @@ imgproc::ImageF make_frame(int width, int height, std::uint64_t seed) {
   return img;
 }
 
-TEST(EngineBackend, ScalarEngineBitIdenticalToFreeChain) {
-  hog::HogParams params;
-  const auto dim = static_cast<std::size_t>(params.descriptor_size());
-  const svm::LinearModel model = make_model(dim, 71);
-  const imgproc::ImageF frame = make_frame(192, 160, 72);
-  detect::MultiscaleOptions ms;
-  ms.scales = {1.0, 1.5, 2.0};
-  ms.scan.threshold = -1.5f;  // low bar: plenty of raw windows to compare
+/// One pyramid level of the reference chain.
+struct ChainLevel {
+  double scale = 1.0;
+  bool kept = false;  ///< false: smaller than one window, dropped
+  hog::BlockGrid blocks;
+};
 
-  detect::DetectionEngine engine(
-      detect::EngineOptions{.backend = BackendKind::kScalar});
-  const detect::MultiscaleResult& got =
-      engine.process(frame, params, model, ms);
-  const detect::MultiscaleResult want =
-      detect::detect_multiscale(frame, params, model, ms);
-  ASSERT_EQ(got.raw.size(), want.raw.size());
-  for (std::size_t i = 0; i < want.raw.size(); ++i) {
-    EXPECT_EQ(got.raw[i].score, want.raw[i].score);  // bitwise, not "near"
-    EXPECT_EQ(got.raw[i].x, want.raw[i].x);
-    EXPECT_EQ(got.raw[i].y, want.raw[i].y);
+/// The engine's pyramid half written out with the one-shot stage functions:
+/// each level's cells come from a resized frame (kImage), a down-scale of
+/// the native grid (kFeature) or a down-scale of the octave anchor at or
+/// below the scale (kHybrid); levels smaller than one window are dropped;
+/// the rest are normalized.
+std::vector<ChainLevel> chain_levels(const imgproc::ImageF& frame,
+                                     const hog::HogParams& params,
+                                     const detect::MultiscaleOptions& ms) {
+  const auto extract_at = [&](double s) {
+    return hog::compute_cell_grid(
+        s == 1.0 ? frame : imgproc::resize_scale(frame, 1.0 / s,
+                                                 ms.image_interp),
+        params);
+  };
+  std::vector<ChainLevel> levels;
+  for (const double s : ms.scales) {
+    hog::CellGrid cells;
+    switch (ms.strategy) {
+      case detect::PyramidStrategy::kImage:
+        cells = extract_at(s);
+        break;
+      case detect::PyramidStrategy::kFeature:
+        // A factor of 1 resamples to the same size, which is a copy.
+        cells = hog::downscale_cell_grid(extract_at(1.0), s,
+                                         ms.feature_interp);
+        break;
+      case detect::PyramidStrategy::kHybrid: {
+        double octave = 1.0;
+        while (octave * 2.0 <= s + 1e-9) octave *= 2.0;
+        cells = hog::downscale_cell_grid(extract_at(octave), s / octave,
+                                         ms.feature_interp);
+        break;
+      }
+    }
+    ChainLevel level;
+    level.scale = s;
+    level.kept = cells.cells_x() >= params.cells_per_window_x() &&
+                 cells.cells_y() >= params.cells_per_window_y();
+    if (level.kept) level.blocks = hog::normalize_cells(cells, params);
+    levels.push_back(std::move(level));
   }
-  EXPECT_EQ(engine.stats().backend, BackendKind::kScalar);
+  return levels;
+}
+
+/// The scan half: every window's decision(extract_window) through
+/// score_map, thresholded, then mapped to frame pixels by lround(x * s).
+std::vector<detect::Detection> chain_hits(const std::vector<ChainLevel>& levels,
+                                          const hog::HogParams& params,
+                                          const svm::LinearModel& model,
+                                          float threshold) {
+  std::vector<detect::Detection> raw;
+  for (const ChainLevel& level : levels) {
+    if (!level.kept) continue;
+    const imgproc::ImageF map = detect::score_map(level.blocks, params, model);
+    const double s = level.scale;
+    for (int cy = 0; cy < map.height(); ++cy) {
+      for (int cx = 0; cx < map.width(); ++cx) {
+        if (!(map.at(cx, cy) > threshold)) continue;
+        detect::Detection d;
+        d.x = static_cast<int>(std::lround(cx * params.cell_size * s));
+        d.y = static_cast<int>(std::lround(cy * params.cell_size * s));
+        d.width = static_cast<int>(std::lround(params.window_width * s));
+        d.height = static_cast<int>(std::lround(params.window_height * s));
+        d.score = map.at(cx, cy);
+        d.scale = s;
+        raw.push_back(d);
+      }
+    }
+  }
+  return raw;
+}
+
+bool bitwise_equal(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+TEST(EngineBackend, ScalarEngineBitIdenticalToStageChain) {
+  // A seeded sweep over all three strategies, random cell-aligned frames
+  // and random ladders (every fourth ends with a level too small to keep),
+  // on a warm one-lane and a warm two-lane engine. The kept levels' blocks
+  // and the raw hits must equal the written-out chain bit for bit.
+  hog::HogParams params;
+  const svm::LinearModel model = make_model(dim_of(params), 71);
+  constexpr detect::PyramidStrategy kStrategies[] = {
+      detect::PyramidStrategy::kImage, detect::PyramidStrategy::kFeature,
+      detect::PyramidStrategy::kHybrid};
+  detect::DetectionEngine one_lane(
+      detect::EngineOptions{.threads = 1, .backend = BackendKind::kScalar});
+  detect::DetectionEngine two_lanes(
+      detect::EngineOptions{.threads = 2, .backend = BackendKind::kScalar});
+  util::Rng rng(72);
+  int dropped = 0;
+  std::size_t hits = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    const int width = params.cell_size * rng.uniform_int(8, 40);
+    const int height = params.cell_size * rng.uniform_int(16, 40);
+    const imgproc::ImageF frame = make_frame(width, height, rng.next_u64());
+    detect::MultiscaleOptions ms;
+    ms.strategy = kStrategies[trial % 3];
+    ms.scan.threshold = model.bias;  // about half the windows pass
+    // Every strategy meets each ladder shape: with the native level 1,
+    // without it, and with the exact hybrid octave 2 as well.
+    const int shape = trial / 3;
+    if (shape != 2) ms.scales.push_back(1.0);
+    if (shape == 1) ms.scales.push_back(2.0);
+    const int n = rng.uniform_int(1, 3);
+    for (int i = 0; i < n; ++i) ms.scales.push_back(rng.uniform(1.0, 2.6));
+    std::sort(ms.scales.begin(), ms.scales.end());
+    if (trial % 4 == 0) {
+      // Fewer cell rows than one window at this scale.
+      ms.scales.push_back(height / static_cast<double>(params.window_height) +
+                          0.5);
+    }
+    const std::vector<ChainLevel> want = chain_levels(frame, params, ms);
+    const std::vector<detect::Detection> want_raw =
+        chain_hits(want, params, model, ms.scan.threshold);
+    for (const ChainLevel& level : want) dropped += level.kept ? 0 : 1;
+    hits += want_raw.size();
+
+    for (detect::DetectionEngine* engine : {&one_lane, &two_lanes}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "trial " << trial << ", " << width << "x" << height
+                   << ", lanes " << engine->threads());
+      const auto levels = engine->build_pyramid(frame, params, ms);
+      ASSERT_EQ(levels.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(levels[i].scale, want[i].scale);
+        ASSERT_EQ(levels[i].kept, want[i].kept) << "level " << i;
+        if (!want[i].kept) continue;
+        EXPECT_EQ(levels[i].blocks.blocks_x(), want[i].blocks.blocks_x());
+        EXPECT_EQ(levels[i].blocks.blocks_y(), want[i].blocks.blocks_y());
+        EXPECT_TRUE(bitwise_equal(levels[i].blocks.data(),
+                                  want[i].blocks.data()))
+            << "level " << i;
+      }
+
+      const detect::MultiscaleResult& got =
+          engine->process(frame, params, model, ms);
+      ASSERT_EQ(got.raw.size(), want_raw.size());
+      for (std::size_t i = 0; i < want_raw.size(); ++i) {
+        EXPECT_EQ(got.raw[i].x, want_raw[i].x);
+        EXPECT_EQ(got.raw[i].y, want_raw[i].y);
+        EXPECT_EQ(got.raw[i].width, want_raw[i].width);
+        EXPECT_EQ(got.raw[i].height, want_raw[i].height);
+        EXPECT_EQ(got.raw[i].scale, want_raw[i].scale);
+        EXPECT_EQ(got.raw[i].score, want_raw[i].score);  // bitwise, not "near"
+      }
+    }
+  }
+  EXPECT_GT(dropped, 0);
+  EXPECT_GT(hits, 0u);
+  EXPECT_EQ(one_lane.stats().backend, BackendKind::kScalar);
+  EXPECT_EQ(two_lanes.stats().backend, BackendKind::kScalar);
 }
 
 TEST(EngineBackend, BatchEngineBitIdenticalToScalar) {
