@@ -48,7 +48,6 @@
 #include "src/net/socket.hpp"
 #include "src/net/wire.hpp"
 #include "src/obs/report.hpp"
-#include "src/util/bytes.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/logging.hpp"
 #include "src/util/rng.hpp"
@@ -176,36 +175,6 @@ SoakRun replay_at(std::uint16_t port, const fleet::Journal& journal,
 
 // --- raw wire helpers for the zero-allocation section -----------------------
 
-std::uint32_t load_u32le(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t load_u64le(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(load_u32le(p)) |
-         (static_cast<std::uint64_t>(load_u32le(p + 4)) << 32);
-}
-
-void store_u32le(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-void store_u64le(std::uint8_t* p, std::uint64_t v) {
-  store_u32le(p, static_cast<std::uint32_t>(v));
-  store_u32le(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-/// Re-sign a mutated wire frame: CRC covers header[0,12) ++ payload.
-void resign_frame(std::span<std::uint8_t> frame) {
-  const std::uint32_t head = util::crc32(frame.first(12));
-  store_u32le(frame.data() + 12, util::crc32(frame.subspan(16), head));
-}
-
 bool send_all(int fd, std::span<const std::uint8_t> data) {
   std::size_t off = 0;
   while (off < data.size()) {
@@ -222,17 +191,20 @@ bool send_all(int fd, std::span<const std::uint8_t> data) {
   return true;
 }
 
-/// Accumulate bytes until `rx` holds one complete wire frame at offset 0;
-/// returns its size (0 on connection loss/timeout). Allocation-free: `rx`
-/// is a caller-owned fixed buffer, compacted in place.
+/// Accumulate bytes until `rx` holds one complete, checked wire frame at
+/// offset 0; returns its size (0 on connection loss, timeout or a bad
+/// frame). Allocation-free: `rx` is a caller-owned fixed buffer, compacted
+/// in place.
 std::size_t read_frame(int fd, std::vector<std::uint8_t>& rx,
                        std::size_t& rx_size) {
   const auto deadline = Clock::now() + std::chrono::seconds(30);
   for (;;) {
-    if (rx_size >= 16) {
-      const std::size_t frame_size = 16 + load_u32le(rx.data() + 8);
-      if (frame_size <= rx_size) return frame_size;
-    }
+    net::wire::MsgType type{};
+    std::size_t frame_size = 0;
+    const net::wire::DecodeStatus status = net::wire::peek_frame(
+        std::span<const std::uint8_t>(rx).first(rx_size), type, frame_size);
+    if (status == net::wire::DecodeStatus::kOk) return frame_size;
+    if (status != net::wire::DecodeStatus::kNeedMore) return 0;
     if (Clock::now() >= deadline) return 0;
     if (!net::wait_readable(fd, 100.0)) continue;
     std::size_t got = 0;
@@ -293,18 +265,20 @@ void run_echo_backend(net::Socket listener, std::atomic<bool>& stop) {
     } else if (st != net::IoStatus::kWouldBlock) {
       return;
     }
-    while (rx_size >= 16) {
-      const std::size_t frame_size = 16 + load_u32le(rx.data() + 8);
-      if (frame_size > rx_size) break;
-      const auto type = static_cast<net::wire::MsgType>(rx[5]);
+    for (;;) {
+      net::wire::MsgType type{};
+      std::size_t frame_size = 0;
+      const net::wire::DecodeStatus status = net::wire::peek_frame(
+          std::span<const std::uint8_t>(rx).first(rx_size), type, frame_size);
+      if (status == net::wire::DecodeStatus::kNeedMore) break;
+      if (status != net::wire::DecodeStatus::kOk) return;
       if (type == net::wire::MsgType::kHello) {
         if (!send_all(session.fd(), ack_bytes)) return;
       } else if (type == net::wire::MsgType::kSubmitFrame) {
-        // Result payload: sequence u64 @+0, tag u64 @+8 (frame offsets
-        // +16/+24); SubmitFrame payload leads with the tag at +16.
-        store_u64le(result_bytes.data() + 16, sequence++);
-        store_u64le(result_bytes.data() + 24, load_u64le(rx.data() + 16));
-        resign_frame(result_bytes);
+        net::wire::patch_result_ids(
+            result_bytes, sequence++,
+            net::wire::submit_tag(
+                std::span<const std::uint8_t>(rx).first(frame_size)));
         if (!send_all(session.fd(), result_bytes)) return;
       }
       consume_frame(rx, rx_size, frame_size);
@@ -563,7 +537,7 @@ int main(int argc, char** argv) {
         net::wire::encode_submit_frame(net::wire::SubmitFrame{0, img}, frame);
 
         // Serial ping-pong keeps exactly one frame in flight: past warmup
-        // every buffer, ring slot and arena block has reached steady state.
+        // every buffer, FIFO slot and link buffer has reached steady state.
         constexpr int kWarmup = 200;
         constexpr int kCounted = 500;
         bool io_ok = true;
@@ -571,8 +545,7 @@ int main(int argc, char** argv) {
           if (i == kWarmup) {
             g_heap_allocs.store(0, std::memory_order_relaxed);
           }
-          store_u64le(frame.data() + 16, static_cast<std::uint64_t>(i));
-          resign_frame(frame);
+          net::wire::patch_submit_tag(frame, static_cast<std::uint64_t>(i));
           io_ok = send_all(probe.fd(), frame) &&
                   (frame_size = read_frame(probe.fd(), rx, rx_size)) > 0;
           if (io_ok) consume_frame(rx, rx_size, frame_size);

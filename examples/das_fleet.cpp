@@ -238,7 +238,7 @@ int main(int argc, char** argv) {
                   std::to_string(rs.frames_shed_draining) + " / " +
                   std::to_string(rs.frames_shed_backpressure)});
   rt.add_row({"results delivered / shed / duplicates suppressed",
-              std::to_string(rs.results_delivered) + " / " +
+              std::to_string(rs.results_sent) + " / " +
                   std::to_string(rs.results_shed_backend +
                                  rs.results_shed_client) + " / " +
                   std::to_string(rs.duplicates_suppressed)});

@@ -41,25 +41,33 @@
 // telemetry health merges worst-of and its text is concatenated under
 // per-shard label lines.
 //
-// Zero steady-state allocation: every connection buffer is a fixed block
-// from one util::BlockArena sized at construction; decode/encode scratch
-// lives in reused members. Exhaustion sheds (counted) — it never mallocs.
-// The io model is the DetectionService one: a single poll loop over a wake
-// pipe, the listener, client connections and shard sessions.
+// The io layer is net::FrameServer, the core the router shares with
+// net::DetectionService: the same fixed client-link pool, poll loop and
+// client-side protocol rules, so a camera sees one behaviour from either.
+// The shard sessions are session links the router dials into that same
+// loop. This class adds what differs: a Hello places the camera on the
+// ring, a SubmitFrame is patched and forwarded raw, results come back from
+// the sessions, and a query fans out (the link's input waits meanwhile, so
+// replies keep the order of the queries).
+//
+// Zero steady-state allocation: every link buffer is fixed at construction
+// (buffer_bytes per direction, client and session links alike), and
+// decode/encode scratch lives in reused members. A frame that does not fit
+// a full buffer waits as the link's one pending frame; beyond that, frames
+// are shed (counted) — nothing grows.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/fleet/ring.hpp"
 #include "src/net/backoff.hpp"
-#include "src/net/socket.hpp"
+#include "src/net/frame_server.hpp"
 #include "src/net/wire.hpp"
-#include "src/util/arena.hpp"
+#include "src/runtime/stats_table.hpp"
 
 namespace pdet::fleet {
 
@@ -77,15 +85,10 @@ struct RouterOptions {
   std::vector<BackendEndpoint> backends;  ///< one shard session each
   int max_clients = 8;
   int vnodes = 64;  ///< ring points per backend
-  /// Fixed rx/tx buffer size per connection side; must hold the largest
-  /// frame a camera submits (header + 16 + width*height*4 bytes). The
-  /// arena preallocates 2*(max_clients + backends) of these.
+  /// Fixed rx/tx buffer size per link direction; must hold the largest
+  /// frame a camera submits (header + 16 + width*height*4 bytes). Each of
+  /// the max_clients client links and each shard session has two.
   std::size_t buffer_bytes = 4u << 20;
-  /// Initial per-shard in-flight ring capacity (grows if ever exceeded;
-  /// size it generously to keep the steady state allocation-free).
-  std::size_t inflight_capacity = 1024;
-  /// Simultaneous in-progress fleet queries (stats/telemetry contexts).
-  int max_queries = 8;
   double connect_timeout_ms = 250.0;  ///< per backend dial (io-thread bound)
   /// Backend redial schedule (jittered; attempts ignored — a router never
   /// gives up on a shard). seed 0 derives per-shard seeds from `name`.
@@ -105,51 +108,44 @@ struct ShardStats {
   long long reconnects = 0;     ///< sessions re-established after loss
 };
 
-struct RouterStats {
-  long long connections_accepted = 0;
-  long long connections_closed = 0;
-  long long connections_refused = 0;
-  long long frames_received = 0;   ///< SubmitFrames decoded off client links
+/// Router-lifetime accounting: the stats table's net frontend rows
+/// (runtime::NetStats; bytes count client and shard links alike, and
+/// results_dropped is the two results_shed rows together) plus the rows
+/// only a router has.
+struct RouterStats : runtime::NetStats {
   long long frames_forwarded = 0;  ///< forwarded to a shard
   long long frames_shed_no_backend = 0;   ///< no shard up for the stream
   long long frames_shed_draining = 0;     ///< stream mid-move (drain rule)
   long long frames_shed_backpressure = 0; ///< shard tx buffer full
-  long long frames_rejected = 0;   ///< invalid SubmitFrames answered Error
-  long long results_delivered = 0;
   long long results_shed_backend = 0;  ///< shed by a shard (tag gap upstream)
   long long results_shed_client = 0;   ///< client tx buffer full
   long long duplicates_suppressed = 0; ///< results not matching FIFO head
-  long long decode_errors = 0;
   long long reshards = 0;        ///< shard-loss remap events
   long long stream_moves = 0;    ///< streams moved between shards
   long long backend_sessions_lost = 0;
-  long long stats_queries = 0;
-  long long telemetry_queries = 0;
-  long long bytes_in = 0;
-  long long bytes_out = 0;
-  int active_clients = 0;
   int backends_up = 0;
   std::vector<ShardStats> shards;
 };
 
-class ShardRouter {
+class ShardRouter : private net::FrameServer::Handler {
  public:
   explicit ShardRouter(RouterOptions options);
-  ~ShardRouter();
+  ~ShardRouter() override;
 
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  /// Bind, dial the shards (sessions keep redialing in the background if a
-  /// shard is not up yet), spawn the io thread. False on bind failure.
-  bool start(std::string* error = nullptr);
+  /// Bind, spawn the io thread, which dials the shards (sessions keep
+  /// redialing in the background if a shard is not up yet). False on bind
+  /// failure.
+  bool start(std::string* error = nullptr) { return server_.start(error); }
 
   /// Drain in-flight results toward clients (bounded by flush_timeout_ms),
   /// close everything, join. Idempotent.
-  void stop();
+  void stop() { server_.stop(); }
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
-  std::uint16_t port() const { return port_; }
+  bool running() const { return server_.running(); }
+  std::uint16_t port() const { return server_.port(); }
 
   /// Shards currently in the kUp state. Thread-safe.
   int backends_up() const;
@@ -157,76 +153,54 @@ class ShardRouter {
   RouterStats stats() const;
 
  private:
-  struct Buf;
-  struct InflightRing;
-  struct ClientConn;
+  struct Stream;
   struct Backend;
-  struct QueryCtx;
 
-  void io_main();
-  void wake();
+  // net::FrameServer::Handler
+  const char* bind(net::Link& link, const wire::Hello& hello,
+                   wire::HelloAck& ack) override;
+  bool submit(net::Link& link, std::span<std::uint8_t> frame) override;
+  void query(net::Link& link, wire::MsgType type) override;
+  bool owes(const net::Link& link) const override;
+  void closed(net::Link& link) override;
+  void produce() override;
+  int tick() override;
+  void session_frame(net::Link& session, std::span<std::uint8_t> frame,
+                     wire::MsgType type) override;
+  void session_lost(net::Link& session) override;
 
-  void accept_clients();
-  void handle_client_readable(ClientConn& conn);
-  void handle_client_message(ClientConn& conn,
-                             std::span<const std::uint8_t> frame,
-                             wire::MsgType type);
-  void forward_frame(ClientConn& conn, std::span<const std::uint8_t> frame);
-  void client_error(ClientConn& conn, wire::ErrorCode code, const char* text);
-  void close_client(ClientConn& conn);
-
+  Stream* owner(int id, std::uint32_t generation);
+  void note_inflight_done(Stream& stream);
   void dial_backend(Backend& backend);
-  void handle_backend_readable(Backend& backend);
-  void handle_backend_message(Backend& backend,
-                              std::span<std::uint8_t> frame,
-                              wire::MsgType type);
   void route_result(Backend& backend, std::span<std::uint8_t> frame);
   void lose_backend(Backend& backend);
   void backend_recovered(Backend& backend);
-  void note_inflight_done(ClientConn& conn);
-
-  void start_query(ClientConn& conn, bool telemetry);
-  void merge_report(Backend& backend, QueryCtx& ctx);
-  void finish_query(QueryCtx& ctx);
-
-  bool append_out(Buf& tx, std::span<const std::uint8_t> bytes);
-  void try_send(net::Socket& sock, Buf& tx, bool& dead);
-  bool recv_into(net::Socket& sock, Buf& rx, bool& dead, long long& bytes_in);
+  void merge_report(Backend& backend, Stream& stream);
+  void retry_later(Backend& backend);
 
   int ring_backend_for(std::uint64_t key) const;
   std::vector<bool> up_;  ///< per-backend liveness, io thread only
 
   const RouterOptions options_;
   HashRing ring_;
-  util::BlockArena arena_;
-
-  net::Socket listener_;
-  std::uint16_t port_ = 0;
-  int wake_read_ = -1;
-  int wake_write_ = -1;
-  std::thread io_thread_;
-  bool started_ = false;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stop_requested_{false};
   std::atomic<int> backends_up_{0};
 
-  std::vector<ClientConn> conns_;   ///< fixed pool, max_clients slots
-  std::vector<Backend> backends_;   ///< one session per endpoint
-  std::vector<QueryCtx> queries_;   ///< fixed pool, max_queries slots
+  std::vector<Stream> streams_;    ///< per client link id
+  std::vector<Backend> backends_;  ///< one session per endpoint
 
   // Cached from the first successful shard handshake; what the router
   // advertises to cameras (model fingerprint must be fleet-wide uniform).
   wire::HelloAck fleet_ack_;
   bool have_ack_ = false;
 
-  // Io-thread scratch, reused (steady state allocates nothing; the poll fd
-  // vector lives in io_main and reserves once at thread start).
+  // Io-thread scratch, reused (steady state allocates nothing).
   wire::Message msg_;
-  wire::Error err_;
   std::vector<std::uint8_t> enc_;
 
   mutable std::mutex stats_mutex_;
   RouterStats counters_;
+
+  net::FrameServer server_;  ///< last: its io thread uses everything above
 };
 
 }  // namespace pdet::fleet

@@ -16,24 +16,33 @@
 //     ├─ write: pop results ► encode ► conn write buffer ► send
 //     └─ stats / shutdown / error frames
 //
-// Backpressure, both directions, is the PR 3 story extended to the wire:
-// inbound overload lands in the runtime's bounded frame queue and
+// The io layer is net::FrameServer, the core this service shares with
+// fleet::ShardRouter: a fixed pool of max_clients links (a connection
+// beyond it is refused with Error{kBusy}), one poll loop on one io thread,
+// and the client-side protocol rules. This class adds what a Hello binds to
+// (a runtime stream slot), what a SubmitFrame does (decode + submit), the
+// inline answers to queries, and the slot queues results come from.
+//
+// Backpressure, both directions, is the runtime's own rule extended to the
+// wire: inbound overload lands in the runtime's bounded frame queue and
 // degradation ladder (frames from all connections share it); outbound, a
 // slow reader's results pile into a *bounded* per-slot queue with
 // drop-oldest — the connection sheds stale results (counted in
 // net.results_dropped) instead of buffering unboundedly, exactly how the
-// frame queue treats a slow engine pool. The write buffer itself is capped:
-// encoding pauses (results wait in the bounded queue) while a connection's
-// unsent bytes exceed the watermark.
+// frame queue treats a slow engine pool. A link's buffers are fixed: its rx
+// holds one frame of the wire's largest (a 4K-UHD plane fits), its tx
+// kTxBytes; once tx is full, results wait in the slot queue and the link's
+// input waits in the socket, so a client that never reads costs a bounded
+// amount of memory.
 //
 // Threading: one io thread runs the poll loop; runtime worker threads only
-// touch their slot's bounded queue + wake pipe inside the result callback.
-// stop() drains in-flight frames through the runtime, flushes what the
-// clients will accept within a deadline, then tears down. Counters are
-// aggregated service-locally so stats() is one consistent snapshot;
-// publish_metrics() mirrors them into the (thread-safe) obs registry and
-// may be called from any thread — a TelemetryQuery invokes it on the io
-// thread so the Prometheus text a client reads is current.
+// touch their slot's bounded queue + the wake pipe inside the result
+// callback. stop() drains in-flight frames through the runtime, flushes
+// what the clients will accept within a deadline, then tears down.
+// Counters are aggregated service-locally so stats() is one consistent
+// snapshot; publish_metrics() mirrors them into the (thread-safe) obs
+// registry and may be called from any thread — a TelemetryQuery invokes it
+// on the io thread so the Prometheus text a client reads is current.
 //
 // The telemetry plane (v3): the io thread stamps service_recv on every
 // SubmitFrame and wire_send on every encoded Result, carrying the client's
@@ -46,10 +55,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "src/net/socket.hpp"
+#include "src/net/frame_server.hpp"
 #include "src/net/wire.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/runtime/bounded_queue.hpp"
@@ -66,9 +74,6 @@ struct ServiceOptions {
   int max_clients = 8;
   /// Per-slot outbound result queue depth; drop-oldest beyond it.
   std::size_t result_queue_capacity = 64;
-  /// Unsent-byte watermark per connection: encoding pauses above it, so a
-  /// stalled reader costs at most this buffer + the bounded result queue.
-  std::size_t max_write_buffer = 4u << 20;
   /// stop(): how long to keep flushing delivered results to clients.
   double flush_timeout_ms = 2000.0;
   runtime::ServerOptions runtime;  ///< engine pool / queue / scheduler
@@ -82,10 +87,16 @@ struct ServiceStats : runtime::NetStats {
   runtime::RuntimeStats runtime;
 };
 
-class DetectionService {
+class DetectionService : private FrameServer::Handler {
  public:
+  /// Per-link tx buffer: once it is full, results wait in the bounded slot
+  /// queue, so a stalled reader costs at most this buffer, one pending
+  /// frame and the result queue. Sized to hold the wire's largest reply.
+  static constexpr std::size_t kTxBytes = std::size_t{4} << 20;
+  static_assert(kTxBytes >= wire::kMaxReplyBytes);
+
   DetectionService(svm::LinearModel model, ServiceOptions options);
-  ~DetectionService();
+  ~DetectionService() override;
 
   DetectionService(const DetectionService&) = delete;
   DetectionService& operator=(const DetectionService&) = delete;
@@ -95,9 +106,9 @@ class DetectionService {
   bool start(std::string* error = nullptr);
 
   /// Port actually bound — the way to reach an ephemeral (port 0) service.
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return server_.port(); }
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return server_.running(); }
 
   /// Graceful shutdown: stop accepting/reading, drain every in-flight frame
   /// through the runtime, flush results to clients (bounded by
@@ -114,37 +125,28 @@ class DetectionService {
 
  private:
   struct Slot;
-  struct Connection;
 
-  void io_main();
-  void handle_readable(Connection& conn);
-  void handle_message(Connection& conn);
-  void flush_slot_queues();
-  void try_send(Connection& conn);
-  void close_connection(std::size_t index);
-  void send_error(Connection& conn, wire::ErrorCode code, const char* text);
+  // FrameServer::Handler
+  const char* bind(Link& link, const wire::Hello& hello,
+                   wire::HelloAck& ack) override;
+  bool submit(Link& link, std::span<std::uint8_t> frame) override;
+  void query(Link& link, wire::MsgType type) override;
+  bool owes(const Link& link) const override;
+  void closed(Link& link) override;
+  void produce() override;
+  void stopping() override;
+
   void build_stats_report(wire::StatsReport& out);
   void build_telemetry_report(wire::TelemetryReport& out);
   int acquire_slot();
-  void wake();
 
   const ServiceOptions options_;
   runtime::DetectionServer runtime_;
   std::uint32_t model_dim_ = 0;
   std::uint32_t model_crc_ = 0;
 
-  Socket listener_;
-  std::uint16_t port_ = 0;
-  int wake_read_ = -1;
-  int wake_write_ = -1;
-
   std::vector<std::unique_ptr<Slot>> slots_;
-  std::vector<std::unique_ptr<Connection>> conns_;
-
-  std::thread io_thread_;
-  bool started_ = false;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stop_requested_{false};
+  std::vector<int> link_slot_;  ///< slot per client link id, -1 if unbound
 
   // Counters: written by the io thread (and callbacks for drops), read by
   // stats(). Histogram under the same lock.
@@ -155,6 +157,15 @@ class DetectionService {
   /// publish_metrics).
   std::mutex publish_mutex_;
   runtime::NetStats published_;  ///< last values written to the registry
+
+  // Io-thread scratch, reused.
+  wire::Message msg_;
+  wire::Result out_result_;
+  wire::StatsReport out_stats_;
+  wire::TelemetryReport out_telemetry_;
+  std::vector<std::uint8_t> enc_;
+
+  FrameServer server_;  ///< last: its io thread uses everything above
 };
 
 }  // namespace pdet::net

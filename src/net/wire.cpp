@@ -18,6 +18,10 @@ using util::ByteWriter;
 /// Offsets within the fixed header (see the header-file diagram).
 constexpr std::size_t kLenOffset = 8;
 constexpr std::size_t kCrcOffset = 12;
+/// Payload offsets of the ids a forwarder rewrites.
+constexpr std::size_t kSubmitTagOffset = kHeaderSize;
+constexpr std::size_t kResultSequenceOffset = kHeaderSize;
+constexpr std::size_t kResultTagOffset = kHeaderSize + 8;
 /// One StatsReport pair: u16 id + 8-byte value.
 constexpr std::size_t kStatPairBytes = 10;
 
@@ -65,14 +69,25 @@ void end_frame(ByteWriter& w, std::vector<std::uint8_t>& buf,
   const std::size_t payload_len = w.offset() - frame_at - kHeaderSize;
   w.patch_u32(frame_at + kLenOffset,
               static_cast<std::uint32_t>(payload_len));
-  // CRC covers header[0,12) ++ payload — the crc field itself stays zero
-  // while the digest is computed, then lands at [12,16).
-  const std::span<const std::uint8_t> all(buf.data() + frame_at,
-                                          w.offset() - frame_at);
-  const std::uint32_t head_crc = util::crc32(all.subspan(0, kCrcOffset));
-  const std::uint32_t full_crc =
-      util::crc32(all.subspan(kHeaderSize), head_crc);
-  w.patch_u32(frame_at + kCrcOffset, full_crc);
+  resign_frame(std::span<std::uint8_t>(buf).subspan(frame_at));
+}
+
+/// CRC over header[0,12) ++ payload: the CRC field itself is not covered.
+std::uint32_t frame_crc(std::span<const std::uint8_t> frame) {
+  return util::crc32(frame.subspan(kHeaderSize),
+                     util::crc32(frame.first(kCrcOffset)));
+}
+
+std::uint64_t load_u64(std::span<const std::uint8_t> frame, std::size_t at) {
+  ByteReader r(frame.subspan(at, 8));
+  return r.u64();
+}
+
+void store_le(std::span<std::uint8_t> frame, std::size_t at, std::uint64_t v,
+              std::size_t bytes) {
+  for (std::size_t i = 0; i < bytes; ++i) {
+    frame[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
 }
 
 bool decode_hello(ByteReader& r, Hello& out) {
@@ -375,35 +390,69 @@ void encode_shutdown(std::vector<std::uint8_t>& out) {
 DecodeStatus decode_message(std::span<const std::uint8_t> data, Message& out,
                             std::size_t& consumed) {
   consumed = 0;
+  MsgType type{};
+  std::size_t frame_size = 0;
+  DecodeStatus status = peek_frame(data, type, frame_size);
+  if (status == DecodeStatus::kOk) {
+    status = decode_frame(data.first(frame_size), type, out);
+  }
+  if (status == DecodeStatus::kOk || status == DecodeStatus::kBadPayload) {
+    // Past the CRC the framing (and the type) is sound even when the
+    // fields are not: report the full frame as consumed so a caller may
+    // skip this one message and keep the stream alive.
+    out.type = type;
+    consumed = frame_size;
+  }
+  return status;
+}
+
+DecodeStatus peek_frame(std::span<const std::uint8_t> data, MsgType& type,
+                        std::size_t& frame_size) {
   if (data.size() < kHeaderSize) return DecodeStatus::kNeedMore;
-  ByteReader header(data.subspan(0, kHeaderSize));
+  ByteReader header(data.first(kHeaderSize));
   const std::uint32_t magic = header.u32();
   const std::uint8_t version = header.u8();
-  const std::uint8_t type = header.u8();
+  const std::uint8_t type_byte = header.u8();
   header.u16();  // reserved
   const std::uint32_t payload_len = header.u32();
   const std::uint32_t declared_crc = header.u32();
   if (magic != kMagic) return DecodeStatus::kBadMagic;
   if (version != kProtocolVersion) return DecodeStatus::kBadVersion;
   if (payload_len > kMaxPayloadBytes) return DecodeStatus::kBadLength;
-  if (data.size() < kHeaderSize + payload_len) return DecodeStatus::kNeedMore;
-
-  const std::span<const std::uint8_t> payload =
-      data.subspan(kHeaderSize, payload_len);
-  const std::uint32_t head_crc = util::crc32(data.subspan(0, kCrcOffset));
-  if (util::crc32(payload, head_crc) != declared_crc) {
+  frame_size = kHeaderSize + payload_len;
+  if (data.size() < frame_size) return DecodeStatus::kNeedMore;
+  if (frame_crc(data.first(frame_size)) != declared_crc) {
     return DecodeStatus::kBadCrc;
   }
-
-  if (type < static_cast<std::uint8_t>(MsgType::kHello) ||
-      type > static_cast<std::uint8_t>(MsgType::kTelemetryReport)) {
+  if (type_byte < static_cast<std::uint8_t>(MsgType::kHello) ||
+      type_byte > static_cast<std::uint8_t>(MsgType::kTelemetryReport)) {
     return DecodeStatus::kUnknownType;
   }
-  out.type = static_cast<MsgType>(type);
+  type = static_cast<MsgType>(type_byte);
 
+  ByteReader r(data.subspan(kHeaderSize, payload_len));
+  if (type == MsgType::kSubmitFrame) {
+    r.u64();  // tag
+    const std::uint64_t width = r.u32();
+    const std::uint64_t height = r.u32();
+    if (!r.ok() || width == 0 || height == 0 || width > kMaxFrameDim ||
+        height > kMaxFrameDim ||
+        r.remaining() != width * height * sizeof(float)) {
+      return DecodeStatus::kBadPayload;
+    }
+  } else if (type == MsgType::kResult && payload_len < 16) {
+    return DecodeStatus::kBadPayload;  // no room for sequence + tag
+  }
+  return DecodeStatus::kOk;
+}
+
+DecodeStatus decode_frame(std::span<const std::uint8_t> frame, MsgType type,
+                          Message& out) {
+  out.type = type;
+  const std::span<const std::uint8_t> payload = frame.subspan(kHeaderSize);
   ByteReader r(payload);
   bool ok = false;
-  switch (out.type) {
+  switch (type) {
     case MsgType::kHello: ok = decode_hello(r, out.hello); break;
     case MsgType::kHelloAck: ok = decode_hello_ack(r, out.hello_ack); break;
     case MsgType::kSubmitFrame:
@@ -421,15 +470,31 @@ DecodeStatus decode_message(std::span<const std::uint8_t> data, Message& out,
       ok = decode_telemetry_report(r, out.telemetry);
       break;
   }
-  if (!ok) {
-    // The frame passed its CRC, so the framing (and out.type) is sound even
-    // though the fields are not: report the full frame as consumed so a
-    // caller may skip this one message and keep the stream alive.
-    consumed = kHeaderSize + payload_len;
-    return DecodeStatus::kBadPayload;
-  }
-  consumed = kHeaderSize + payload_len;
-  return DecodeStatus::kOk;
+  return ok ? DecodeStatus::kOk : DecodeStatus::kBadPayload;
+}
+
+void resign_frame(std::span<std::uint8_t> frame) {
+  store_le(frame, kCrcOffset, frame_crc(frame), 4);
+}
+
+std::uint64_t submit_tag(std::span<const std::uint8_t> frame) {
+  return load_u64(frame, kSubmitTagOffset);
+}
+
+void patch_submit_tag(std::span<std::uint8_t> frame, std::uint64_t tag) {
+  store_le(frame, kSubmitTagOffset, tag, 8);
+  resign_frame(frame);
+}
+
+std::uint64_t result_tag(std::span<const std::uint8_t> frame) {
+  return load_u64(frame, kResultTagOffset);
+}
+
+void patch_result_ids(std::span<std::uint8_t> frame, std::uint64_t sequence,
+                      std::uint64_t tag) {
+  store_le(frame, kResultSequenceOffset, sequence, 8);
+  store_le(frame, kResultTagOffset, tag, 8);
+  resign_frame(frame);
 }
 
 }  // namespace pdet::net::wire

@@ -101,6 +101,17 @@ inline constexpr std::size_t kMaxTelemetryTextLen = 1u << 20;
 /// here (its new ids are skipped).
 inline constexpr std::size_t kMaxStatPairs = 256;
 static_assert(runtime::kWireStatCount <= kMaxStatPairs);
+/// The largest frames a server sends: a Result with kMaxDetections boxes
+/// and every level time, and a TelemetryReport with the full text. Every
+/// other reply is smaller than either.
+inline constexpr std::size_t kMaxResultBytes =
+    kHeaderSize + 44 + std::size_t{kMaxDetections} * 28 + 29 +
+    4 * obs::kTimelineMaxLevels;
+inline constexpr std::size_t kMaxTelemetryReportBytes =
+    kHeaderSize + 60 + kMaxTelemetryTextLen;
+inline constexpr std::size_t kMaxReplyBytes =
+    kMaxResultBytes > kMaxTelemetryReportBytes ? kMaxResultBytes
+                                               : kMaxTelemetryReportBytes;
 
 enum class MsgType : std::uint8_t {
   kHello = 1,        ///< client -> server, first message on a connection
@@ -259,16 +270,43 @@ void encode_telemetry_report(const TelemetryReport& msg,
 void encode_error(const Error& msg, std::vector<std::uint8_t>& out);
 void encode_shutdown(std::vector<std::uint8_t>& out);
 
-/// Try to decode one message from the front of `data`. On kOk, `out` holds
-/// the message and `consumed` the frame size; on kNeedMore nothing was
-/// consumed. kBadPayload is special: the frame passed its CRC, so the
-/// framing is trustworthy — `consumed` is set to the full frame size and
-/// `out.type` to the frame's type, letting a server skip one semantically
-/// invalid message (e.g. a SubmitFrame with impossible dimensions) and keep
-/// the connection. On every other error `consumed` is 0 and the connection
-/// should be torn down (a TCP stream cannot resynchronise after a framing
-/// error).
+/// Try to decode one message from the front of `data`: peek_frame, then
+/// decode_frame. On kOk, `out` holds the message and `consumed` the frame
+/// size; on kNeedMore nothing was consumed. kBadPayload is special: the
+/// frame passed its CRC, so the framing is trustworthy — `consumed` is set
+/// to the full frame size and `out.type` to the frame's type, letting a
+/// server skip one semantically invalid message (e.g. a SubmitFrame with
+/// impossible dimensions) and keep the connection. On every other error
+/// `consumed` is 0 and the connection should be torn down (a TCP stream
+/// cannot resynchronise after a framing error).
 DecodeStatus decode_message(std::span<const std::uint8_t> data, Message& out,
                             std::size_t& consumed);
+
+// --- raw frames: checked, patched and forwarded without a payload decode ---
+
+/// Check the frame at the front of `data` without decoding its payload:
+/// magic, version, length bound, CRC and type, plus the fixed fields the
+/// patchers below rely on (a SubmitFrame's dimensions against its payload
+/// length, a Result's ids). `frame_size` is set once the header is complete
+/// — on kNeedMore too, so a reader can tell a frame its buffer can never
+/// hold — and `type` once the type byte is known. kBadPayload is a sound
+/// frame with bad fields, which a reader may skip.
+DecodeStatus peek_frame(std::span<const std::uint8_t> data, MsgType& type,
+                        std::size_t& frame_size);
+
+/// Decode the payload of one frame peek_frame accepted: kOk or kBadPayload.
+DecodeStatus decode_frame(std::span<const std::uint8_t> frame, MsgType type,
+                          Message& out);
+
+/// Recompute a frame's CRC (over header[0,12) ++ payload) after a patch.
+void resign_frame(std::span<std::uint8_t> frame);
+
+/// The ids a forwarder rewrites, on frames peek_frame accepted. Each
+/// patcher re-signs the frame.
+std::uint64_t submit_tag(std::span<const std::uint8_t> frame);
+void patch_submit_tag(std::span<std::uint8_t> frame, std::uint64_t tag);
+std::uint64_t result_tag(std::span<const std::uint8_t> frame);
+void patch_result_ids(std::span<std::uint8_t> frame, std::uint64_t sequence,
+                      std::uint64_t tag);
 
 }  // namespace pdet::net::wire

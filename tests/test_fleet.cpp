@@ -1,24 +1,25 @@
-// Tests for pdet::fleet: hash-ring stability/balance, the block arena (pool
-// lifecycle, lazily resident slab), the traffic journal (round-trip,
-// corruption, seed consistency), the shard router's exactly-once in-order
-// delivery (steady state and across a seeded backend kill), fleet stats
-// aggregation identities, and deterministic journal replay.
+// Tests for pdet::fleet: hash-ring stability/balance, the traffic journal
+// (round-trip, corruption, seed consistency), the shard router's
+// exactly-once in-order delivery (steady state and across a seeded backend
+// kill), fleet stats aggregation identities, deterministic journal replay,
+// and the conformance table that holds the router and a single service to
+// one answer for every misbehaving client.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <vector>
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#include <unistd.h>
-#endif
 
 #include "src/fault/injector.hpp"
 #include "src/fleet/journal.hpp"
@@ -27,7 +28,8 @@
 #include "src/fleet/router.hpp"
 #include "src/net/client.hpp"
 #include "src/net/service.hpp"
-#include "src/util/arena.hpp"
+#include "src/net/socket.hpp"
+#include "src/net/wire.hpp"
 #include "src/util/rng.hpp"
 
 namespace pdet::fleet {
@@ -175,82 +177,6 @@ TEST(HashRing, AllDownYieldsNoPlacement) {
   HashRing ring(3, 16);
   const std::vector<bool> none(3, false);
   EXPECT_EQ(ring.lookup_up(42, none), -1);
-}
-
-// --- block arena ------------------------------------------------------------
-
-TEST(BlockArena, FixedPoolLifecycle) {
-  util::BlockArena arena(1024, 4);
-  EXPECT_EQ(arena.block_bytes(), 1024u);
-  EXPECT_EQ(arena.capacity(), 4u);
-  EXPECT_EQ(arena.in_use(), 0u);
-
-  std::vector<std::span<std::uint8_t>> blocks;
-  for (int i = 0; i < 4; ++i) {
-    auto block = arena.acquire();
-    ASSERT_EQ(block.size(), 1024u);
-    // Distinct, writable storage.
-    block[0] = static_cast<std::uint8_t>(i);
-    blocks.push_back(block);
-  }
-  EXPECT_EQ(arena.in_use(), 4u);
-  EXPECT_EQ(arena.high_water(), 4u);
-
-  // Exhaustion is a visible condition, not a malloc.
-  EXPECT_TRUE(arena.acquire().empty());
-
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(blocks[static_cast<std::size_t>(i)][0],
-              static_cast<std::uint8_t>(i));
-    arena.release(blocks[static_cast<std::size_t>(i)]);
-  }
-  EXPECT_EQ(arena.in_use(), 0u);
-  EXPECT_EQ(arena.high_water(), 4u);  // high water survives release
-
-  // Released blocks cycle back out.
-  auto again = arena.acquire();
-  EXPECT_EQ(again.size(), 1024u);
-  arena.release(again);
-}
-
-TEST(BlockArena, UnwrittenBlockHasNoResidentPages) {
-#if !defined(__linux__)
-  GTEST_SKIP() << "needs mincore";
-#elif defined(__SANITIZE_THREAD__)
-  GTEST_SKIP() << "the TSan allocator zero-fills calloc'd pages";
-#else
-  // 40 MiB: over glibc's 32 MiB mmap-threshold ceiling, so always mmap-backed.
-  constexpr std::size_t kBlockBytes = std::size_t{20} << 20;
-  util::BlockArena arena(kBlockBytes, 2);
-  const std::span<std::uint8_t> block = arena.acquire();
-  ASSERT_EQ(block.size(), kBlockBytes);
-
-  // The whole pages inside the block.
-  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
-  const auto begin = reinterpret_cast<std::uintptr_t>(block.data());
-  const std::uintptr_t first = (begin + page - 1) / page * page;
-  const std::uintptr_t last = (begin + block.size()) / page * page;
-  std::vector<unsigned char> pages((last - first) / page);
-  const auto resident_pages = [&] {
-    if (mincore(reinterpret_cast<void*>(first), last - first, pages.data()) !=
-        0) {
-      return std::ptrdiff_t{-1};
-    }
-    return std::count_if(pages.begin(), pages.end(),
-                         [](unsigned char v) { return (v & 1u) != 0; });
-  };
-
-  const std::ptrdiff_t untouched = resident_pages();
-  if (untouched < 0) GTEST_SKIP() << "mincore failed";
-  // Writing a byte must show as residency, or mincore tells us nothing.
-  block[block.size() / 2] = 1;
-  if (resident_pages() < 1) {
-    GTEST_SKIP() << "mincore does not report residency";
-  }
-  EXPECT_EQ(untouched, 0);
-  EXPECT_EQ(block[0], 0);  // the slab still reads as zeros
-  arena.release(block);
-#endif
 }
 
 // --- journal ----------------------------------------------------------------
@@ -404,7 +330,7 @@ TEST(ShardRouter, DeliversExactlyOnceInOrderAcrossShards) {
   const RouterStats stats = fleet.router->stats();
   EXPECT_EQ(stats.frames_received, kClients * kFrames);
   EXPECT_EQ(stats.frames_forwarded, kClients * kFrames);
-  EXPECT_EQ(stats.results_delivered, total_received);
+  EXPECT_EQ(stats.results_sent, total_received);
   EXPECT_EQ(stats.duplicates_suppressed, 0);
   EXPECT_EQ(stats.decode_errors, 0);
   EXPECT_EQ(stats.backend_sessions_lost, 0);
@@ -581,7 +507,7 @@ TEST(ShardRouter, SurvivesSeededBackendKillExactlyOnce) {
   const RouterStats stats = fleet.router->stats();
   EXPECT_GE(stats.backend_sessions_lost, 1);
   EXPECT_EQ(stats.duplicates_suppressed, 0);
-  EXPECT_EQ(stats.results_delivered, client.results_received());
+  EXPECT_EQ(stats.results_sent, client.results_received());
   long long reconnects = 0;
   for (const ShardStats& shard : stats.shards) {
     EXPECT_TRUE(shard.up);
@@ -666,6 +592,272 @@ TEST(Replayer, RefusesCorruptJournal) {
   const ReplayReport report = replay_journal(journal, ropts);
   EXPECT_TRUE(report.streams.empty());
   EXPECT_FALSE(report.exactly_once);
+}
+
+
+// --- one answer from both frontends -------------------------------------------
+
+// A raw client link: frames in and out by hand, so a test can send what the
+// net::Client never would.
+class RawLink {
+ public:
+  bool connect(std::uint16_t port) {
+    sock_ = net::Socket::connect_tcp("127.0.0.1", port, 2000.0);
+    in_.clear();
+    return sock_.valid();
+  }
+  bool send(std::span<const std::uint8_t> bytes, double timeout_ms = 10000.0) {
+    std::size_t at = 0;
+    while (at < bytes.size()) {
+      std::size_t sent = 0;
+      const net::IoStatus status =
+          net::send_some(sock_.fd(), bytes.subspan(at), sent);
+      if (status == net::IoStatus::kOk) {
+        at += sent;
+      } else if (status != net::IoStatus::kWouldBlock ||
+                 !net::wait_writable(sock_.fd(), timeout_ms)) {
+        return false;
+      }
+    }
+    return true;
+  }
+  /// The next message, or false on close / timeout (closed() tells which).
+  bool next(wire::Message& msg, double timeout_ms = 10000.0) {
+    const auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double, std::milli>(timeout_ms));
+    for (;;) {
+      std::size_t consumed = 0;
+      const wire::DecodeStatus status = wire::decode_message(in_, msg, consumed);
+      if (status == wire::DecodeStatus::kOk) {
+        in_.erase(in_.begin(), in_.begin() + static_cast<std::ptrdiff_t>(consumed));
+        return true;
+      }
+      if (status != wire::DecodeStatus::kNeedMore || closed_ ||
+          std::chrono::steady_clock::now() >= deadline) {
+        return false;
+      }
+      if (!net::wait_readable(sock_.fd(), 50.0)) continue;
+      std::uint8_t chunk[16384];
+      std::size_t got = 0;
+      const net::IoStatus io = net::recv_some(sock_.fd(), chunk, got);
+      if (io == net::IoStatus::kOk) {
+        in_.insert(in_.end(), chunk, chunk + got);
+      } else if (io != net::IoStatus::kWouldBlock) {
+        closed_ = true;  // EOF or reset: the server closed the link
+      }
+    }
+  }
+  bool closed() const { return closed_; }
+  void close() { sock_.close(); }
+
+ private:
+  net::Socket sock_;
+  std::vector<std::uint8_t> in_;
+  bool closed_ = false;
+};
+
+std::vector<std::uint8_t> hello_frame(std::uint32_t version = wire::kProtocolVersion) {
+  wire::Hello hello;
+  hello.protocol_version = version;
+  hello.client_name = "conformance-cam";
+  std::vector<std::uint8_t> out;
+  wire::encode_hello(hello, out);
+  return out;
+}
+
+/// The NetStats rows that moved, bytes aside (the router's byte rows count
+/// its shard links too), as "row +n" lines.
+std::string net_deltas(const runtime::NetStats& before,
+                       const runtime::NetStats& after) {
+  std::string out;
+  runtime::NetStats::visit(
+      [&out](const runtime::StatField& f, const auto& a, const auto& b) {
+        const std::string_view name(f.name);
+        if (name == "bytes_in" || name == "bytes_out" || a == b) return;
+        out += std::string(name) + " " +
+               std::to_string(static_cast<long long>(b) -
+                              static_cast<long long>(a)) +
+               "\n";
+      },
+      before, after);
+  return out;
+}
+
+/// One frontend under test: where it listens and its NetStats rows.
+struct Frontend {
+  std::string name;
+  std::uint16_t port = 0;
+  std::function<runtime::NetStats()> stats;
+};
+
+/// What one input got back.
+struct Outcome {
+  int code = 0;       ///< wire::ErrorCode of the reply, 0 = no Error
+  bool open = false;  ///< the link still answered a StatsQuery afterwards
+  std::string deltas;
+};
+
+enum class Setup { kNone, kHello, kOccupied, kPipelined };
+
+struct Row {
+  const char* name;
+  Setup setup;
+  std::vector<std::uint8_t> input;
+  wire::ErrorCode code;  ///< expected reply; kInternal = none
+  bool open;             ///< expected
+};
+
+constexpr int kPipelined = 2000;
+
+/// Run one row against one frontend (max_clients == 1, idle). The NetStats
+/// deltas span the row's whole connection lifecycle: from before its first
+/// connect to after its last link is reaped.
+Outcome run_row(const Frontend& frontend, const Row& row) {
+  Outcome out;
+  const runtime::NetStats base = frontend.stats();
+  RawLink link;
+  RawLink occupant;  // holds the one free link for Setup::kOccupied
+  wire::Message msg;
+  if (row.setup == Setup::kHello || row.setup == Setup::kOccupied) {
+    RawLink& bound = row.setup == Setup::kHello ? link : occupant;
+    EXPECT_TRUE(bound.connect(frontend.port)) << row.name;
+    EXPECT_TRUE(bound.send(hello_frame()) && bound.next(msg) &&
+                msg.type == wire::MsgType::kHelloAck)
+        << row.name;
+  }
+  if (row.setup != Setup::kHello) {
+    EXPECT_TRUE(link.connect(frontend.port)) << row.name;
+  }
+  if (row.setup == Setup::kPipelined) {
+    // Queries, alternating stats and telemetry, sent while nothing reads
+    // the replies: the backlog must push back, not pile up, and every
+    // query must be answered, in order.
+    std::vector<std::uint8_t> queries;
+    for (int i = 0; i < kPipelined; ++i) {
+      if (i % 2 == 0) {
+        wire::encode_stats_query(queries);
+      } else {
+        wire::encode_telemetry_query(queries);
+      }
+    }
+    // The sender may stall once the server stops taking queries; reading,
+    // a moment later, frees it.
+    std::thread sender(
+        [&] { EXPECT_TRUE(link.send(queries, 60000.0)) << row.name; });
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    int in_order = 0;
+    for (int i = 0; i < kPipelined; ++i) {
+      if (!link.next(msg, 30000.0)) break;
+      const wire::MsgType want = i % 2 == 0 ? wire::MsgType::kStatsReport
+                                            : wire::MsgType::kTelemetryReport;
+      if (msg.type == want) ++in_order;
+    }
+    sender.join();
+    EXPECT_EQ(in_order, kPipelined) << frontend.name;
+  } else if (link.send(row.input) && link.next(msg) &&
+             msg.type == wire::MsgType::kError) {
+    out.code = static_cast<int>(msg.error.code);
+  }
+
+  // Open or closed: a live link answers a StatsQuery; a closed one ends.
+  std::vector<std::uint8_t> probe;
+  wire::encode_stats_query(probe);
+  (void)link.send(probe);
+  out.open = link.next(msg) && msg.type == wire::MsgType::kStatsReport;
+
+  link.close();
+  occupant.close();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (frontend.stats().active_connections != base.active_connections &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  out.deltas = net_deltas(base, frontend.stats());
+  return out;
+}
+
+// Every misbehaving input gets the same reply code, the same open/closed
+// link and the same NetStats movement from a DetectionService as from a
+// ShardRouter in front of one: both frontends are one FrameServer core.
+TEST(FrontendConformance, MisbehavingClientsGetOneAnswerFromBothFrontends) {
+  net::ServiceOptions sopts = shard_options();
+  sopts.max_clients = 1;
+  const svm::LinearModel model = make_model(sopts.runtime.hog, 78);
+  net::DetectionService service(model, sopts);
+  ASSERT_TRUE(service.start());
+
+  Fleet fleet;
+  RouterOptions ropts;
+  ropts.max_clients = 1;
+  ropts.buffer_bytes = 64u << 10;  // small: the reply backlog reaches it
+  start_fleet(fleet, 1, ropts);
+
+  const std::vector<Frontend> frontends{
+      {"service", service.port(), [&] { return runtime::NetStats(service.stats()); }},
+      {"router", fleet.router->port(),
+       [&] { return runtime::NetStats(fleet.router->stats()); }}};
+
+  std::vector<std::uint8_t> query;
+  wire::encode_stats_query(query);
+  std::vector<std::uint8_t> bad_magic = query;
+  bad_magic[0] ^= 0xFF;
+  std::vector<std::uint8_t> bad_crc = query;
+  bad_crc[12] ^= 0x01;
+  std::vector<std::uint8_t> unknown_type = query;
+  unknown_type[5] = 99;
+  wire::resign_frame(unknown_type);
+  std::vector<std::uint8_t> over_bound = query;
+  const std::uint32_t too_long = wire::kMaxPayloadBytes + 1;
+  std::memcpy(over_bound.data() + 8, &too_long, 4);  // little-endian host
+  wire::resign_frame(over_bound);
+  std::vector<std::uint8_t> frame;
+  wire::encode_submit_frame(wire::SubmitFrame{7, make_frame(24, 16, 3)}, frame);
+  std::vector<std::uint8_t> result;
+  wire::encode_result(wire::Result{}, result);
+  std::vector<std::uint8_t> zero_dims;
+  wire::encode_submit_frame(wire::SubmitFrame{}, zero_dims);
+  std::vector<std::uint8_t> shutdown;
+  wire::encode_shutdown(shutdown);
+
+  constexpr wire::ErrorCode kNone = wire::ErrorCode::kInternal;
+  using wire::ErrorCode;
+  const std::vector<Row> rows{
+      {"bad magic", Setup::kNone, bad_magic, ErrorCode::kProtocol, false},
+      {"bad crc", Setup::kNone, bad_crc, ErrorCode::kProtocol, false},
+      {"unknown type", Setup::kNone, unknown_type, ErrorCode::kProtocol, false},
+      {"over-bound length", Setup::kNone, over_bound, ErrorCode::kProtocol,
+       false},
+      {"frame before hello", Setup::kNone, frame, ErrorCode::kProtocol, false},
+      {"duplicate hello", Setup::kHello, hello_frame(), ErrorCode::kProtocol,
+       false},
+      {"wrong version", Setup::kNone, hello_frame(42),
+       ErrorCode::kVersionMismatch, false},
+      {"server-to-client type", Setup::kHello, result, ErrorCode::kProtocol,
+       false},
+      {"zero-dimension frame", Setup::kHello, zero_dims, ErrorCode::kBadFrame,
+       true},
+      {"shutdown before hello", Setup::kNone, shutdown, kNone, false},
+      {"beyond the pool", Setup::kOccupied, {}, ErrorCode::kBusy, false},
+      {"pipelined queries read late", Setup::kPipelined, {}, kNone, true},
+  };
+  for (const Row& row : rows) {
+    const Outcome s = run_row(frontends[0], row);
+    const Outcome r = run_row(frontends[1], row);
+    const int want = row.code == kNone ? 0 : static_cast<int>(row.code);
+    EXPECT_EQ(s.code, want) << row.name;
+    EXPECT_EQ(s.open, row.open) << row.name;
+    EXPECT_EQ(r.code, s.code) << row.name;
+    EXPECT_EQ(r.open, s.open) << row.name;
+    EXPECT_EQ(r.deltas, s.deltas) << row.name;
+  }
+  // The rows that count a decode error or a rejected frame did.
+  EXPECT_EQ(service.stats().decode_errors, 5);
+  EXPECT_EQ(service.stats().frames_rejected, 1);
+  EXPECT_EQ(service.stats().connections_refused, 1);
+  service.stop();
 }
 
 }  // namespace

@@ -1,8 +1,15 @@
 // Tests for pdet::net: wire codec round-trip / truncation / corruption /
-// fuzz, the TCP DetectionService + Client loopback path (handshake, in-order
-// delivery, stats, refusal, graceful stop) and client reconnection across a
-// server restart.
+// fuzz and the raw-frame peek + patchers, the FrameServer core (lazily
+// resident link buffers, a pending reply holding input back), the TCP
+// DetectionService + Client loopback path (handshake, in-order delivery,
+// stats, refusal, graceful stop) and client reconnection across a server
+// restart.
 #include <gtest/gtest.h>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 #include <algorithm>
 #include <atomic>
@@ -10,6 +17,7 @@
 #include <cstdint>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <sstream>
 #include <string>
@@ -21,6 +29,7 @@
 #include "src/fault/injector.hpp"
 #include "src/hog/descriptor.hpp"
 #include "src/net/client.hpp"
+#include "src/net/frame_server.hpp"
 #include "src/net/service.hpp"
 #include "src/net/socket.hpp"
 #include "src/net/wire.hpp"
@@ -659,6 +668,147 @@ TEST(WireCodec, RandomBytesNeverCrashTheDecoder) {
       ASSERT_EQ(consumed, 0u);
     }
   }
+}
+
+TEST(WireCodec, PeekFrameAndPatchersForwardWithoutDecode) {
+  // peek_frame agrees with decode_message on the framing; the patchers
+  // rewrite the forwarded ids and re-sign, so the frame still decodes.
+  wire::SubmitFrame submit;
+  submit.tag = 77;
+  submit.image = make_frame(24, 16, 5);
+  std::vector<std::uint8_t> frame;
+  wire::encode_submit_frame(submit, frame);
+  wire::MsgType type{};
+  std::size_t size = 0;
+  ASSERT_EQ(wire::peek_frame(frame, type, size), wire::DecodeStatus::kOk);
+  EXPECT_EQ(type, wire::MsgType::kSubmitFrame);
+  EXPECT_EQ(size, frame.size());
+  EXPECT_EQ(wire::submit_tag(frame), 77u);
+  wire::patch_submit_tag(frame, 5);
+  wire::Message msg;
+  std::size_t consumed = 0;
+  ASSERT_EQ(wire::decode_message(frame, msg, consumed),
+            wire::DecodeStatus::kOk);
+  EXPECT_EQ(msg.frame.tag, 5u);
+  EXPECT_EQ(msg.frame.image.pixels()[7], submit.image.pixels()[7]);
+
+  std::vector<std::uint8_t> result;
+  wire::encode_result(sample_result(), result);
+  EXPECT_EQ(wire::result_tag(result), sample_result().tag);
+  wire::patch_result_ids(result, 3, 9);
+  ASSERT_EQ(wire::decode_message(result, msg, consumed),
+            wire::DecodeStatus::kOk);
+  EXPECT_EQ(msg.result.sequence, 3u);
+  EXPECT_EQ(msg.result.tag, 9u);
+
+  // A prefix reports the whole frame's size once the header is in, so a
+  // reader can tell a frame its buffer will never hold.
+  size = 0;
+  EXPECT_EQ(wire::peek_frame(std::span<const std::uint8_t>(result).first(20),
+                             type, size),
+            wire::DecodeStatus::kNeedMore);
+  EXPECT_EQ(size, result.size());
+  // A patch without a re-sign is caught.
+  result[wire::kHeaderSize] ^= 1;
+  EXPECT_EQ(wire::peek_frame(result, type, size), wire::DecodeStatus::kBadCrc);
+}
+
+// --- frame server core ------------------------------------------------------
+
+TEST(LinkBuffer, UnwrittenStorageHasNoResidentPages) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "needs mincore";
+#else
+  // The storage is its own anonymous mapping (page-aligned): a page turns
+  // resident only once a link writes it.
+  constexpr std::size_t kBytes = std::size_t{40} << 20;
+  LinkBuffer buffer(kBytes);
+  const std::span<const std::uint8_t> storage = buffer.storage();
+  ASSERT_EQ(storage.size(), kBytes);
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> pages((kBytes + page - 1) / page);
+  const auto resident_pages = [&] {
+    if (mincore(const_cast<std::uint8_t*>(storage.data()), kBytes,
+                pages.data()) != 0) {
+      return std::ptrdiff_t{-1};
+    }
+    return std::count_if(pages.begin(), pages.end(),
+                         [](unsigned char v) { return (v & 1u) != 0; });
+  };
+
+  const std::ptrdiff_t untouched = resident_pages();
+  if (untouched < 0) GTEST_SKIP() << "mincore failed";
+  // Writing bytes must show as residency, or mincore tells us nothing.
+  const std::vector<std::uint8_t> bytes(4 * page, 1);
+  ASSERT_TRUE(buffer.append(bytes));
+  if (resident_pages() < 1) {
+    GTEST_SKIP() << "mincore does not report residency";
+  }
+  EXPECT_EQ(untouched, 0);
+#endif
+}
+
+/// Answers every query with one ~1 MiB TelemetryReport and counts them.
+class BigReplies final : public FrameServer::Handler {
+ public:
+  BigReplies() {
+    wire::TelemetryReport report;
+    report.prometheus.assign(wire::kMaxTelemetryTextLen, '#');
+    wire::encode_telemetry_report(report, reply_);
+  }
+  FrameServer* server = nullptr;
+  std::atomic<int> queries{0};
+
+  const char* bind(Link&, const wire::Hello&, wire::HelloAck&) override {
+    return nullptr;
+  }
+  bool submit(Link&, std::span<std::uint8_t>) override { return true; }
+  void query(Link& link, wire::MsgType) override {
+    queries.fetch_add(1);
+    EXPECT_TRUE(server->send(link, reply_));
+  }
+  bool owes(const Link&) const override { return false; }
+
+ private:
+  std::vector<std::uint8_t> reply_;
+};
+
+TEST(FrameServer, PendingReplyHoldsInputUntilSent) {
+  // Replies far larger than the link's tx: each waits as the pending frame,
+  // and until it is sent the link's next query is not read. A client that
+  // queries without reading is pushed back instead of buffered.
+  BigReplies handler;
+  std::mutex mutex;
+  runtime::NetStats stats;
+  FrameServer server({.max_clients = 1, .rx_bytes = 4096, .tx_bytes = 64u << 10},
+                     handler, mutex, stats);
+  handler.server = &server;
+  ASSERT_TRUE(server.start());
+  std::string error;
+  Socket sock = Socket::connect_tcp("127.0.0.1", server.port(), 2000.0, &error);
+  ASSERT_TRUE(sock.valid()) << error;
+
+  constexpr int kQueries = 32;
+  std::vector<std::uint8_t> queries;
+  for (int i = 0; i < kQueries; ++i) wire::encode_telemetry_query(queries);
+  ASSERT_TRUE(send_all_raw(sock.fd(), queries));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // The kernel's socket buffers hold a few replies and the link one more;
+  // the other queries wait unread.
+  EXPECT_LT(handler.queries.load(), kQueries);
+
+  std::vector<std::uint8_t> in;
+  wire::Message msg;
+  for (int i = 0; i < kQueries; ++i) {
+    ASSERT_TRUE(read_one_message(sock.fd(), in, msg, 30000.0)) << i;
+    ASSERT_EQ(msg.type, wire::MsgType::kTelemetryReport);
+    EXPECT_EQ(msg.telemetry.prometheus.size(), wire::kMaxTelemetryTextLen);
+  }
+  EXPECT_EQ(handler.queries.load(), kQueries);
+  sock.close();
+  server.stop();
+  EXPECT_EQ(stats.connections_accepted, 1);
+  EXPECT_EQ(stats.connections_closed, 1);
 }
 
 // --- service + client loopback ----------------------------------------------

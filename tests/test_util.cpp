@@ -19,6 +19,7 @@
 
 #include "src/util/bytes.hpp"
 #include "src/util/cli.hpp"
+#include "src/util/fifo.hpp"
 #include "src/util/logging.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/simd.hpp"
@@ -735,6 +736,36 @@ TEST(Bytes, WriterAppendsWithoutClearing) {
   EXPECT_EQ(w.written(), 1u);
   ASSERT_EQ(buf.size(), 2u);
   EXPECT_EQ(buf[0], 0xFF);  // pre-existing content untouched
+}
+
+TEST(Fifo, WrapsAroundAndKeepsOrderAcrossGrowth) {
+  Fifo<int> fifo(4);
+  // Wrap-around at a fixed capacity: the head walks past the end.
+  int next_in = 0;
+  int next_out = 0;
+  for (int round = 0; round < 10; ++round) {
+    for (int i = 0; i < 3; ++i) fifo.push(next_in++);
+    for (int i = 0; i < 3; ++i) EXPECT_EQ(fifo.pop(), next_out++);
+  }
+  EXPECT_TRUE(fifo.empty());
+  EXPECT_EQ(fifo.capacity(), 4u);
+
+  // Growth from a wrapped state (head mid-ring) keeps FIFO order.
+  fifo.push(next_in++);
+  fifo.push(next_in++);
+  EXPECT_EQ(fifo.pop(), next_out++);
+  for (int i = 0; i < 37; ++i) fifo.push(next_in++);
+  EXPECT_EQ(fifo.size(), 38u);
+  EXPECT_GE(fifo.capacity(), 38u);
+  EXPECT_EQ(fifo.front(), next_out);
+  while (!fifo.empty()) EXPECT_EQ(fifo.pop(), next_out++);
+  EXPECT_EQ(next_out, next_in);
+
+  // reset() empties and resizes.
+  fifo.push(1);
+  fifo.reset(2);
+  EXPECT_TRUE(fifo.empty());
+  EXPECT_EQ(fifo.capacity(), 2u);
 }
 
 }  // namespace
