@@ -6,7 +6,6 @@
 #include "src/obs/timeline.hpp"
 #include "src/svm/model_io.hpp"
 #include "src/util/assert.hpp"
-#include "src/util/fifo.hpp"
 #include "src/util/stats.hpp"
 
 namespace pdet::net {
@@ -19,18 +18,6 @@ std::vector<double> latency_bounds() {
 
 }  // namespace
 
-/// One result queued for a client, with the echoed client tag. swap() keeps
-/// BoundedQueue's buffer-recycling contract allocation-free.
-struct SlotResult {
-  std::uint64_t tag = 0;
-  runtime::StreamResult res;
-
-  friend void swap(SlotResult& a, SlotResult& b) {
-    std::swap(a.tag, b.tag);
-    std::swap(a.res, b.res);
-  }
-};
-
 /// One pre-registered runtime stream and its outbound plumbing. A slot
 /// outlives connections: it is acquired at handshake, released at close,
 /// and only re-acquired once every in-flight frame from the previous owner
@@ -42,19 +29,13 @@ struct DetectionService::Slot {
   int stream_id = -1;
   std::atomic<bool> attached{false};
   std::atomic<long long> outstanding{0};
-  runtime::BoundedQueue<SlotResult> results;
+  /// Delivered results; each carries its client tag as timing.trace_id.
+  runtime::BoundedQueue<runtime::StreamResult> results;
 
-  // Callback-side state. The stream's delivery lock serializes callbacks;
-  // the mutex additionally orders them against handshake-time reset.
-  // Tags enter at submit and leave, in the same order, when the runtime
-  // delivers: per-stream deliveries are sequence-ordered, so FIFO alignment
-  // is exact. There is no hard in-flight ceiling (StreamContext buffers
-  // out-of-order completions, each holding its tag), hence a growing FIFO.
-  std::mutex mutex;
-  util::Fifo<std::uint64_t> tags;
-  SlotResult scratch;  ///< staging copy, capacity reused
-  SlotResult evicted;  ///< drop-oldest out-param, capacity reused
-  SlotResult popped;   ///< io-thread pop target, capacity reused
+  /// Drop-oldest out-param, capacity reused. Only callbacks touch it, and
+  /// the stream's delivery lock serializes them.
+  runtime::StreamResult evicted;
+  runtime::StreamResult popped;  ///< io-thread pop target, capacity reused
 };
 
 DetectionService::DetectionService(svm::LinearModel model,
@@ -74,37 +55,21 @@ DetectionService::DetectionService(svm::LinearModel model,
   PDET_REQUIRE(options_.result_queue_capacity >= 1);
   model_dim_ = static_cast<std::uint32_t>(model.dimension());
   model_crc_ = svm::model_fingerprint(model);
-  // Initial per-stream tag capacity: every queued frame + one per worker in
-  // service + the frame inside submit() itself. Out-of-order completions
-  // buffered inside the runtime can exceed this; the ring grows then.
-  const std::size_t tag_capacity = options_.runtime.queue_capacity +
-                                   static_cast<std::size_t>(
-                                       options_.runtime.workers) +
-                                   2;
   slots_.reserve(static_cast<std::size_t>(options_.max_clients));
   for (int i = 0; i < options_.max_clients; ++i) {
     auto slot = std::make_unique<Slot>(options_.result_queue_capacity);
-    slot->tags.reset(tag_capacity);
     Slot* raw = slot.get();
     slot->stream_id = runtime_.add_stream(
         "net" + std::to_string(i), [this, raw](const runtime::StreamResult& r) {
           Slot& s = *raw;
-          bool attached = false;
-          {
-            std::lock_guard<std::mutex> lock(s.mutex);
-            s.scratch.tag = s.tags.pop();
-            s.scratch.res = r;  // copy-assign, capacity reuse
-            attached = s.attached.load(std::memory_order_acquire);
-            if (attached) {
-              if (s.results.push(s.scratch, &s.evicted) ==
-                  runtime::PushResult::kReplacedOldest) {
-                std::lock_guard<std::mutex> stats(stats_mutex_);
-                ++counters_.results_dropped;
-              }
-            } else {
-              std::lock_guard<std::mutex> stats(stats_mutex_);
-              ++counters_.results_dropped;
-            }
+          // A result that races a close lands in the queue of a detached
+          // slot; acquire_slot clears it before the slot is bound again,
+          // which waits for this callback's outstanding decrement.
+          const bool attached = s.attached.load(std::memory_order_acquire);
+          if (!attached || s.results.push(r, &s.evicted) ==
+                               runtime::PushResult::kReplacedOldest) {
+            std::lock_guard<std::mutex> stats(stats_mutex_);
+            ++counters_.results_dropped;
           }
           s.outstanding.fetch_sub(1, std::memory_order_release);
           if (attached) server_.wake();
@@ -134,8 +99,7 @@ int DetectionService::acquire_slot() {
     if (s.attached.load(std::memory_order_acquire)) continue;
     if (s.outstanding.load(std::memory_order_acquire) != 0) continue;
     // Clear any results the previous owner never read.
-    SlotResult stale;
-    while (s.results.try_pop(stale)) {
+    while (s.results.try_pop(s.popped)) {
     }
     s.attached.store(true, std::memory_order_release);
     return static_cast<int>(i);
@@ -218,15 +182,11 @@ bool DetectionService::submit(Link& link, std::span<std::uint8_t> frame) {
   }
   Slot& s = *slots_[static_cast<std::size_t>(
       link_slot_[static_cast<std::size_t>(link.id())])];
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.tags.push(msg_.frame.tag);
-  }
   s.outstanding.fetch_add(1, std::memory_order_acq_rel);
   // Every submit outcome (accepted, evicted, rejected) produces exactly one
-  // in-order delivery, so the tag/outstanding bookkeeping balances. The tag
-  // rides along as trace context and service_recv anchors the frame's
-  // wire-visible timeline offsets.
+  // in-order delivery, so the outstanding count balances. The tag rides
+  // along as the frame's trace id and comes back on its result;
+  // service_recv anchors the frame's wire-visible timeline offsets.
   (void)runtime_.submit(s.stream_id, msg_.frame.image, msg_.frame.tag,
                         obs::timeline_now_ns());
   return true;
@@ -280,10 +240,10 @@ void DetectionService::produce() {
     // A full tx stops the loop (the result that did not fit is the link's
     // pending frame); the rest wait in the bounded slot queue.
     while (link.writable() && s.results.try_pop(s.popped)) {
-      const runtime::StreamResult& r = s.popped.res;
+      const runtime::StreamResult& r = s.popped;
       wire::Result& out = out_result_;
       out.sequence = r.sequence;
-      out.tag = s.popped.tag;
+      out.tag = r.timing.trace_id;
       out.status = r.status;
       out.degrade_level = static_cast<std::uint8_t>(r.degrade_level);
       out.queue_wait_ms = static_cast<float>(r.queue_wait_ms);

@@ -35,10 +35,16 @@
 // input waits in the socket, so a client that never reads costs a bounded
 // amount of memory.
 //
+// Tags: a SubmitFrame's client tag enters the runtime as the frame's trace
+// id, and every delivery carries it back (StreamResult::timing.trace_id,
+// the watchdog's error included), so the Result echoes the tag read from
+// the result itself — the service keeps no tag list of its own.
+//
 // Threading: one io thread runs the poll loop; runtime worker threads only
 // touch their slot's bounded queue + the wake pipe inside the result
-// callback. stop() drains in-flight frames through the runtime, flushes
-// what the clients will accept within a deadline, then tears down.
+// callback, which the stream's delivery lock serializes. stop() drains
+// in-flight frames through the runtime, flushes what the clients will
+// accept within a deadline, then tears down.
 // Counters are aggregated service-locally so stats() is one consistent
 // snapshot; publish_metrics() mirrors them into the (thread-safe) obs
 // registry and may be called from any thread — a TelemetryQuery invokes it

@@ -46,8 +46,6 @@ DetectionServer::DetectionServer(svm::LinearModel model, ServerOptions options)
   PDET_REQUIRE(options_.max_frame_faults >= 1);
   PDET_REQUIRE(options_.recovery_frames >= 0);
   PDET_REQUIRE(options_.stall_timeout_ms >= 0.0);
-  PDET_REQUIRE(options_.tiling.roi_rung >= 0);
-  PDET_REQUIRE(options_.tiling.tile_threads >= 1);
   options_.hog.validate();
   PDET_REQUIRE(model_.dimension() ==
                static_cast<std::size_t>(options_.hog.descriptor_size()));
@@ -66,27 +64,39 @@ DetectionServer::DetectionServer(svm::LinearModel model, ServerOptions options)
 
 DetectionServer::~DetectionServer() { stop(); }
 
+DetectionServer::Stream::Stream(int id, std::string name,
+                                ResultCallback on_result,
+                                const ServerOptions& options,
+                                score::ScoringBackend* scorer)
+    : context(id, std::move(name),
+              [this](const StreamResult& r) { delivered(r); }),
+      callback(std::move(on_result)),
+      tracked(options.guard.enabled || options.tiling.enabled),
+      gate(options.guard.gate),
+      camera(options.guard.camera),
+      // The tile engines score through the server's one backend, so backend
+      // stats cover the tiled path too.
+      tiles({.plan = options.tiling.plan,
+             .threads = options.engine_threads,
+             .engine = {.threads = 1, .scorer = scorer}}),
+      roi(options.tiling.roi) {}
+
+void DetectionServer::Stream::delivered(const StreamResult& result) {
+  if (tracked && (result.status == FrameStatus::kOk ||
+                  result.status == FrameStatus::kDegraded)) {
+    std::lock_guard<std::mutex> lock(track_mutex);
+    tracker.update(result.detections);
+    coast = 0;
+  }
+  if (callback) callback(result);
+}
+
 int DetectionServer::add_stream(std::string name, ResultCallback on_result) {
   PDET_REQUIRE(!started_);
-  const int id = static_cast<int>(streams_.size());
-  ResultCallback callback = std::move(on_result);
-  if (options_.guard.enabled) {
-    // Feed the stream's coast tracker from real deliveries. The wrapper runs
-    // in sequence order under the stream's delivery lock, so the tracker
-    // sees detections in frame order; guard_streams_ is sized at start(),
-    // before any delivery can fire.
-    callback = [this, id, cb = std::move(callback)](const StreamResult& r) {
-      if (r.status == FrameStatus::kOk || r.status == FrameStatus::kDegraded) {
-        GuardStreamState& gs = *guard_streams_[static_cast<std::size_t>(id)];
-        std::lock_guard<std::mutex> lock(gs.mutex);
-        gs.tracker.update(r.detections);
-        gs.coast = 0;
-      }
-      cb(r);
-    };
-  }
-  streams_.push_back(
-      std::make_unique<StreamContext>(id, std::move(name), std::move(callback)));
+  const int id = stream_count();
+  streams_.push_back(std::make_unique<Stream>(
+      id, std::move(name), std::move(on_result), options_,
+      score_backend_.get()));
   return id;
 }
 
@@ -96,32 +106,9 @@ void DetectionServer::start() {
   started_ = true;
   running_.store(true, std::memory_order_release);
   started_at_ = Clock::now();
-  submit_slots_.resize(streams_.size());
-  if (options_.tiling.enabled) {
-    // Per-stream tiled pipelines. The tile engines score through the same
-    // shared backend as the pooled engines, so backend stats cover the tiled
-    // path too.
-    tile::TileEngineOptions topts;
-    topts.plan = options_.tiling.plan;
-    topts.threads = options_.tiling.tile_threads;
-    topts.engine = detect::EngineOptions{.threads = 1,
-                                         .scorer = score_backend_.get()};
-    tile_streams_.reserve(streams_.size());
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      tile_streams_.push_back(std::make_unique<TileStreamState>(
-          topts, options_.tiling.roi));
-    }
-  }
-  if (options_.guard.enabled) {
-    guard_streams_.reserve(streams_.size());
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      guard_streams_.push_back(std::make_unique<GuardStreamState>(
-          options_.guard.gate, options_.guard.camera, options_.guard.tracker));
-    }
-  }
   if (options_.timeline_depth > 0) {
-    for (const auto& stream : streams_) {
-      flight_.attach_stream(stream->id(), stream->name());
+    for (const auto& s : streams_) {
+      flight_.attach_stream(s->context.id(), s->context.name());
     }
   }
   for (int i = 0; i < options_.workers; ++i) spawn_worker();
@@ -147,41 +134,42 @@ SubmitStatus DetectionServer::submit(int stream, const imgproc::ImageF& frame,
                                      std::uint64_t trace_tag,
                                      std::uint64_t recv_ns) {
   PDET_REQUIRE(started_);
-  PDET_REQUIRE(stream >= 0 && stream < static_cast<int>(streams_.size()));
-  StreamContext& ctx = *streams_[static_cast<std::size_t>(stream)];
-  SubmitSlot& slot = submit_slots_[static_cast<std::size_t>(stream)];
+  PDET_REQUIRE(stream >= 0 && stream < stream_count());
+  Stream& s = *streams_[static_cast<std::size_t>(stream)];
+  FrameTask& task = s.task;
 
-  slot.task.stream = stream;
-  slot.task.sequence = ctx.next_sequence();
-  slot.task.faults = 0;
-  slot.task.frame = frame;  // copy into the reused per-stream slot
-  slot.task.enqueued_at = Clock::now();
-  slot.task.timing = obs::FrameTimeline{};
-  slot.task.timing.trace_id = trace_tag;
-  slot.task.timing.stream = stream;
-  slot.task.timing.sequence = slot.task.sequence;
-  slot.task.timing.service_recv_ns =
+  task.stream = stream;
+  task.sequence = s.context.next_sequence();
+  task.faults = 0;
+  task.frame = frame;  // copy into the reused per-stream slot
+  task.enqueued_at = Clock::now();
+  task.timing = obs::FrameTimeline{};
+  task.timing.trace_id = trace_tag;
+  task.timing.stream = stream;
+  task.timing.sequence = task.sequence;
+  task.timing.service_recv_ns =
       recv_ns != 0 ? recv_ns : obs::timeline_now_ns();
-  slot.task.quality_reasons = 0;
+  task.quality_reasons = 0;
 
   // Input-integrity gate (DESIGN §14): inspect the pixels before they cost a
   // queue slot or an engine. Runs on the producer thread — single producer
   // per stream, so the gate and camera machine need no lock.
-  bool gate_soft = false;
+  auto quality = guard::FrameQuality::kHealthy;
+  bool quarantined_now = false;
   if (options_.guard.enabled) {
-    GuardStreamState& gs = *guard_streams_[static_cast<std::size_t>(stream)];
-    const guard::GuardVerdict& verdict = gs.gate.inspect(slot.task.frame);
-    slot.task.timing.gate_ns = obs::timeline_now_ns();
-    slot.task.timing.input_quality = static_cast<std::uint8_t>(verdict.quality);
-    slot.task.quality_reasons = verdict.reasons;
-    const guard::CameraState before = gs.camera.state();
-    const guard::CameraState after = gs.camera.observe(verdict.quality);
-    slot.task.timing.camera_state = static_cast<std::uint8_t>(after);
-    const bool quarantined_now =
+    const guard::GuardVerdict& verdict = s.gate.inspect(task.frame);
+    quality = verdict.quality;
+    task.timing.gate_ns = obs::timeline_now_ns();
+    task.timing.input_quality = static_cast<std::uint8_t>(verdict.quality);
+    task.quality_reasons = verdict.reasons;
+    const guard::CameraState before = s.camera.state();
+    const guard::CameraState after = s.camera.observe(verdict.quality);
+    task.timing.camera_state = static_cast<std::uint8_t>(after);
+    quarantined_now =
         after == guard::CameraState::kQuarantined && before != after;
     if (after != before) {
-      gs.state.store(static_cast<std::uint8_t>(after),
-                     std::memory_order_relaxed);
+      s.camera_state.store(static_cast<std::uint8_t>(after),
+                           std::memory_order_relaxed);
       util::log_warn("runtime: camera %d %s -> %s (%s)", stream,
                      guard::to_string(before), guard::to_string(after),
                      guard::reasons_to_string(verdict.reasons).c_str());
@@ -191,96 +179,44 @@ SubmitStatus DetectionServer::submit(int stream, const imgproc::ImageF& frame,
       if (before == guard::CameraState::kQuarantined)
         ++counters_.camera_recoveries;
     }
-    if (verdict.quality == guard::FrameQuality::kUnusable) {
-      // Short-circuit: the frame never reaches the queue. It still owes its
-      // stream exactly one in-order delivery — status kDegradedInput, with
-      // the tracker's bounded coast predictions in place of garbage pixels.
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++counters_.submitted;
-      }
-      {
-        std::lock_guard<std::mutex> lock(drain_mutex_);
-        ++in_flight_;
-      }
-      StreamResult& d = slot.dropped;
-      d.stream = stream;
-      d.sequence = slot.task.sequence;
-      d.status = FrameStatus::kDegradedInput;
-      d.degrade_level = scheduler_.level();
-      d.queue_wait_ms = 0.0;
-      d.service_ms = 0.0;
-      d.total_ms = ms_since(slot.task.enqueued_at);
-      d.timing = slot.task.timing;  // queue_admit stays 0: never queued
-      d.quality_reasons = verdict.reasons;
-      {
-        std::lock_guard<std::mutex> lock(gs.mutex);
-        ++gs.coast;
-        if (gs.coast <= gs.tracker.options().max_coast) {
-          gs.tracker.predict_boxes(gs.coast, gs.predicted);
-        } else {
-          // Coasted past the credible horizon: admit the view is gone.
-          gs.predicted.clear();
-        }
-        d.detections = gs.predicted;  // copy-assign, capacity reuse
-      }
-      finish(d);
-      if (quarantined_now) flight_trigger("camera quarantined");
-      return SubmitStatus::kAccepted;
-    }
-    // (Only an unusable verdict can enter quarantine, so the pass-through
-    // path never needs the flight trigger.)
-    gate_soft = verdict.quality == guard::FrameQuality::kDegraded;
   }
-  slot.task.timing.queue_admit_ns = obs::timeline_now_ns();
-
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++counters_.submitted;
-    if (gate_soft) ++counters_.guard_soft;
+    if (quality == guard::FrameQuality::kDegraded) ++counters_.guard_soft;
   }
   {
     std::lock_guard<std::mutex> lock(drain_mutex_);
     ++in_flight_;
   }
+  if (quality == guard::FrameQuality::kUnusable) {
+    // Short-circuit: the frame never reaches the queue (queue_admit stays
+    // 0). It still owes its stream exactly one in-order delivery — status
+    // kDegradedInput, with the tracker's bounded coast predictions in place
+    // of garbage pixels. Only an unusable verdict can enter quarantine.
+    deliver_unprocessed(task, FrameStatus::kDegradedInput, scheduler_.level(),
+                        0.0, 0.0, s.dropped);
+    if (quarantined_now) flight_trigger("camera quarantined");
+    return SubmitStatus::kAccepted;
+  }
+  task.timing.queue_admit_ns = obs::timeline_now_ns();
 
-  switch (queue_.push(slot.task, &slot.evicted)) {
+  switch (queue_.push(task, &s.evicted)) {
     case PushResult::kAccepted:
       return SubmitStatus::kAccepted;
-    case PushResult::kReplacedOldest: {
-      // The evicted frame still owes its stream a delivery: account it as a
-      // queue drop, in order, from this producer thread.
-      StreamResult& d = slot.dropped;
-      d.stream = slot.evicted.stream;
-      d.sequence = slot.evicted.sequence;
-      d.status = FrameStatus::kDroppedQueue;
-      d.degrade_level = scheduler_.level();
-      d.queue_wait_ms = ms_since(slot.evicted.enqueued_at);
-      d.service_ms = 0.0;
-      d.total_ms = d.queue_wait_ms;
-      d.timing = slot.evicted.timing;
-      d.quality_reasons = slot.evicted.quality_reasons;
-      d.detections.clear();
-      finish(d);
+    case PushResult::kReplacedOldest:
+      // The evicted frame (of any stream) still owes its stream a delivery:
+      // account it as a queue drop, in order, from this producer thread.
+      deliver_unprocessed(s.evicted, FrameStatus::kDroppedQueue,
+                          scheduler_.level(), ms_since(s.evicted.enqueued_at),
+                          0.0, s.dropped);
       return SubmitStatus::kAcceptedEvicted;
-    }
     case PushResult::kRejected:
-    case PushResult::kClosed: {
-      StreamResult& d = slot.dropped;
-      d.stream = stream;
-      d.sequence = slot.task.sequence;
-      d.status = FrameStatus::kDroppedQueue;
-      d.degrade_level = scheduler_.level();
-      d.queue_wait_ms = 0.0;
-      d.service_ms = 0.0;
-      d.total_ms = 0.0;
-      d.timing = slot.task.timing;
-      d.timing.queue_admit_ns = 0;  // never admitted
-      d.quality_reasons = slot.task.quality_reasons;
-      d.detections.clear();
-      finish(d);
+    case PushResult::kClosed:
+      task.timing.queue_admit_ns = 0;  // never admitted
+      deliver_unprocessed(task, FrameStatus::kDroppedQueue, scheduler_.level(),
+                          0.0, 0.0, s.dropped);
       return SubmitStatus::kRejected;
-    }
   }
   PDET_REQUIRE(false);
   return SubmitStatus::kRejected;
@@ -302,36 +238,34 @@ void DetectionServer::worker_main(WorkerState* state,
     // (C-1)/C full here, leaving small queues unable to reach the watermark.
     const AdmitDecision decision = scheduler_.admit(queue_.size() + 1, wait_ms);
     task.timing.schedule_ns = obs::timeline_now_ns();
-
+    if (decision.skip) {
+      deliver_unprocessed(task, FrameStatus::kDroppedDeadline, decision.level,
+                          wait_ms, 0.0, result);
+      continue;
+    }
     result.stream = task.stream;
     result.sequence = task.sequence;
+    result.status =
+        decision.level == 0 ? FrameStatus::kOk : FrameStatus::kDegraded;
     result.degrade_level = decision.level;
     result.queue_wait_ms = wait_ms;
     result.quality_reasons = task.quality_reasons;
-    if (decision.skip) {
-      result.status = FrameStatus::kDroppedDeadline;
-      result.service_ms = 0.0;
-      result.detections.clear();
-      result.total_ms = ms_since(task.enqueued_at);
-      result.timing = task.timing;
-      finish(result);
-      continue;
-    }
 
     // Heartbeat for the watchdog: this worker owns one frame until `busy`
     // clears. Published under the state mutex (the exactly-once arbiter —
-    // see WorkerState).
+    // see WorkerState), with the frame's header so a watchdog delivery
+    // carries the frame's own timeline, reasons and rung.
+    task.timing.engine_start_ns = obs::timeline_now_ns();
     {
       std::lock_guard<std::mutex> lock(state->mutex);
       state->busy = true;
-      state->stream = task.stream;
-      state->sequence = task.sequence;
+      state->frame = task;  // the header only; the pixels stay here
+      state->rung = decision.level;
       state->busy_since = Clock::now();
     }
 
     bool faulted = false;
     const util::Timer service;
-    task.timing.engine_start_ns = obs::timeline_now_ns();
     try {
       if (fault::armed()) {
         const fault::Decision stall = fault::check("runtime.worker.stall");
@@ -341,15 +275,11 @@ void DetectionServer::worker_main(WorkerState* state,
         }
       }
       if (options_.tiling.enabled) {
-        process_tiled(task, decision, result);
-        result.service_ms = service.milliseconds();
+        process_tiled(task, decision.level, result);
       } else {
         const detect::MultiscaleResult& detected =
             engine->process(task.frame, options_.hog, model_,
                             rung_options_[static_cast<std::size_t>(decision.level)]);
-        result.service_ms = service.milliseconds();
-        result.status =
-            decision.level == 0 ? FrameStatus::kOk : FrameStatus::kDegraded;
         result.detections = detected.detections;  // copy-assign, capacity reuse
         // Per-level engine time, folded into the timeline's fixed slots
         // (levels beyond the last slot accumulate there).
@@ -370,11 +300,11 @@ void DetectionServer::worker_main(WorkerState* state,
       }
     } catch (const std::exception& e) {
       faulted = true;
-      result.service_ms = service.milliseconds();
       util::log_warn("runtime: engine fault on stream %d seq %llu: %s",
                      task.stream,
                      static_cast<unsigned long long>(task.sequence), e.what());
     }
+    result.service_ms = service.milliseconds();
     task.timing.engine_end_ns = obs::timeline_now_ns();
     result.timing = task.timing;
 
@@ -404,34 +334,33 @@ void DetectionServer::worker_main(WorkerState* state,
   }
 }
 
-void DetectionServer::process_tiled(FrameTask& task,
-                                    const AdmitDecision& decision,
+void DetectionServer::process_tiled(FrameTask& task, int rung,
                                     StreamResult& result) {
-  TileStreamState& ts = *tile_streams_[static_cast<std::size_t>(task.stream)];
-  std::lock_guard<std::mutex> lock(ts.mutex);
+  Stream& s = *streams_[static_cast<std::size_t>(task.stream)];
+  std::lock_guard<std::mutex> lock(s.tile_mutex);
   // Deadline pressure degrades *spatially* on the tiled path: every rung
   // keeps the full-quality scale ladder (rung_options_[0]) and sheds load by
   // detecting fewer tiles instead — hot (tracker-predicted) tiles every
   // frame, cold tiles round-robin under the rung's budget, every tile within
-  // the scheduler's hard staleness bound.
+  // the scheduler's hard staleness bound. ROI mode engages on the rungs
+  // whose budget is below the full tile set.
+  const tile::TilePlan& plan = s.tiles.plan();
+  const int tiles = plan.built() ? plan.tile_count() : 0;  // built lazily
+  const int budget =
+      tiles > 0 ? tile::RoiScheduler::rung_budget(tiles, rung) : 0;
+  const bool roi_mode = options_.tiling.roi.max_age > 0 && budget < tiles;
   const std::vector<int>* selection = nullptr;
-  const bool roi_mode = options_.tiling.roi.max_age > 0 &&
-                        decision.level >= options_.tiling.roi_rung &&
-                        ts.engine.plan().built();
   if (roi_mode) {
-    ts.tracker.predict_boxes(1, ts.predicted);
-    const int budget = tile::RoiScheduler::rung_budget(
-        ts.engine.plan().tile_count(), decision.level);
-    ts.roi.plan_frame(ts.engine.plan(), ts.engine.ages(), ts.predicted, budget,
-                      ts.selection);
-    selection = &ts.selection;
+    {
+      std::lock_guard<std::mutex> track(s.track_mutex);
+      s.tracker.predict_boxes(1, s.predicted);
+    }
+    s.roi.plan_frame(plan, s.tiles.ages(), s.predicted, budget, s.selection);
+    selection = &s.selection;
   }
-  const tile::TiledResult& tiled = ts.engine.process(
+  const tile::TiledResult& tiled = s.tiles.process(
       task.frame, options_.hog, model_, rung_options_[0], selection);
   result.detections = tiled.detections;  // copy-assign, capacity reuse
-  result.status =
-      decision.level == 0 ? FrameStatus::kOk : FrameStatus::kDegraded;
-  ts.tracker.update(result.detections);
   task.timing.tiles_planned = static_cast<std::uint8_t>(
       std::min(tiled.tiles_total, 255));
   task.timing.tiles_detected = static_cast<std::uint8_t>(
@@ -457,16 +386,9 @@ void DetectionServer::handle_fault(FrameTask& task, StreamResult& result) {
         return;
       case PushResult::kReplacedOldest: {
         StreamResult dropped;
-        dropped.stream = evicted.stream;
-        dropped.sequence = evicted.sequence;
-        dropped.status = FrameStatus::kDroppedQueue;
-        dropped.degrade_level = scheduler_.level();
-        dropped.queue_wait_ms = ms_since(evicted.enqueued_at);
-        dropped.service_ms = 0.0;
-        dropped.total_ms = dropped.queue_wait_ms;
-        dropped.timing = evicted.timing;
-        dropped.quality_reasons = evicted.quality_reasons;
-        finish(dropped);
+        deliver_unprocessed(evicted, FrameStatus::kDroppedQueue,
+                            scheduler_.level(), ms_since(evicted.enqueued_at),
+                            0.0, dropped);
         return;
       }
       case PushResult::kRejected:
@@ -484,19 +406,18 @@ void DetectionServer::handle_fault(FrameTask& task, StreamResult& result) {
                    task.stream, static_cast<unsigned long long>(task.sequence),
                    task.faults);
   }
-  result.status = FrameStatus::kError;
-  result.detections.clear();
-  result.total_ms = ms_since(task.enqueued_at);
-  result.timing = task.timing;
-  finish(result);
-  // Trigger after finish() so the poison frame's own timeline is already in
-  // the ring when the dump is written.
+  deliver_unprocessed(task, FrameStatus::kError, result.degrade_level,
+                      result.queue_wait_ms, result.service_ms, result);
+  // Trigger after the delivery so the poison frame's own timeline is already
+  // in the ring when the dump is written.
   if (poisoned) flight_trigger("poison frame");
 }
 
 void DetectionServer::watchdog_main() {
   const auto poll = std::chrono::duration<double, std::milli>(
       options_.watchdog_poll_ms);
+  FrameHeader frame;
+  StreamResult error;
   while (!watchdog_stop_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(poll);
     // Only the watchdog appends after start(), so the size read is stable;
@@ -504,46 +425,69 @@ void DetectionServer::watchdog_main() {
     const std::size_t n = worker_states_.size();
     for (std::size_t i = 0; i < n; ++i) {
       WorkerState& state = worker_states_[i];
-      StreamResult error;
-      bool stalled = false;
+      int rung = 0;
+      Clock::time_point busy_since{};
       {
         std::lock_guard<std::mutex> lock(state.mutex);
-        if (!state.quarantined && state.busy &&
-            ms_since(state.busy_since) >= options_.stall_timeout_ms) {
-          // Quarantine while busy: the worker will see the flag when it
-          // clears busy under this mutex, and deliver nothing.
-          state.quarantined = true;
-          stalled = true;
-          error.stream = state.stream;
-          error.sequence = state.sequence;
-          error.service_ms = ms_since(state.busy_since);
+        if (state.quarantined || !state.busy ||
+            ms_since(state.busy_since) < options_.stall_timeout_ms) {
+          continue;
         }
+        // Quarantine while busy: the worker will see the flag when it
+        // clears busy under this mutex, and deliver nothing.
+        state.quarantined = true;
+        frame = state.frame;
+        rung = state.rung;
+        busy_since = state.busy_since;
       }
-      if (!stalled) continue;
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++counters_.worker_stalls;
         ++counters_.workers_replaced;
         clean_needed_ = options_.recovery_frames;
       }
+      const double busy_ms = ms_since(busy_since);
       util::log_warn(
           "runtime: watchdog quarantined stalled worker %zu "
           "(stream %d seq %llu, busy %.1f ms); spawning replacement",
-          i, error.stream, static_cast<unsigned long long>(error.sequence),
-          error.service_ms);
-      error.status = FrameStatus::kError;
-      error.degrade_level = scheduler_.level();
-      error.total_ms = error.service_ms;
-      // The hung frame's stamped timeline is still in the worker's hands;
-      // identify the frame so the dump shows where the stream stalled.
-      error.timing = obs::FrameTimeline{};
-      error.timing.stream = error.stream;
-      error.timing.sequence = error.sequence;
-      finish(error);
+          i, frame.stream, static_cast<unsigned long long>(frame.sequence),
+          busy_ms);
+      // The hung frame's header as of engine start: its trace id, hop
+      // stamps, gate verdict and rung, so the dump shows where it stalled.
+      deliver_unprocessed(frame, FrameStatus::kError, rung,
+                          ms_since(frame.enqueued_at) - busy_ms, busy_ms,
+                          error);
       spawn_worker();
       flight_trigger("worker quarantine");
     }
   }
+}
+
+void DetectionServer::deliver_unprocessed(const FrameHeader& frame,
+                                          FrameStatus status, int rung,
+                                          double queue_wait_ms,
+                                          double service_ms,
+                                          StreamResult& out) {
+  out.stream = frame.stream;
+  out.sequence = frame.sequence;
+  out.status = status;
+  out.degrade_level = rung;
+  out.queue_wait_ms = queue_wait_ms;
+  out.service_ms = service_ms;
+  out.total_ms = ms_since(frame.enqueued_at);
+  out.timing = frame.timing;
+  out.quality_reasons = frame.quality_reasons;
+  out.detections.clear();
+  if (status == FrameStatus::kDegradedInput) {
+    Stream& s = *streams_[static_cast<std::size_t>(frame.stream)];
+    std::lock_guard<std::mutex> lock(s.track_mutex);
+    ++s.coast;
+    // Coasted past the credible horizon: admit the view is gone.
+    if (s.coast <= s.tracker.options().max_coast) {
+      s.tracker.predict_boxes(s.coast, out.detections);
+    }
+  }
+  finish(out);
 }
 
 void DetectionServer::finish(StreamResult& result) {
@@ -601,7 +545,7 @@ void DetectionServer::finish(StreamResult& result) {
   // counters above: a telemetry query racing the delivery must find every
   // result it has seen already in the ring.
   if (options_.timeline_depth > 0) flight_.record(result.timing);
-  streams_[static_cast<std::size_t>(result.stream)]->deliver(result);
+  streams_[static_cast<std::size_t>(result.stream)]->context.deliver(result);
   {
     std::lock_guard<std::mutex> lock(drain_mutex_);
     --in_flight_;
@@ -666,9 +610,10 @@ void DetectionServer::stop() {
     bytes += engine.stats().alloc_bytes;
   }
   // On the tiled path the pooled engines stayed cold; the per-stream tile
-  // engines carry the real per-tile workspace accounting.
-  for (const auto& ts : tile_streams_) {
-    const tile::TileStats t = ts->engine.stats();
+  // engines carry the real per-tile workspace accounting (and are empty
+  // otherwise).
+  for (const auto& s : streams_) {
+    const tile::TileStats t = s->tiles.stats();
     frames += t.engine_frames;
     bytes += t.alloc_bytes;
   }
@@ -681,8 +626,8 @@ HealthState DetectionServer::health() const {
   if (draining_.load(std::memory_order_acquire)) return HealthState::kDraining;
   // A quarantined camera degrades serving health for as long as it lasts —
   // the fleet is down one input, even though every frame is still answered.
-  for (const auto& gs : guard_streams_) {
-    if (gs->state.load(std::memory_order_relaxed) ==
+  for (const auto& s : streams_) {
+    if (s->camera_state.load(std::memory_order_relaxed) ==
         static_cast<std::uint8_t>(guard::CameraState::kQuarantined)) {
       return HealthState::kDegraded;
     }
@@ -703,9 +648,9 @@ RuntimeStats DetectionServer::stats() const {
   out.health = health();
   out.queue_depth = queue_.size();
   out.degrade_level = scheduler_.level();
-  for (const auto& gs : guard_streams_) {
+  for (const auto& s : streams_) {
     const auto state = static_cast<guard::CameraState>(
-        gs->state.load(std::memory_order_relaxed));
+        s->camera_state.load(std::memory_order_relaxed));
     if (state == guard::CameraState::kSuspect) ++out.cameras_suspect;
     if (state == guard::CameraState::kQuarantined) ++out.cameras_quarantined;
   }

@@ -9,17 +9,28 @@
 // cameras on a multicore host:
 //
 //   submit(stream, frame)                      N producers, one per camera
-//        │ copy into pooled slot, sequence number
+//        │ input gate (guard on), copy into the stream's task, sequence
 //        ▼
 //   BoundedQueue<FrameTask>                    fixed depth, backpressure
 //        │ policy: block / drop-oldest / drop-newest
 //        ▼
 //   worker 0..M-1, each owning a warm          Scheduler consulted per frame:
-//   DetectionEngine (the engine pool)          deadline + degradation ladder
+//   DetectionEngine (the engine pool), or      deadline + degradation ladder
+//   the stream's TileEngine (tiling on)
 //        │
 //        ▼
 //   StreamContext per camera                   in-order delivery: every
-//        └─ ResultCallback(StreamResult)       submitted frame, exactly once
+//        ├─ stream tracker update (guard or    submitted frame, exactly once
+//        │  tiling on; kOk/kDegraded only)
+//        └─ ResultCallback(StreamResult)
+//
+// Each stream is one record built in add_stream: its StreamContext, its
+// submit scratch, the gate and camera machine, the tile engine and ROI
+// scheduler, and one detect::Tracker. The tracker is fed in exactly one
+// place — the in-order delivery above — so it sees frames in capture order
+// at any worker count; the tiled path reads it for ROI predictions and the
+// gate for coast boxes. Its lock is the innermost one and is never held
+// across engine work.
 //
 // Threading contract: one producer per stream (frames of a stream must be
 // submitted in order; different streams submit concurrently), M internal
@@ -33,9 +44,10 @@
 // per-frame kError result instead of dying; a frame is retried once on a
 // different engine before being declared poison; a watchdog thread (enabled
 // by ServerOptions::stall_timeout_ms) detects workers stuck inside one frame,
-// delivers the hung frame's error, quarantines the worker+engine and spawns
-// a replacement. A health state machine (healthy/degraded/draining) summarizes
-// recent faults for operators and remote clients.
+// delivers the hung frame's error with the frame's own timeline, quarantines
+// the worker+engine and spawns a replacement. A health state machine
+// (healthy/degraded/draining) summarizes recent faults for operators and
+// remote clients.
 #pragma once
 
 #include <array>
@@ -67,22 +79,18 @@
 
 namespace pdet::runtime {
 
-/// Tiled UHD serving (DESIGN §13). When enabled, every stream gets a warm
-/// tile::TileEngine + tracker + RoiScheduler; workers route frames through
-/// the tiled pipeline instead of their pooled untiled engine. Deadline
-/// pressure degrades *spatially* (fewer tiles per frame, picked by the ROI
-/// scheduler from tracker predictions) rather than by thinning scales, so
+/// Tiled UHD serving (DESIGN §13). When enabled, workers route every frame
+/// through its stream's warm tile::TileEngine (ServerOptions::engine_threads
+/// tile lanes) instead of their pooled untiled engine. Deadline pressure
+/// degrades *spatially* rather than by thinning scales: on every rung whose
+/// tile::RoiScheduler::rung_budget is below the plan's tile count, the ROI
+/// scheduler picks the tiles from the stream tracker's predictions, so
 /// tracked pedestrians keep full-rate coverage while the background ages at
 /// a bounded rate.
 struct TilingOptions {
   bool enabled = false;
   tile::TilePlanOptions plan;
   tile::RoiOptions roi;
-  /// Scheduler rung at/above which ROI mode engages; below it every tile is
-  /// detected every frame. (Rung 3 frames are skipped before tiling.)
-  int roi_rung = 1;
-  /// Tile lanes per stream engine (tile::TileEngineOptions::threads).
-  int tile_threads = 1;
 };
 
 /// Input-integrity gate (DESIGN §14). When enabled, every submitted frame
@@ -97,14 +105,13 @@ struct InputGuardOptions {
   bool enabled = false;
   guard::GateOptions gate;
   guard::CameraHealthOptions camera;
-  /// Tracker maintained per stream for coasting (updated from delivered
-  /// detections, consulted when the gate rejects a frame).
-  detect::TrackerOptions tracker;
 };
 
 struct ServerOptions {
   int workers = 2;                 ///< engine pool size (one engine each)
-  int engine_threads = 1;          ///< per-engine pyramid-level lanes
+  /// Lanes per engine: pyramid levels of a pooled engine, or tiles of a
+  /// stream's tile engine when tiling is on.
+  int engine_threads = 1;
   std::size_t queue_capacity = 8;  ///< shared frame queue depth
   BackpressurePolicy backpressure = BackpressurePolicy::kDropOldest;
   SchedulerOptions scheduler;      ///< deadlines + degradation ladder
@@ -216,7 +223,9 @@ class DetectionServer {
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct FrameTask {
+  /// Everything the server knows of a frame but its pixels: enough to
+  /// deliver the frame without engine output from any thread holding a copy.
+  struct FrameHeader {
     int stream = -1;
     std::uint64_t sequence = 0;
     int faults = 0;  ///< processing attempts that faulted (poison tracking)
@@ -228,15 +237,11 @@ class DetectionServer {
     /// Gate reason mask for frames the guard let through (timing carries the
     /// quality/camera bytes; the full mask doesn't fit there).
     std::uint32_t quality_reasons = 0;
-    imgproc::ImageF frame;
   };
 
-  /// Per-stream submit scratch: reused task + eviction + drop-delivery
-  /// buffers, touched only by the stream's single producer.
-  struct SubmitSlot {
-    FrameTask task;
-    FrameTask evicted;
-    StreamResult dropped;
+  /// A queued frame: its header plus the pixels only an engine needs.
+  struct FrameTask : FrameHeader {
+    imgproc::ImageF frame;
   };
 
   /// Per-worker heartbeat shared between the worker and the watchdog. The
@@ -248,62 +253,64 @@ class DetectionServer {
     std::mutex mutex;
     bool busy = false;         ///< between dequeue and delivery of one frame
     bool quarantined = false;  ///< watchdog took the frame; worker must exit
-    int stream = -1;
-    std::uint64_t sequence = 0;
+    FrameHeader frame;         ///< the frame in hand, stamped to engine start
+    int rung = 0;              ///< the rung it runs at
     Clock::time_point busy_since{};
     std::thread thread;
   };
 
-  /// Per-stream tiled pipeline (ServerOptions::tiling.enabled): workers of
-  /// any pool slot may carry a stream's frame, so the warm engine + tracker
-  /// live with the stream, serialized by a per-stream mutex (frames of one
-  /// stream are processed in submit order by construction of the queue —
-  /// the mutex only guards against cross-stream workers touching the state).
-  struct TileStreamState {
-    std::mutex mutex;
-    tile::TileEngine engine;
-    tile::RoiScheduler roi;
-    detect::Tracker tracker;
-    std::vector<detect::Detection> predicted;  ///< warm prediction buffer
-    std::vector<int> selection;                ///< warm tile selection
+  /// One camera stream: everything it owns, built in add_stream. The submit
+  /// scratch, gate and camera machine are touched only by the stream's single
+  /// producer; the tile engine, ROI scheduler and their buffers by the worker
+  /// holding `tile_mutex` (two workers may carry frames of one stream). The
+  /// tracker and coast count sit under `track_mutex`, the innermost lock,
+  /// never held across engine work.
+  struct Stream {
+    Stream(int id, std::string name, ResultCallback on_result,
+           const ServerOptions& options, score::ScoringBackend* scorer);
 
-    TileStreamState(const tile::TileEngineOptions& engine_options,
-                    const tile::RoiOptions& roi_options)
-        : engine(engine_options), roi(roi_options) {}
-  };
+    /// The in-order delivery hook (under the context's delivery lock): feed
+    /// the tracker a kOk/kDegraded result's detections, then the callback.
+    void delivered(const StreamResult& result);
 
-  /// Per-stream input-integrity state (ServerOptions::guard.enabled). The
-  /// gate and camera machine run only on the submit path — single producer
-  /// per stream by contract, so they need no lock. The tracker is shared
-  /// between the delivery path (update() on real detections, in order under
-  /// the stream's delivery lock) and the submit path (coast predictions for
-  /// rejected frames); `mutex` serializes those two. `state` mirrors the
-  /// camera machine for lock-free reads by health()/stats().
-  struct GuardStreamState {
+    StreamContext context;
+    const ResultCallback callback;
+    const bool tracked;  ///< guard or tiling on: the tracker is fed
+
+    FrameTask task;        ///< submit scratch: the frame being submitted
+    FrameTask evicted;     ///< drop-oldest out-param
+    StreamResult dropped;  ///< deliveries made on the submit path
+
     guard::FrameGuard gate;
     guard::CameraHealth camera;
-    std::atomic<std::uint8_t> state{0};  ///< guard::CameraState as int
-    std::mutex mutex;                    ///< tracker + predicted + coast
-    detect::Tracker tracker;
-    std::vector<detect::Detection> predicted;  ///< warm coast buffer
-    int coast = 0;  ///< consecutive unusable frames coasted so far
+    /// Mirrors `camera` for lock-free reads by health()/stats().
+    std::atomic<std::uint8_t> camera_state{0};
 
-    GuardStreamState(const guard::GateOptions& gate_options,
-                     const guard::CameraHealthOptions& camera_options,
-                     const detect::TrackerOptions& tracker_options)
-        : gate(gate_options), camera(camera_options),
-          tracker(tracker_options) {}
+    std::mutex tile_mutex;
+    tile::TileEngine tiles;
+    tile::RoiScheduler roi;
+    std::vector<detect::Detection> predicted;  ///< warm ROI prediction buffer
+    std::vector<int> selection;                ///< warm tile selection
+
+    std::mutex track_mutex;
+    detect::Tracker tracker;
+    int coast = 0;  ///< unusable frames submitted since the last detection
   };
 
   void spawn_worker();
   void worker_main(WorkerState* state, detect::DetectionEngine* engine);
   /// The tiled counterpart of the engine->process call in worker_main:
-  /// predict, select tiles, detect, track. Returns the tiled result (valid
-  /// until the stream's next frame; caller copies under the stream lock).
-  void process_tiled(FrameTask& task, const AdmitDecision& decision,
-                     StreamResult& result);
+  /// predict, select tiles, detect into `result.detections`.
+  void process_tiled(FrameTask& task, int rung, StreamResult& result);
   void watchdog_main();
   void handle_fault(FrameTask& task, StreamResult& result);
+  /// Deliver a frame that carries no engine output, from its own header:
+  /// stream, sequence, timeline and gate reasons. `rung` is the rung the
+  /// frame ran (or would have run) at. A kDegradedInput delivery carries the
+  /// stream tracker's coast predictions; every other status carries none.
+  void deliver_unprocessed(const FrameHeader& frame, FrameStatus status,
+                           int rung, double queue_wait_ms, double service_ms,
+                           StreamResult& out);
   void finish(StreamResult& result);
   /// Flight-recorder dump trigger (poison frame, quarantine, health left
   /// healthy). Counts the trigger; writes dump files when configured and
@@ -323,12 +330,7 @@ class DetectionServer {
 
   BoundedQueue<FrameTask> queue_;
   Scheduler scheduler_;
-  std::vector<std::unique_ptr<StreamContext>> streams_;
-  std::vector<SubmitSlot> submit_slots_;
-  /// One per stream when tiling is enabled (sized at start()), else empty.
-  std::vector<std::unique_ptr<TileStreamState>> tile_streams_;
-  /// One per stream when the input guard is enabled (sized at start()).
-  std::vector<std::unique_ptr<GuardStreamState>> guard_streams_;
+  std::vector<std::unique_ptr<Stream>> streams_;
   // Deques for reference stability: the watchdog appends replacement
   // engines/workers while existing workers hold pointers into both. Only
   // the watchdog appends after start(); stop() joins the watchdog before

@@ -33,8 +33,8 @@ enum class FrameStatus {
                      ///< engine output (pdet::guard, wire protocol >= 5)
 };
 
-/// One delivery. `detections` is empty for dropped frames; the latency
-/// fields are 0 for frames dropped at submit time.
+/// One delivery. `detections` is empty for dropped frames; queue_wait_ms
+/// and service_ms are 0 for frames that never reached a worker.
 struct StreamResult {
   int stream = -1;
   std::uint64_t sequence = 0;

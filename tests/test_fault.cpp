@@ -499,6 +499,50 @@ TEST(RuntimeFaults, WatchdogReplacesAStalledWorker) {
   server.stop();
 }
 
+TEST(RuntimeFaults, WatchdogErrorCarriesTheStalledFramesOwnRecord) {
+  runtime::ServerOptions opts = fault_server_options();
+  opts.guard.enabled = true;
+  opts.stall_timeout_ms = 100.0;
+  opts.watchdog_poll_ms = 10.0;
+  const svm::LinearModel model = make_model(opts.hog, 16);
+  runtime::DetectionServer server(model, opts);
+  std::vector<runtime::StreamResult> results;
+  server.add_stream("cam0", [&results](const runtime::StreamResult& r) {
+    results.push_back(r);
+  });
+  server.start();
+  // Three dead rows: the gate passes the frame as degraded, so it reaches a
+  // worker carrying a verdict the watchdog's error must not lose.
+  imgproc::ImageF frame = make_frame(128, 128, 16);
+  for (int y = 40; y < 43; ++y) {
+    std::fill(frame.row(y), frame.row(y) + frame.width(), 0.0f);
+  }
+  constexpr std::uint64_t kTag = 0xC0FFEE;
+  {
+    fault::Plan plan;
+    plan.with("runtime.worker.stall", 1.0, /*param=*/1000, 0, /*max_fires=*/1);
+    fault::ScopedPlan armed(plan);
+    EXPECT_EQ(server.submit(0, frame, kTag), runtime::SubmitStatus::kAccepted);
+    server.drain();
+  }
+  ASSERT_EQ(results.size(), 1u);
+  const runtime::StreamResult& r = results[0];
+  EXPECT_EQ(r.status, runtime::FrameStatus::kError);
+  EXPECT_EQ(r.sequence, 0u);
+  EXPECT_EQ(r.degrade_level, 0);
+  EXPECT_EQ(r.timing.trace_id, kTag);
+  EXPECT_NE(r.timing.service_recv_ns, 0u);
+  EXPECT_NE(r.timing.schedule_ns, 0u);
+  EXPECT_NE(r.timing.engine_start_ns, 0u);
+  EXPECT_EQ(r.timing.engine_end_ns, 0u) << "the engine never returned";
+  EXPECT_EQ(r.input_quality,
+            static_cast<std::uint8_t>(guard::FrameQuality::kDegraded));
+  EXPECT_TRUE(r.quality_reasons & guard::kReasonDeadRows);
+  EXPECT_GE(r.service_ms, opts.stall_timeout_ms);
+  EXPECT_EQ(server.stats().worker_stalls, 1);
+  server.stop();
+}
+
 TEST(RuntimeFaults, HealthWalksDegradedThenHealthyThenDraining) {
   runtime::ServerOptions opts = fault_server_options();
   opts.recovery_frames = 2;
@@ -654,6 +698,58 @@ TEST(ChaosService, SeededFaultScheduleKeepsExactlyOnceAccounting) {
     EXPECT_EQ(stats.runtime.worker_stalls,
               fault::Injector::instance().fires("runtime.worker.stall"));
   }
+}
+
+TEST(ChaosService, StalledFrameComesBackAsItsOwnTaggedError) {
+  // Deterministic watchdog run: one worker, and the stall fires on the
+  // second frame only, so the schedule is ok / watchdog error / ok.
+  net::ServiceOptions opts;
+  opts.port = 0;
+  opts.runtime = fault_server_options();
+  opts.runtime.stall_timeout_ms = 500.0;
+  opts.runtime.watchdog_poll_ms = 10.0;
+  const svm::LinearModel model = make_model(opts.runtime.hog, 17);
+  net::DetectionService service(model, opts);
+  std::string error;
+  ASSERT_TRUE(service.start(&error)) << error;
+
+  net::ClientOptions copts;
+  copts.port = service.port();
+  copts.name = "stall-cam";
+  net::Client client(copts);
+  ASSERT_TRUE(client.connect()) << client.last_error();
+
+  const runtime::FrameStatus expected[] = {runtime::FrameStatus::kOk,
+                                           runtime::FrameStatus::kError,
+                                           runtime::FrameStatus::kOk};
+  {
+    fault::Plan plan;
+    plan.with("runtime.worker.stall", 1.0, /*param=*/1500, /*skip=*/1,
+              /*max_fires=*/1);
+    fault::ScopedPlan armed(plan);
+    for (std::uint64_t f = 0; f < 3; ++f) {
+      ASSERT_TRUE(client.submit(make_frame(128, 128, 1700 + f)))
+          << client.last_error();
+    }
+    net::wire::Result result;
+    for (std::uint64_t f = 0; f < 3; ++f) {
+      ASSERT_TRUE(client.next_result(result, 60000.0))
+          << "frame " << f << ": " << client.last_error();
+      EXPECT_EQ(result.tag, f);
+      EXPECT_EQ(result.sequence, f);
+      EXPECT_EQ(result.status, expected[f]) << "frame " << f;
+    }
+  }
+  EXPECT_TRUE(client.in_order());
+  EXPECT_EQ(client.results_missed(), 0);
+  EXPECT_EQ(client.protocol_errors(), 0);
+  client.disconnect();
+  service.stop();
+  const net::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.runtime.worker_stalls, 1);
+  EXPECT_EQ(stats.runtime.completed, 2);
+  EXPECT_EQ(stats.runtime.errors, 1);
+  EXPECT_EQ(stats.results_sent, 3);
 }
 
 }  // namespace

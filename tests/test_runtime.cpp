@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/detect/multiscale.hpp"
+#include "src/detect/tracker.hpp"
 #include "src/runtime/bounded_queue.hpp"
 #include "src/runtime/scheduler.hpp"
 #include "src/runtime/server.hpp"
@@ -426,6 +427,84 @@ TEST(DetectionServer, NominalLoadCompletesEveryFrameInOrder) {
   EXPECT_EQ(stats.engine_frames, kStreams * kFrames);
   EXPECT_GT(stats.engine_alloc_bytes, 0u);
   EXPECT_GT(stats.aggregate_fps, 0.0);
+}
+
+TEST(DetectionServer, StreamTrackerIsFedInFrameOrderAtAnyWorkerCount) {
+  // Three workers finish frames out of order; each stream's one tracker must
+  // still see the delivered detections in frame order, which the gate's
+  // coast boxes after a blackout expose.
+  ServerOptions opts = nominal_options();
+  opts.workers = 3;
+  opts.multiscale.scales = {1.0};
+  // Every window is a hit, so NMS leaves a handful of boxes per frame.
+  opts.multiscale.scan.threshold = -100.0f;
+  opts.guard.enabled = true;
+  const svm::LinearModel model = make_model(opts.hog, 12);
+  constexpr int kStreams = 2;
+  constexpr int kLive = 8;
+  constexpr int kBlack = 2;
+
+  DetectionServer server(model, opts);
+  std::vector<Recorded> recorded(kStreams);
+  for (int s = 0; s < kStreams; ++s) {
+    Recorded& rec = recorded[static_cast<std::size_t>(s)];
+    server.add_stream("cam" + std::to_string(s), [&rec](const StreamResult& r) {
+      rec.sequences.push_back(r.sequence);
+      rec.statuses.push_back(r.status);
+      rec.detections.push_back(r.detections);
+    });
+  }
+  server.start();
+  // One still scene per stream under a brightness step: boxes hold still so
+  // tracks confirm, and no frame repeats its predecessor exactly.
+  std::vector<imgproc::ImageF> scenes;
+  for (int s = 0; s < kStreams; ++s) {
+    scenes.push_back(make_frame(192, 160, 40 + static_cast<std::uint64_t>(s)));
+  }
+  for (int f = 0; f < kLive; ++f) {
+    for (int s = 0; s < kStreams; ++s) {
+      imgproc::ImageF frame = scenes[static_cast<std::size_t>(s)];
+      for (float& p : frame.pixels()) p += 0.002f * static_cast<float>(f);
+      ASSERT_EQ(server.submit(s, frame), SubmitStatus::kAccepted);
+    }
+  }
+  server.drain();
+  for (int f = 0; f < kBlack; ++f) {
+    for (int s = 0; s < kStreams; ++s) {
+      ASSERT_EQ(server.submit(s, imgproc::ImageF(192, 160, 0.0f)),
+                SubmitStatus::kAccepted);
+    }
+  }
+  server.drain();
+  server.stop();
+
+  for (int s = 0; s < kStreams; ++s) {
+    const Recorded& rec = recorded[static_cast<std::size_t>(s)];
+    ASSERT_EQ(rec.statuses.size(), static_cast<std::size_t>(kLive + kBlack));
+    detect::Tracker standalone;
+    for (int f = 0; f < kLive; ++f) {
+      ASSERT_EQ(rec.statuses[static_cast<std::size_t>(f)], FrameStatus::kOk);
+      standalone.update(rec.detections[static_cast<std::size_t>(f)]);
+    }
+    std::vector<detect::Detection> coast;
+    for (int k = 1; k <= kBlack; ++k) {
+      const auto idx = static_cast<std::size_t>(kLive + k - 1);
+      ASSERT_EQ(rec.statuses[idx], FrameStatus::kDegradedInput);
+      standalone.predict_boxes(k, coast);
+      if (k == 1) {
+        EXPECT_FALSE(coast.empty()) << "no confirmed tracks";
+      }
+      const auto& got = rec.detections[idx];
+      ASSERT_EQ(got.size(), coast.size()) << "stream " << s << " black " << k;
+      for (std::size_t d = 0; d < coast.size(); ++d) {
+        EXPECT_EQ(got[d].x, coast[d].x);
+        EXPECT_EQ(got[d].y, coast[d].y);
+        EXPECT_EQ(got[d].width, coast[d].width);
+        EXPECT_EQ(got[d].height, coast[d].height);
+        EXPECT_EQ(got[d].score, coast[d].score);
+      }
+    }
+  }
 }
 
 TEST(DetectionServer, OverloadShedsInsteadOfGrowingTheQueue) {

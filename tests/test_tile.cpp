@@ -11,6 +11,7 @@
 #include "src/detect/engine.hpp"
 #include "src/detect/multiscale.hpp"
 #include "src/detect/nms.hpp"
+#include "src/detect/tracker.hpp"
 #include "src/runtime/server.hpp"
 #include "src/tile/engine.hpp"
 #include "src/tile/plan.hpp"
@@ -163,7 +164,7 @@ struct EquivalenceCase {
 };
 
 void expect_tiled_equals_untiled(const EquivalenceCase& c, std::uint64_t seed,
-                                 int tile_threads,
+                                 int lanes,
                                  const hog::HogParams& params = {},
                                  int width = 512, int tile_width = 256) {
   const svm::LinearModel model = random_model(params, seed ^ 0xabcdef);
@@ -181,7 +182,7 @@ void expect_tiled_equals_untiled(const EquivalenceCase& c, std::uint64_t seed,
   tile::TileEngineOptions topts;
   topts.plan.tile_width = tile_width;
   topts.plan.tile_height = 192;
-  topts.threads = tile_threads;
+  topts.threads = lanes;
   tile::TileEngine tiled(topts);
   const tile::TiledResult& result = tiled.process(frame, params, model, ms);
 
@@ -429,7 +430,7 @@ runtime::ServerOptions tiled_server_options() {
   opts.tiling.enabled = true;
   opts.tiling.plan.tiles_x = 2;
   opts.tiling.plan.tiles_y = 2;
-  opts.tiling.tile_threads = 2;
+  opts.engine_threads = 2;
   return opts;
 }
 
@@ -481,6 +482,75 @@ TEST(RuntimeTiled, MatchesUntiledEngineWithExactlyOnceDelivery) {
       expect_identical(expected.detections, r.detections, "runtime tiled");
     }
   }
+}
+
+TEST(RuntimeTiled, GuardedTiledServerCoastsFromTheDeliveredDetections) {
+  // Tiling and the input guard together: one tracker per stream, fed the
+  // delivered detections in frame order, serves both the ROI predictions
+  // and the gate's coast boxes.
+  hog::HogParams params;
+  const svm::LinearModel model = random_model(params, 33);
+  runtime::ServerOptions opts = tiled_server_options();
+  opts.guard.enabled = true;
+  opts.backpressure = runtime::BackpressurePolicy::kBlock;
+  opts.scheduler.max_level = 0;  // every engine frame at rung 0
+
+  runtime::DetectionServer server(model, opts);
+  auto c0 = std::make_shared<Collected>();
+  server.add_stream("cam0", [c0](const runtime::StreamResult& r) { (*c0)(r); });
+  server.start();
+
+  // One scene under a per-frame brightness step: the boxes hold still, so
+  // tracks confirm, yet no two frames are equal, so the gate passes them.
+  const imgproc::ImageF scene = scene_frame(256, 256, 300);
+  const int kLive = 6;
+  const int kBlack = 3;
+  std::vector<imgproc::ImageF> frames;
+  for (int f = 0; f < kLive; ++f) {
+    imgproc::ImageF frame = scene;
+    for (float& p : frame.pixels()) p += 0.002f * static_cast<float>(f);
+    frames.push_back(std::move(frame));
+  }
+  // Live frames run concurrently on both workers; the blackout follows
+  // only once all of them have delivered.
+  for (const imgproc::ImageF& frame : frames) {
+    ASSERT_EQ(server.submit(0, frame), runtime::SubmitStatus::kAccepted);
+  }
+  server.drain();
+  for (int f = 0; f < kBlack; ++f) {
+    ASSERT_EQ(server.submit(0, imgproc::ImageF(256, 256, 0.0f)),
+              runtime::SubmitStatus::kAccepted);
+  }
+  server.drain();
+  server.stop();
+
+  ASSERT_EQ(c0->results.size(), static_cast<std::size_t>(kLive + kBlack));
+  detect::DetectionEngine reference;
+  detect::Tracker standalone;
+  for (int f = 0; f < kLive; ++f) {
+    const runtime::StreamResult& r = c0->results[static_cast<std::size_t>(f)];
+    EXPECT_EQ(r.sequence, static_cast<std::uint64_t>(f));
+    ASSERT_EQ(r.status, runtime::FrameStatus::kOk) << "frame " << f;
+    const detect::MultiscaleResult& expected = reference.process(
+        frames[static_cast<std::size_t>(f)], params, model, opts.multiscale);
+    expect_identical(expected.detections, r.detections, "guarded tiled");
+    standalone.update(r.detections);
+  }
+  std::vector<detect::Detection> coast;
+  for (int k = 1; k <= kBlack; ++k) {
+    const runtime::StreamResult& r =
+        c0->results[static_cast<std::size_t>(kLive + k - 1)];
+    ASSERT_EQ(r.status, runtime::FrameStatus::kDegradedInput) << "black " << k;
+    standalone.predict_boxes(k, coast);
+    if (k == 1) {
+      EXPECT_FALSE(coast.empty()) << "degenerate case: no confirmed tracks";
+    }
+    expect_identical(coast, r.detections, "coast");
+  }
+  const runtime::RuntimeStats stats = server.stats();
+  EXPECT_EQ(stats.completed, kLive);
+  EXPECT_EQ(stats.guard_unusable, kBlack);
+  EXPECT_EQ(stats.tiles_detected, kLive * 4);
 }
 
 TEST(RuntimeTiled, RoiModeUnderPressureKeepsStalenessBound) {
