@@ -17,7 +17,8 @@
 // Also verifies the runtime's allocation discipline end to end with a global
 // operator-new counter: after a warmup pass, submit -> queue -> engine ->
 // in-order delivery must run allocation-free (the engine's zero-allocation
-// steady state, preserved by the layers the runtime adds on top).
+// steady state, preserved by the layers the runtime adds on top), with the
+// input gate and the stream tracker it feeds off and on.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -378,46 +379,52 @@ int main(int argc, char** argv) {
               overload_shed ? "yes" : "NO");
 
   // --- allocation steady state across the whole runtime path ---
-  // Run one warmup pass (sizes every slot, workspace and reorder buffer),
-  // then count operator-new calls over a second pass through the same
+  // Run two warmup passes (sizing every slot, workspace and reorder buffer),
+  // then count operator-new calls over a third pass through the same
   // server. obs stays on: the server's own accounting must be
-  // allocation-free too.
-  runtime::ServerOptions aopts;
-  aopts.workers = 1;
-  aopts.queue_capacity = 8;
-  aopts.backpressure = runtime::BackpressurePolicy::kBlock;
-  aopts.backend = backend;
-  aopts.hog = hog;
-  aopts.multiscale = multiscale;
-  runtime::DetectionServer server(detector.model(), aopts);
-  for (int s = 0; s < 2; ++s) {
-    server.add_stream("cam" + std::to_string(s), nullptr);
-  }
-  server.start();
-  const auto pass = [&] {
-    for (int f = 0; f < frames; ++f) {
-      for (int s = 0; s < 2; ++s) {
-        (void)server.submit(
-            s, feed[static_cast<std::size_t>(s)]
-                   [static_cast<std::size_t>(f) %
-                    feed[static_cast<std::size_t>(s)].size()]);
-      }
-    }
-    server.drain();
-  };
-  pass();  // warmup: every buffer reaches its high-water mark
-  pass();
-  const long long before = g_heap_allocs.load();
-  pass();
-  const long long steady_allocs = g_heap_allocs.load() - before;
-  server.stop();
+  // allocation-free too. The second configuration turns the input gate on,
+  // which also feeds each stream's tracker at every in-order delivery.
   const int steady_frames = 2 * frames;
-  std::printf("\nallocation steady state: %lld heap allocations across %d "
-              "warm frames — expected 0\n",
-              steady_allocs, steady_frames);
+  long long steady_allocs = 0;
+  for (const bool guard : {false, true}) {
+    runtime::ServerOptions aopts;
+    aopts.workers = 1;
+    aopts.queue_capacity = 8;
+    aopts.backpressure = runtime::BackpressurePolicy::kBlock;
+    aopts.backend = backend;
+    aopts.hog = hog;
+    aopts.multiscale = multiscale;
+    aopts.guard.enabled = guard;
+    runtime::DetectionServer server(detector.model(), aopts);
+    for (int s = 0; s < 2; ++s) {
+      server.add_stream("cam" + std::to_string(s), nullptr);
+    }
+    server.start();
+    const auto pass = [&] {
+      for (int f = 0; f < frames; ++f) {
+        for (int s = 0; s < 2; ++s) {
+          (void)server.submit(
+              s, feed[static_cast<std::size_t>(s)]
+                     [static_cast<std::size_t>(f) %
+                      feed[static_cast<std::size_t>(s)].size()]);
+        }
+      }
+      server.drain();
+    };
+    pass();  // warmup: every buffer reaches its high-water mark
+    pass();
+    const long long before = g_heap_allocs.load();
+    pass();
+    const long long allocs = g_heap_allocs.load() - before;
+    server.stop();
+    std::printf("\nallocation steady state, guard %s: %lld heap allocations "
+                "across %d warm frames — expected 0\n",
+                guard ? "on" : "off", allocs, steady_frames);
+    steady_allocs += allocs;
+  }
   obs::gauge_set("runtime.bench.steady_allocs_per_frame",
                  static_cast<double>(steady_allocs) /
-                     static_cast<double>(steady_frames));
+                     static_cast<double>(2 * steady_frames));
 
   // --- fault accounting spot check ---
   // Dashboards scraping this bench's metrics JSON alert on the same four

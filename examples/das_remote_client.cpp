@@ -135,22 +135,21 @@ int main(int argc, char** argv) {
                      client.last_error().c_str());
         return 1;
       }
-      std::printf(
-          "up %8.1fs  health %-8s  timelines %llu (window %u)  "
-          "admit %.2f/%.2f  queue %.2f/%.2f  engine %.1f/%.1f  "
-          "total %.1f/%.1f ms p50/p99\n",
-          t.uptime_seconds,
-          runtime::to_string(
-              static_cast<runtime::HealthState>(t.health_state)),
-          static_cast<unsigned long long>(t.timeline_frames),
-          t.timeline_window, static_cast<double>(t.admit.p50_ms),
-          static_cast<double>(t.admit.p99_ms),
-          static_cast<double>(t.queue.p50_ms),
-          static_cast<double>(t.queue.p99_ms),
-          static_cast<double>(t.engine.p50_ms),
-          static_cast<double>(t.engine.p99_ms),
-          static_cast<double>(t.total.p50_ms),
-          static_cast<double>(t.total.p99_ms));
+      std::printf("up %8.1fs  health %-8s  timelines %llu (window %u) ",
+                  t.uptime_seconds,
+                  runtime::to_string(
+                      static_cast<runtime::HealthState>(t.health_state)),
+                  static_cast<unsigned long long>(t.timeline_frames),
+                  t.timeline_window);
+      net::wire::TelemetryReport::visit(
+          [](const obs::Segment& segment,
+             const net::wire::TelemetryPercentiles& p) {
+            std::printf(" %s %.2f/%.2f", segment.name,
+                        static_cast<double>(p.p50_ms),
+                        static_cast<double>(p.p99_ms));
+          },
+          t);
+      std::printf(" ms p50/p99\n");
       if (client.query_stats(sr, 2000.0)) print_server_stats(sr);
       if (cli.get_flag("prometheus")) {
         std::fputs(t.prometheus.c_str(), stdout);
@@ -231,16 +230,15 @@ int main(int argc, char** argv) {
         {"server timelines (window)",
          std::to_string(telemetry.timeline_frames) + " (" +
              std::to_string(telemetry.timeline_window) + ")"});
-    table.add_row(
-        {"server engine ms p50/p99",
-         util::to_fixed(static_cast<double>(telemetry.engine.p50_ms), 2) +
-             " / " +
-             util::to_fixed(static_cast<double>(telemetry.engine.p99_ms), 2)});
-    table.add_row(
-        {"server total ms p50/p99",
-         util::to_fixed(static_cast<double>(telemetry.total.p50_ms), 2) +
-             " / " +
-             util::to_fixed(static_cast<double>(telemetry.total.p99_ms), 2)});
+    net::wire::TelemetryReport::visit(
+        [&table](const obs::Segment& segment,
+                 const net::wire::TelemetryPercentiles& p) {
+          table.add_row(
+              {util::format("server %s ms p50/p99", segment.name),
+               util::to_fixed(static_cast<double>(p.p50_ms), 2) + " / " +
+                   util::to_fixed(static_cast<double>(p.p99_ms), 2)});
+        },
+        telemetry);
   }
   std::fputs(table.to_string().c_str(), stdout);
   if (have_stats) {

@@ -21,16 +21,16 @@ const std::vector<Track>& Tracker::update(
   PDET_TRACE_SCOPE("detect/tracker_update");
   // Greedy association: repeatedly take the globally best (track, detection)
   // IoU pair above the threshold.
-  std::vector<bool> det_used(detections.size(), false);
-  std::vector<bool> trk_used(tracks_.size(), false);
+  det_used_.assign(detections.size(), false);
+  trk_used_.assign(tracks_.size(), false);
   while (true) {
     double best_iou = options_.match_iou;
     int best_t = -1;
     int best_d = -1;
     for (std::size_t t = 0; t < tracks_.size(); ++t) {
-      if (trk_used[t]) continue;
+      if (trk_used_[t]) continue;
       for (std::size_t d = 0; d < detections.size(); ++d) {
-        if (det_used[d]) continue;
+        if (det_used_[d]) continue;
         const double v = iou(tracks_[t].box, detections[d]);
         if (v >= best_iou) {
           best_iou = v;
@@ -40,8 +40,8 @@ const std::vector<Track>& Tracker::update(
       }
     }
     if (best_t < 0) break;
-    trk_used[static_cast<std::size_t>(best_t)] = true;
-    det_used[static_cast<std::size_t>(best_d)] = true;
+    trk_used_[static_cast<std::size_t>(best_t)] = true;
+    det_used_[static_cast<std::size_t>(best_d)] = true;
 
     Track& track = tracks_[static_cast<std::size_t>(best_t)];
     const Detection& det = detections[static_cast<std::size_t>(best_d)];
@@ -79,7 +79,7 @@ const std::vector<Track>& Tracker::update(
   // Unmatched tracks coast; drop after max_misses.
   for (std::size_t t = 0; t < tracks_.size(); ++t) {
     ++tracks_[t].age;
-    if (!trk_used[t]) ++tracks_[t].misses_in_a_row;
+    if (!trk_used_[t]) ++tracks_[t].misses_in_a_row;
   }
   tracks_.erase(std::remove_if(tracks_.begin(), tracks_.end(),
                                [&](const Track& track) {
@@ -89,7 +89,7 @@ const std::vector<Track>& Tracker::update(
 
   // Unmatched detections found new tracks.
   for (std::size_t d = 0; d < detections.size(); ++d) {
-    if (det_used[d]) continue;
+    if (det_used_[d]) continue;
     Track track;
     track.id = next_id_++;
     track.box = detections[d];

@@ -85,6 +85,9 @@ class Tracker {
   TrackerOptions options_;
   std::vector<Track> tracks_;
   int next_id_ = 1;
+  /// update()'s association marks, warm so a steady update allocates nothing.
+  std::vector<bool> det_used_;
+  std::vector<bool> trk_used_;
 };
 
 }  // namespace pdet::detect

@@ -224,14 +224,11 @@ void ShardRouter::query(net::Link& link, wire::MsgType type) {
   stream.telemetry = type == wire::MsgType::kTelemetryQuery;
   stream.awaiting = 0;
   stream.stats = wire::StatsReport{};
-  wire::TelemetryReport& telem = stream.telem;
-  telem.uptime_seconds = 0.0;
-  telem.health_state = 0;
-  telem.timeline_frames = 0;
-  telem.timeline_window = 0;
-  telem.admit = telem.queue = telem.engine = telem.total =
-      wire::TelemetryPercentiles{};
-  telem.prometheus.clear();
+  // Reset every telemetry field; the text keeps its capacity.
+  std::string text = std::move(stream.telem.prometheus);
+  stream.telem = {};
+  stream.telem.prometheus = std::move(text);
+  stream.telem.prometheus.clear();
 
   enc_.clear();
   if (stream.telemetry) {
@@ -263,15 +260,14 @@ void ShardRouter::merge_report(Backend& be, Stream& stream) {
   acc.health_state = std::max(acc.health_state, in.health_state);
   acc.timeline_frames += in.timeline_frames;
   acc.timeline_window += in.timeline_window;
-  const auto worst = [](wire::TelemetryPercentiles& a,
-                        const wire::TelemetryPercentiles& b) {
-    a.p50_ms = std::max(a.p50_ms, b.p50_ms);
-    a.p99_ms = std::max(a.p99_ms, b.p99_ms);
-  };
-  worst(acc.admit, in.admit);
-  worst(acc.queue, in.queue);
-  worst(acc.engine, in.engine);
-  worst(acc.total, in.total);
+  // Percentiles do not compose: each segment's fleet row is its worst shard.
+  wire::TelemetryReport::visit(
+      [](const obs::Segment&, wire::TelemetryPercentiles& a,
+         const wire::TelemetryPercentiles& b) {
+        a.p50_ms = std::max(a.p50_ms, b.p50_ms);
+        a.p99_ms = std::max(a.p99_ms, b.p99_ms);
+      },
+      acc, in);
   // Per-shard label line, then the shard's registry text, under the wire cap.
   char label[128];
   std::snprintf(label, sizeof label, "# pdet_fleet_shard %d %s:%u\n",

@@ -38,8 +38,8 @@
 // shard; per-session FIFOs pair reports with pending aggregations (wire
 // ordering per session makes that exact). Stats reports fold through
 // runtime::merge_runtime_stats, the one merge the stats table generates;
-// telemetry health merges worst-of and its text is concatenated under
-// per-shard label lines.
+// telemetry health and every reported timeline segment's p50/p99 merge
+// worst-of, and its text is concatenated under per-shard label lines.
 //
 // The io layer is net::FrameServer, the core the router shares with
 // net::DetectionService: the same fixed client-link pool, poll loop and

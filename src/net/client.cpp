@@ -10,6 +10,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+Clock::time_point deadline_after(double ms) {
+  return Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double, std::milli>(ms));
+}
+
 double ms_until(Clock::time_point deadline) {
   return std::chrono::duration<double, std::milli>(deadline - Clock::now())
       .count();
@@ -142,10 +147,7 @@ bool Client::ensure_connected() {
 
 bool Client::send_all(const std::vector<std::uint8_t>& buf) {
   std::size_t at = 0;
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(
-                             options_.io_timeout_ms));
+  const auto deadline = deadline_after(options_.io_timeout_ms);
   while (at < buf.size()) {
     std::size_t sent = 0;
     const IoStatus status = send_some(
@@ -174,9 +176,7 @@ bool Client::send_all(const std::vector<std::uint8_t>& buf) {
 }
 
 bool Client::read_message(double timeout_ms) {
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(timeout_ms));
+  const auto deadline = deadline_after(timeout_ms);
   for (;;) {
     // Parse before reading: a previous read may have buffered a frame.
     const std::span<const std::uint8_t> pending(recv_buf_.data() + recv_pos_,
@@ -295,33 +295,7 @@ void Client::graft_timeline(const wire::Result& r) {
   t.degrade_level = r.degrade_level;
   t.input_quality = r.input_quality;
   t.camera_state = r.camera_state;
-  t.client_encode_ns = encode_ns;
-  t.client_decode_ns = decode_ns;
-  if (encode_ns != 0 && decode_ns > encode_ns) {
-    // Place the server hops on the client clock: the server held the frame
-    // for send_us, the rest of the round trip was the network, and the
-    // midpoint estimate splits it evenly (clocks never cross the wire).
-    const std::uint64_t server_ns =
-        static_cast<std::uint64_t>(r.trace.send_us) * 1000;
-    const std::uint64_t rtt_ns = decode_ns - encode_ns;
-    const std::uint64_t one_way_ns =
-        rtt_ns > server_ns ? (rtt_ns - server_ns) / 2 : 0;
-    const std::uint64_t recv_ns = encode_ns + one_way_ns;
-    const auto hop = [recv_ns](std::uint32_t us) {
-      return us == 0 ? 0 : recv_ns + static_cast<std::uint64_t>(us) * 1000;
-    };
-    t.service_recv_ns = recv_ns;
-    t.gate_ns = hop(r.trace.gate_us);
-    t.queue_admit_ns = hop(r.trace.admit_us);
-    t.schedule_ns = hop(r.trace.schedule_us);
-    t.engine_start_ns = hop(r.trace.engine_start_us);
-    t.engine_end_ns = hop(r.trace.engine_end_us);
-    t.deliver_ns = hop(r.trace.deliver_us);
-    t.wire_send_ns = hop(r.trace.send_us);
-  }
-  t.level_count = static_cast<std::uint8_t>(std::min<std::size_t>(
-      r.trace.level_count, obs::kTimelineMaxLevels));
-  t.level_us = r.trace.level_us;
+  wire::graft_trace(r.trace, encode_ns, decode_ns, t);
   last_timeline_ = t;
   have_timeline_ = true;
 }
@@ -345,96 +319,59 @@ bool Client::next_result(wire::Result& out, double timeout_ms) {
     last_error_ = "not connected";
     return false;
   }
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(timeout_ms));
+  if (!await(wire::MsgType::kResult, timeout_ms)) return false;
+  out = msg_.result;
+  note_result(out);
+  return true;
+}
+
+bool Client::await(wire::MsgType reply, double timeout_ms) {
+  const auto deadline = deadline_after(timeout_ms);
   for (;;) {
     if (!read_message(std::max(0.0, ms_until(deadline)))) return false;
+    if (msg_.type == reply) return true;
     switch (msg_.type) {
-      case wire::MsgType::kResult: {
-        out = msg_.result;
-        note_result(out);
-        return true;
-      }
+      case wire::MsgType::kStatsReport:
+      case wire::MsgType::kTelemetryReport:
+        continue;  // stale report (its query timed out earlier); skip
+      case wire::MsgType::kResult:
+        // Keep the delivery contract: park it for next_result().
+        note_result(msg_.result);
+        buffered_results_.push_back(msg_.result);
+        continue;
       case wire::MsgType::kError:
         ++protocol_errors_;
         fail_link(std::string("server error: ") + msg_.error.message);
         return false;
-      case wire::MsgType::kStatsReport:
-      case wire::MsgType::kTelemetryReport:
-        continue;  // stale report (query timed out earlier); skip
       default:
         ++protocol_errors_;
         fail_link("unexpected message type");
         return false;
     }
   }
+}
+
+bool Client::query(wire::MsgType reply, double timeout_ms) {
+  if (!ensure_connected()) return false;
+  send_buf_.clear();
+  if (reply == wire::MsgType::kStatsReport) {
+    wire::encode_stats_query(send_buf_);
+  } else {
+    wire::encode_telemetry_query(send_buf_);
+  }
+  return send_all(send_buf_) && await(reply, timeout_ms);
 }
 
 bool Client::query_stats(wire::StatsReport& out, double timeout_ms) {
-  if (!ensure_connected()) return false;
-  send_buf_.clear();
-  wire::encode_stats_query(send_buf_);
-  if (!send_all(send_buf_)) return false;
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(timeout_ms));
-  for (;;) {
-    if (!read_message(std::max(0.0, ms_until(deadline)))) return false;
-    switch (msg_.type) {
-      case wire::MsgType::kStatsReport:
-        out = msg_.stats;
-        return true;
-      case wire::MsgType::kTelemetryReport:
-        continue;  // stale telemetry report; skip
-      case wire::MsgType::kResult:
-        // Keep the delivery contract: park it for next_result().
-        note_result(msg_.result);
-        buffered_results_.push_back(msg_.result);
-        continue;
-      case wire::MsgType::kError:
-        ++protocol_errors_;
-        fail_link(std::string("server error: ") + msg_.error.message);
-        return false;
-      default:
-        ++protocol_errors_;
-        fail_link("unexpected message type");
-        return false;
-    }
-  }
+  if (!query(wire::MsgType::kStatsReport, timeout_ms)) return false;
+  out = msg_.stats;
+  return true;
 }
 
 bool Client::query_telemetry(wire::TelemetryReport& out, double timeout_ms) {
-  if (!ensure_connected()) return false;
-  send_buf_.clear();
-  wire::encode_telemetry_query(send_buf_);
-  if (!send_all(send_buf_)) return false;
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(timeout_ms));
-  for (;;) {
-    if (!read_message(std::max(0.0, ms_until(deadline)))) return false;
-    switch (msg_.type) {
-      case wire::MsgType::kTelemetryReport:
-        out = msg_.telemetry;
-        return true;
-      case wire::MsgType::kStatsReport:
-        continue;  // stale stats report; skip
-      case wire::MsgType::kResult:
-        // Keep the delivery contract: park it for next_result().
-        note_result(msg_.result);
-        buffered_results_.push_back(msg_.result);
-        continue;
-      case wire::MsgType::kError:
-        ++protocol_errors_;
-        fail_link(std::string("server error: ") + msg_.error.message);
-        return false;
-      default:
-        ++protocol_errors_;
-        fail_link("unexpected message type");
-        return false;
-    }
-  }
+  if (!query(wire::MsgType::kTelemetryReport, timeout_ms)) return false;
+  out = msg_.telemetry;
+  return true;
 }
 
 }  // namespace pdet::net

@@ -140,6 +140,11 @@ class Client {
   bool send_all(const std::vector<std::uint8_t>& buf);
   /// Read until `msg_` holds one decoded message; false on timeout/error.
   bool read_message(double timeout_ms);
+  /// Read until `msg_` holds a `reply`, parking results that come first for
+  /// next_result() and skipping stale reports. False on timeout/error.
+  bool await(wire::MsgType reply, double timeout_ms);
+  /// Send the query `reply` answers (a stats or telemetry report), await it.
+  bool query(wire::MsgType reply, double timeout_ms);
   /// Ordering/shedding bookkeeping for one received Result.
   void note_result(const wire::Result& r);
   /// Rebuild the frame's end-to-end timeline from the wire trace offsets.

@@ -123,30 +123,20 @@ void DetectionService::build_telemetry_report(wire::TelemetryReport& out) {
   out.timeline_frames = flight.total_recorded();
   const std::vector<obs::FrameTimeline> window = flight.snapshot();
   out.timeline_window = static_cast<std::uint32_t>(window.size());
-  std::vector<double> admit, queue, engine, total;
-  admit.reserve(window.size());
-  queue.reserve(window.size());
-  engine.reserve(window.size());
-  total.reserve(window.size());
-  for (const obs::FrameTimeline& t : window) {
-    const obs::TimelineBreakdown b = obs::breakdown(t);
-    admit.push_back(b.admit_ms);
-    queue.push_back(b.queue_ms);
-    engine.push_back(b.engine_ms);
-    total.push_back(b.total_ms);
-  }
-  const auto pcts = [](std::span<const double> xs) {
-    wire::TelemetryPercentiles p;
-    if (!xs.empty()) {
-      p.p50_ms = static_cast<float>(util::percentile(xs, 50.0));
-      p.p99_ms = static_cast<float>(util::percentile(xs, 99.0));
-    }
-    return p;
-  };
-  out.admit = pcts(admit);
-  out.queue = pcts(queue);
-  out.engine = pcts(engine);
-  out.total = pcts(total);
+  std::vector<double> xs;
+  xs.reserve(window.size());
+  wire::TelemetryReport::visit(
+      [&](const obs::Segment& segment, wire::TelemetryPercentiles& p) {
+        xs.clear();
+        for (const obs::FrameTimeline& t : window) {
+          xs.push_back(obs::ms_between(t, segment.from, segment.to));
+        }
+        const auto pct = [&xs](double q) {
+          return xs.empty() ? 0.f : static_cast<float>(util::percentile(xs, q));
+        };
+        p = {pct(50.0), pct(99.0)};
+      },
+      out);
 
   // Refresh the registry before rendering so the scrape is current. Empty
   // text when metrics are disabled — the counters above still fill in.
@@ -218,19 +208,6 @@ void DetectionService::stopping() {
   runtime_.drain();
 }
 
-namespace {
-
-/// Microseconds from `from` to `to`, 0 when either stamp is missing or the
-/// hop went backwards (a stamp of 0 means "hop not reached").
-std::uint32_t us_offset(std::uint64_t from, std::uint64_t to) {
-  if (from == 0 || to <= from) return 0;
-  const std::uint64_t us = (to - from) / 1000;
-  return static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(us, 0xFFFF'FFFFull));
-}
-
-}  // namespace
-
 void DetectionService::produce() {
   for (int id = 0; id < server_.max_clients(); ++id) {
     Link& link = server_.client(id);
@@ -240,7 +217,7 @@ void DetectionService::produce() {
     // A full tx stops the loop (the result that did not fit is the link's
     // pending frame); the rest wait in the bounded slot queue.
     while (link.writable() && s.results.try_pop(s.popped)) {
-      const runtime::StreamResult& r = s.popped;
+      runtime::StreamResult& r = s.popped;
       wire::Result& out = out_result_;
       out.sequence = r.sequence;
       out.tag = r.timing.trace_id;
@@ -252,21 +229,9 @@ void DetectionService::produce() {
       out.input_quality = r.input_quality;
       out.camera_state = r.camera_state;
       out.quality_reasons = r.quality_reasons;
-      // Flatten the server-side timeline into wire offsets relative to
-      // service receive; wire_send is stamped here, at encode time.
-      const obs::FrameTimeline& t = r.timing;
-      out.trace.gate_us = us_offset(t.service_recv_ns, t.gate_ns);
-      out.trace.admit_us = us_offset(t.service_recv_ns, t.queue_admit_ns);
-      out.trace.schedule_us = us_offset(t.service_recv_ns, t.schedule_ns);
-      out.trace.engine_start_us =
-          us_offset(t.service_recv_ns, t.engine_start_ns);
-      out.trace.engine_end_us = us_offset(t.service_recv_ns, t.engine_end_ns);
-      out.trace.deliver_us = us_offset(t.service_recv_ns, t.deliver_ns);
-      out.trace.send_us =
-          us_offset(t.service_recv_ns, obs::timeline_now_ns());
-      out.trace.level_count = static_cast<std::uint8_t>(
-          std::min<std::size_t>(t.level_count, obs::kTimelineMaxLevels));
-      out.trace.level_us = t.level_us;
+      // wire_send is stamped here, at encode time.
+      r.timing.wire_send_ns = obs::timeline_now_ns();
+      wire::trace_timeline(r.timing, out.trace);
       out.detections = r.detections;  // copy-assign, capacity reuse
       enc_.clear();
       wire::encode_result(out, enc_);

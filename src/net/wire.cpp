@@ -25,6 +25,26 @@ constexpr std::size_t kResultTagOffset = kHeaderSize + 8;
 /// One StatsReport pair: u16 id + 8-byte value.
 constexpr std::size_t kStatPairBytes = 10;
 
+/// The trace block's hop offsets, in slot order.
+constexpr auto kTraceBySlot = [] {
+  std::array<std::uint32_t FrameTrace::*, kTraceHops> by_slot{};
+#define PDET_TRACE_SLOT(hop, member, slot) \
+  by_slot.at(slot) = &FrameTrace::member;
+  PDET_FRAME_HOPS(PDET_TIMELINE_SKIP, PDET_TRACE_SLOT)
+#undef PDET_TRACE_SLOT
+  return by_slot;
+}();
+static_assert(std::ranges::none_of(kTraceBySlot,
+                                   [](auto m) { return m == nullptr; }),
+              "every trace slot belongs to exactly one hop");
+
+/// Microseconds from `from` to `to`; 0 when either is missing or to <= from.
+std::uint32_t us_after(std::uint64_t from, std::uint64_t to) {
+  if (from == 0 || to <= from) return 0;
+  return static_cast<std::uint32_t>(
+      std::min<std::uint64_t>((to - from) / 1000, 0xFFFF'FFFFull));
+}
+
 /// A stats-table value as its 8 wire bytes (see the v6 note in wire.hpp).
 template <class T>
 std::uint64_t stat_bits(T v) {
@@ -148,11 +168,11 @@ bool decode_result(ByteReader& r, Result& out) {
   out.quality_reasons = r.u32();
   const std::uint32_t count = r.u32();
   if (!r.ok() || count > kMaxDetections) return false;
-  // 28 bytes per detection plus the fixed prefix of the v3/v5 trace block
-  // (seven u32 hop offsets + u8 level count); reject inconsistent counts
-  // before resizing. The trace block's own length is variable
-  // (level_count), so the exact-size check is the final exhausted().
-  if (r.remaining() < static_cast<std::size_t>(count) * 28 + 29) return false;
+  // 28 bytes per detection plus the trace block's hop offsets and level
+  // count; its level times vary, so the exact-size check is exhausted().
+  if (r.remaining() < std::size_t{count} * 28 + 4 * kTraceHops + 1) {
+    return false;
+  }
   out.detections.resize(count);
   for (detect::Detection& d : out.detections) {
     d.x = r.i32();
@@ -162,15 +182,8 @@ bool decode_result(ByteReader& r, Result& out) {
     d.score = r.f32();
     d.scale = r.f64();
   }
-  // v3 trace block (+ gate_us in v5): seven u32 hop offsets, u8 level
-  // count, level times.
-  out.trace.admit_us = r.u32();
-  out.trace.schedule_us = r.u32();
-  out.trace.engine_start_us = r.u32();
-  out.trace.engine_end_us = r.u32();
-  out.trace.deliver_us = r.u32();
-  out.trace.send_us = r.u32();
-  out.trace.gate_us = r.u32();
+  // Trace block: the hop offsets in slot order, u8 level count, level times.
+  for (const auto member : kTraceBySlot) out.trace.*member = r.u32();
   const std::uint8_t levels = r.u8();
   if (!r.ok() || levels > obs::kTimelineMaxLevels) return false;
   out.trace.level_count = levels;
@@ -189,11 +202,12 @@ bool decode_telemetry_report(ByteReader& r, TelemetryReport& out) {
   }
   out.timeline_frames = r.u64();
   out.timeline_window = r.u32();
-  for (TelemetryPercentiles* p :
-       {&out.admit, &out.queue, &out.engine, &out.total}) {
-    p->p50_ms = r.f32();
-    p->p99_ms = r.f32();
-  }
+  TelemetryReport::visit(
+      [&r](const obs::Segment&, TelemetryPercentiles& p) {
+        p.p50_ms = r.f32();
+        p.p99_ms = r.f32();
+      },
+      out);
   return r.ok() && r.str(out.prometheus, kMaxTelemetryTextLen) &&
          r.exhausted();
 }
@@ -314,13 +328,7 @@ void encode_result(const Result& msg, std::vector<std::uint8_t>& out) {
   const std::uint8_t levels = std::min<std::uint8_t>(
       msg.trace.level_count,
       static_cast<std::uint8_t>(obs::kTimelineMaxLevels));
-  w.u32(msg.trace.admit_us);
-  w.u32(msg.trace.schedule_us);
-  w.u32(msg.trace.engine_start_us);
-  w.u32(msg.trace.engine_end_us);
-  w.u32(msg.trace.deliver_us);
-  w.u32(msg.trace.send_us);
-  w.u32(msg.trace.gate_us);
+  for (const auto member : kTraceBySlot) w.u32(msg.trace.*member);
   w.u8(levels);
   for (std::uint8_t i = 0; i < levels; ++i) {
     w.u32(msg.trace.level_us[i]);
@@ -363,11 +371,12 @@ void encode_telemetry_report(const TelemetryReport& msg,
   w.u32(msg.health_state);
   w.u64(msg.timeline_frames);
   w.u32(msg.timeline_window);
-  for (const TelemetryPercentiles* p :
-       {&msg.admit, &msg.queue, &msg.engine, &msg.total}) {
-    w.f32(p->p50_ms);
-    w.f32(p->p99_ms);
-  }
+  TelemetryReport::visit(
+      [&w](const obs::Segment&, const TelemetryPercentiles& p) {
+        w.f32(p.p50_ms);
+        w.f32(p.p99_ms);
+      },
+      msg);
   w.str(std::string_view(msg.prometheus)
             .substr(0, kMaxTelemetryTextLen));
   end_frame(w, out, at);
@@ -385,6 +394,38 @@ void encode_shutdown(std::vector<std::uint8_t>& out) {
   ByteWriter w(out);
   const std::size_t at = begin_frame(w, MsgType::kShutdown);
   end_frame(w, out, at);
+}
+
+void trace_timeline(const obs::FrameTimeline& t, FrameTrace& out) {
+#define PDET_TRACE_OFFSET(hop, member, slot) \
+  out.member = us_after(t.service_recv_ns, t.hop##_ns);
+  PDET_FRAME_HOPS(PDET_TIMELINE_SKIP, PDET_TRACE_OFFSET)
+#undef PDET_TRACE_OFFSET
+  out.level_count = t.level_count;  // the runtime fills at most the max
+  out.level_us = t.level_us;
+}
+
+void graft_trace(const FrameTrace& trace, std::uint64_t encode_ns,
+                 std::uint64_t decode_ns, obs::FrameTimeline& out) {
+  // The server held the frame for send_us; the midpoint estimate splits the
+  // rest of the round trip evenly between the two network legs.
+  const std::uint64_t server_ns = std::uint64_t{trace.send_us} * 1000;
+  const std::uint64_t rtt_ns = decode_ns - encode_ns;
+  const std::uint64_t recv_ns =
+      encode_ns == 0 || decode_ns <= encode_ns
+          ? 0
+          : encode_ns + (rtt_ns > server_ns ? (rtt_ns - server_ns) / 2 : 0);
+  const auto at = [recv_ns](std::uint64_t us) {
+    return recv_ns == 0 || us == 0 ? 0 : recv_ns + us * 1000;
+  };
+  out.client_encode_ns = encode_ns;
+  out.service_recv_ns = recv_ns;
+  out.client_decode_ns = decode_ns;
+#define PDET_TRACE_GRAFT(hop, member, slot) out.hop##_ns = at(trace.member);
+  PDET_FRAME_HOPS(PDET_TIMELINE_SKIP, PDET_TRACE_GRAFT)
+#undef PDET_TRACE_GRAFT
+  out.level_count = trace.level_count;  // decode_result bounded it
+  out.level_us = trace.level_us;
 }
 
 DecodeStatus decode_message(std::span<const std::uint8_t> data, Message& out,

@@ -101,14 +101,21 @@ inline constexpr std::size_t kMaxTelemetryTextLen = 1u << 20;
 /// here (its new ids are skipped).
 inline constexpr std::size_t kMaxStatPairs = 256;
 static_assert(runtime::kWireStatCount <= kMaxStatPairs);
+/// The wire hops and the reported segments of the timeline tables.
+#define PDET_COUNT_ROW(...) +1
+inline constexpr std::size_t kTraceHops =
+    0 PDET_FRAME_HOPS(PDET_TIMELINE_SKIP, PDET_COUNT_ROW);
+inline constexpr std::size_t kTelemetrySegments =
+    0 PDET_FRAME_SEGMENTS(PDET_TIMELINE_SKIP, PDET_COUNT_ROW);
+#undef PDET_COUNT_ROW
 /// The largest frames a server sends: a Result with kMaxDetections boxes
 /// and every level time, and a TelemetryReport with the full text. Every
 /// other reply is smaller than either.
 inline constexpr std::size_t kMaxResultBytes =
-    kHeaderSize + 44 + std::size_t{kMaxDetections} * 28 + 29 +
+    kHeaderSize + 44 + std::size_t{kMaxDetections} * 28 + 4 * kTraceHops + 1 +
     4 * obs::kTimelineMaxLevels;
 inline constexpr std::size_t kMaxTelemetryReportBytes =
-    kHeaderSize + 60 + kMaxTelemetryTextLen;
+    kHeaderSize + 28 + 8 * kTelemetrySegments + kMaxTelemetryTextLen;
 inline constexpr std::size_t kMaxReplyBytes =
     kMaxResultBytes > kMaxTelemetryReportBytes ? kMaxResultBytes
                                                : kMaxTelemetryReportBytes;
@@ -154,18 +161,15 @@ struct SubmitFrame {
 };
 
 /// Server-side hop offsets for one frame (v3), microseconds relative to the
-/// service-receive stamp. Clock domains do not cross the wire: the server
+/// service-receive stamp: one <member> per WIRE_HOP row of
+/// obs::PDET_FRAME_HOPS. Clock domains do not cross the wire: the server
 /// publishes durations, and the client grafts them onto its own
 /// obs::timeline_now_ns() domain (see Client::last_timeline). 0 = hop not
 /// reached (dropped/errored frames stop partway).
 struct FrameTrace {
-  std::uint32_t admit_us = 0;         ///< recv -> bounded-queue admit
-  std::uint32_t schedule_us = 0;      ///< recv -> scheduler decision
-  std::uint32_t engine_start_us = 0;  ///< recv -> detect::process entered
-  std::uint32_t engine_end_us = 0;    ///< recv -> detect::process returned
-  std::uint32_t deliver_us = 0;       ///< recv -> in-order delivery fired
-  std::uint32_t send_us = 0;          ///< recv -> result encoded for wire
-  std::uint32_t gate_us = 0;          ///< recv -> integrity gate verdict (v5)
+#define PDET_TRACE_MEMBER(hop, member, slot) std::uint32_t member = 0;
+  PDET_FRAME_HOPS(PDET_TIMELINE_SKIP, PDET_TRACE_MEMBER)
+#undef PDET_TRACE_MEMBER
   std::uint8_t level_count = 0;       ///< pyramid levels actually timed
   std::array<std::uint32_t, obs::kTimelineMaxLevels> level_us{};
 };
@@ -199,7 +203,7 @@ struct StatsReport {
   runtime::NetStats net;
 };
 
-/// p50/p99 of one hop duration over the server's flight-recorder window.
+/// p50/p99 of one segment over the server's flight-recorder window.
 struct TelemetryPercentiles {
   float p50_ms = 0.0f;
   float p99_ms = 0.0f;
@@ -209,17 +213,26 @@ struct TelemetryPercentiles {
 /// needs in one round trip. `prometheus` is the full obs registry rendered
 /// in Prometheus text exposition format 0.0.4 (empty when the server runs
 /// with metrics disabled); the percentiles come from the frame timelines
-/// retained in the server's flight recorder.
+/// retained in the server's flight recorder, one member per REPORTED row of
+/// obs::PDET_FRAME_SEGMENTS.
 struct TelemetryReport {
   double uptime_seconds = 0.0;
   std::uint32_t health_state = 0;      ///< runtime::HealthState as integer
   std::uint64_t timeline_frames = 0;   ///< timelines recorded since start
   std::uint32_t timeline_window = 0;   ///< frames the percentiles cover
-  TelemetryPercentiles admit;   ///< service recv -> queue admit
-  TelemetryPercentiles queue;   ///< queue admit -> schedule decision
-  TelemetryPercentiles engine;  ///< engine start -> end
-  TelemetryPercentiles total;   ///< first -> last recorded stamp
+#define PDET_TELEMETRY_MEMBER(name, ...) TelemetryPercentiles name;
+  PDET_FRAME_SEGMENTS(PDET_TIMELINE_SKIP, PDET_TELEMETRY_MEMBER)
+#undef PDET_TELEMETRY_MEMBER
   std::string prometheus;       ///< metrics registry, text exposition
+
+  /// Calls f(segment, r.<member>...) per reported segment, in wire order.
+  template <class F, class... R>
+  static void visit(F&& f, R&... r) {
+#define PDET_TELEMETRY_VISIT(name, from, to, row)                       \
+  f(obs::Segment{#name, obs::Hop::from, obs::Hop::to, row}, r.name...);
+    PDET_FRAME_SEGMENTS(PDET_TIMELINE_SKIP, PDET_TELEMETRY_VISIT)
+#undef PDET_TELEMETRY_VISIT
+  }
 };
 
 struct Error {
@@ -281,6 +294,15 @@ void encode_shutdown(std::vector<std::uint8_t>& out);
 /// cannot resynchronise after a framing error).
 DecodeStatus decode_message(std::span<const std::uint8_t> data, Message& out,
                             std::size_t& consumed);
+
+/// A server timeline's wire hops as offsets after service_recv, + levels.
+void trace_timeline(const obs::FrameTimeline& t, FrameTrace& out);
+/// The inverse on a client clock that encoded the frame at encode_ns (0 =
+/// unknown) and decoded its result at decode_ns: the client stamps,
+/// service_recv by the NTP-style midpoint estimate, each reached hop at its
+/// offset after it (none without encode_ns), + levels.
+void graft_trace(const FrameTrace& trace, std::uint64_t encode_ns,
+                 std::uint64_t decode_ns, obs::FrameTimeline& out);
 
 // --- raw frames: checked, patched and forwarded without a payload decode ---
 

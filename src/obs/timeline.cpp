@@ -44,33 +44,30 @@ const char* camera_name(std::uint8_t state) {
   return "?";
 }
 
-double ms_between(std::uint64_t from_ns, std::uint64_t to_ns) {
-  if (from_ns == 0 || to_ns == 0 || to_ns < from_ns) return 0.0;
-  return static_cast<double>(to_ns - from_ns) / 1e6;
-}
+#define PDET_HOP_STAMP_MEMBER(name, ...) &FrameTimeline::name##_ns,
+constexpr std::uint64_t FrameTimeline::*kStamps[] = {
+    PDET_FRAME_HOPS(PDET_HOP_STAMP_MEMBER, PDET_HOP_STAMP_MEMBER)};
+#undef PDET_HOP_STAMP_MEMBER
 
-/// First / last non-zero stamp of a timeline, for total latency.
-std::uint64_t first_stamp(const FrameTimeline& t) {
-  for (const std::uint64_t s :
-       {t.client_encode_ns, t.service_recv_ns, t.gate_ns, t.queue_admit_ns,
-        t.schedule_ns, t.engine_start_ns, t.engine_end_ns, t.deliver_ns,
-        t.wire_send_ns, t.client_decode_ns}) {
-    if (s != 0) return s;
+std::uint64_t stamp(const FrameTimeline& t, Hop h) {
+  if (h != Hop::first && h != Hop::last) {
+    return t.*kStamps[static_cast<std::size_t>(h)];
   }
-  return 0;
-}
-
-std::uint64_t last_stamp(const FrameTimeline& t) {
-  for (const std::uint64_t s :
-       {t.client_decode_ns, t.wire_send_ns, t.deliver_ns, t.engine_end_ns,
-        t.engine_start_ns, t.schedule_ns, t.queue_admit_ns, t.gate_ns,
-        t.service_recv_ns, t.client_encode_ns}) {
-    if (s != 0) return s;
+  std::uint64_t found = 0;
+  for (const auto member : kStamps) {
+    if (t.*member != 0 && (found == 0 || h == Hop::last)) found = t.*member;
   }
-  return 0;
+  return found;
 }
 
 }  // namespace
+
+double ms_between(const FrameTimeline& t, Hop from, Hop to) {
+  const std::uint64_t from_ns = stamp(t, from);
+  const std::uint64_t to_ns = stamp(t, to);
+  if (from_ns == 0 || to_ns == 0 || to_ns < from_ns) return 0.0;
+  return static_cast<double>(to_ns - from_ns) / 1e6;
+}
 
 std::uint64_t timeline_now_ns() {
   // steady_clock's epoch is process-arbitrary but its count is positive in
@@ -166,20 +163,14 @@ std::vector<FrameTimeline> FlightRecorder::snapshot() const {
 
 TimelineBreakdown breakdown(const FrameTimeline& t) {
   TimelineBreakdown b;
-  b.ingress_ms = ms_between(t.client_encode_ns, t.service_recv_ns);
-  b.gate_ms = ms_between(t.service_recv_ns, t.gate_ns);
-  b.admit_ms = ms_between(t.service_recv_ns, t.queue_admit_ns);
-  b.queue_ms = ms_between(t.queue_admit_ns, t.schedule_ns);
-  b.engine_ms = ms_between(t.engine_start_ns, t.engine_end_ns);
-  b.deliver_ms = ms_between(t.engine_end_ns, t.deliver_ns);
-  b.egress_ms = ms_between(t.deliver_ns, t.wire_send_ns);
-  b.return_ms = ms_between(t.wire_send_ns, t.client_decode_ns);
-  b.total_ms = ms_between(first_stamp(t), last_stamp(t));
+#define PDET_SEGMENT_BREAKDOWN(name, from, to, row) \
+  b.name##_ms = ms_between(t, Hop::from, Hop::to);
+  PDET_FRAME_SEGMENTS(PDET_SEGMENT_BREAKDOWN, PDET_SEGMENT_BREAKDOWN)
+#undef PDET_SEGMENT_BREAKDOWN
   return b;
 }
 
 std::string to_line(const FrameTimeline& t) {
-  const TimelineBreakdown b = breakdown(t);
   std::string out = util::format(
       "tag=%llu stream=%d seq=%llu %s rung%u",
       static_cast<unsigned long long>(t.trace_id), t.stream,
@@ -189,10 +180,10 @@ std::string to_line(const FrameTimeline& t) {
     out += util::format(" input=%s cam=%s", quality_name(t.input_quality),
                         camera_name(t.camera_state));
   }
-  if (b.ingress_ms > 0.0) out += util::format(" ingress=%.3fms", b.ingress_ms);
-  if (b.gate_ms > 0.0) out += util::format(" gate=%.3fms", b.gate_ms);
-  out += util::format(" admit=%.3fms queue=%.3fms engine=%.3fms", b.admit_ms,
-                      b.queue_ms, b.engine_ms);
+  for (const Segment& s : kSegments) {
+    if (stamp(t, s.from) == 0 || stamp(t, s.to) == 0) continue;
+    out += util::format(" %s=%.3fms", s.name, ms_between(t, s.from, s.to));
+  }
   if (t.tiles_planned > 0) {
     out += util::format(" tiles=%u/%u", static_cast<unsigned>(t.tiles_detected),
                         static_cast<unsigned>(t.tiles_planned));
@@ -207,10 +198,6 @@ std::string to_line(const FrameTimeline& t) {
     }
     out += "]ms";
   }
-  out += util::format(" deliver=%.3fms", b.deliver_ms);
-  if (b.egress_ms > 0.0) out += util::format(" egress=%.3fms", b.egress_ms);
-  if (b.return_ms > 0.0) out += util::format(" return=%.3fms", b.return_ms);
-  out += util::format(" total=%.3fms", b.total_ms);
   return out;
 }
 
@@ -284,16 +271,11 @@ std::string FlightRecorder::to_chrome_json() const {
     out += "\"}}";
     for (const FrameTimeline& t : r->ring.snapshot()) {
       const int pid = r->stream;
-      append_slice(out, first, "ingress", pid, 1, t.client_encode_ns,
-                   t.service_recv_ns, t.trace_id, t.sequence);
-      append_slice(out, first, "gate", pid, 9, t.service_recv_ns, t.gate_ns,
-                   t.trace_id, t.sequence);
-      append_slice(out, first, "admit", pid, 2, t.service_recv_ns,
-                   t.queue_admit_ns, t.trace_id, t.sequence);
-      append_slice(out, first, "queue", pid, 3, t.queue_admit_ns,
-                   t.schedule_ns, t.trace_id, t.sequence);
-      append_slice(out, first, "engine", pid, 4, t.engine_start_ns,
-                   t.engine_end_ns, t.trace_id, t.sequence);
+      for (const Segment& s : kSegments) {
+        if (s.trace_row == 0) continue;
+        append_slice(out, first, s.name, pid, s.trace_row, stamp(t, s.from),
+                     stamp(t, s.to), t.trace_id, t.sequence);
+      }
       // Per-level slices nest inside the engine span, back to back.
       std::uint64_t level_start = t.engine_start_ns;
       const std::size_t n =
@@ -301,18 +283,12 @@ std::string FlightRecorder::to_chrome_json() const {
       for (std::size_t i = 0; i < n && level_start != 0; ++i) {
         const std::uint64_t level_end =
             level_start + std::uint64_t{t.level_us[i]} * 1000;
-        char level_name[24];
+        char level_name[32];
         std::snprintf(level_name, sizeof(level_name), "level %zu", i);
         append_slice(out, first, level_name, pid, 5, level_start, level_end,
                      t.trace_id, t.sequence);
         level_start = level_end;
       }
-      append_slice(out, first, "deliver", pid, 6, t.engine_end_ns,
-                   t.deliver_ns, t.trace_id, t.sequence);
-      append_slice(out, first, "egress", pid, 7, t.deliver_ns, t.wire_send_ns,
-                   t.trace_id, t.sequence);
-      append_slice(out, first, "return", pid, 8, t.wire_send_ns,
-                   t.client_decode_ns, t.trace_id, t.sequence);
     }
   }
   out += "],\"displayTimeUnit\":\"ms\"}";

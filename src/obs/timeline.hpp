@@ -6,9 +6,13 @@
 // keyed by the client's frame tag so the journey is reconstructable end to
 // end across the wire:
 //
-//   client_encode ─ client_send ─► service_recv ─ queue_admit ─ schedule
-//        ─ engine_start ─ [level 0..k spans] ─ engine_end ─ deliver
-//        ─ wire_send ─► client_recv ─ client_decode
+//   client_encode ─ client_send ─► service_recv ─ gate ─ queue_admit
+//        ─ schedule ─ engine_start ─ [level 0..k] ─ engine_end ─ complete
+//        ─ deliver ─ wire_send ─► client_recv ─ client_decode
+//
+// The hops and the segments between them are declared once, in the two
+// tables below; every copy of a frame's journey (stamps, wire trace,
+// telemetry, fleet merge, dumps, runtime durations) is generated from them.
 //
 // Stamps are nanoseconds on obs::timeline_clock — a process-local monotonic
 // clock — so stamps from different processes must not be compared directly.
@@ -43,6 +47,50 @@ std::uint64_t timeline_now_ns();
 /// folded into the last slot — the serving rungs use far fewer levels).
 inline constexpr std::size_t kTimelineMaxLevels = 12;
 
+// The hops, in journey order. HOP(name) stays in the process that stamped
+// it; WIRE_HOP(name, member, slot) also rides the wire as
+// net::wire::FrameTrace::<member> (µs after service_recv), the slot-th u32
+// of a Result's trace block (the slots keep the v6 bytes).
+// clang-format off
+#define PDET_FRAME_HOPS(HOP, WIRE_HOP)                                         \
+  HOP(client_encode)                           /* client encoded the frame */  \
+  HOP(service_recv)                            /* server decoded the submit */ \
+  WIRE_HOP(gate,         gate_us,         6)   /* integrity-gate verdict */    \
+  WIRE_HOP(queue_admit,  admit_us,        0)   /* bounded queue accepted */    \
+  WIRE_HOP(schedule,     schedule_us,     1)   /* worker asked scheduler */    \
+  WIRE_HOP(engine_start, engine_start_us, 2)                                   \
+  WIRE_HOP(engine_end,   engine_end_us,   3)                                   \
+  HOP(complete)                                /* into the reorder buffer */   \
+  WIRE_HOP(deliver,      deliver_us,      4)   /* in-order callback fired */   \
+  WIRE_HOP(wire_send,    send_us,         5)   /* result encoded for wire */   \
+  HOP(client_decode)                           /* client decoded the result */
+
+// SEGMENT(name, from, to, row): the time from hop `from` to hop `to`, drawn
+// on Chrome-dump row `row` (0 = not drawn). A REPORTED row is also the
+// TelemetryReport member `name` (p50/p99; wire order = row order). `first`
+// and `last` are the earliest and latest recorded stamps.
+#define PDET_FRAME_SEGMENTS(SEGMENT, REPORTED)           \
+  SEGMENT (ingress, client_encode, service_recv,  1)    \
+  SEGMENT (gate,    service_recv,  gate,          9)    \
+  REPORTED(admit,   service_recv,  queue_admit,   2)    \
+  REPORTED(queue,   queue_admit,   schedule,      3)    \
+  REPORTED(engine,  engine_start,  engine_end,    4)    \
+  SEGMENT (deliver, engine_end,    deliver,       6)    \
+  SEGMENT (egress,  deliver,       wire_send,     7)    \
+  SEGMENT (return,  wire_send,     client_decode, 8)    \
+  REPORTED(total,   first,         last,          0)
+// clang-format on
+#define PDET_TIMELINE_SKIP(...)  // for the rows a site does not use
+
+/// The hop rows, then the first and last recorded stamp.
+enum class Hop : std::uint8_t {
+#define PDET_HOP_ENUM(name, ...) name,
+  PDET_FRAME_HOPS(PDET_HOP_ENUM, PDET_HOP_ENUM)
+#undef PDET_HOP_ENUM
+  first,
+  last,
+};
+
 /// One frame's journey. POD, fixed size, copyable with memcpy semantics.
 struct FrameTimeline {
   std::uint64_t trace_id = 0;   ///< client frame tag (wire tag), 0 = local
@@ -65,23 +113,31 @@ struct FrameTimeline {
   std::uint8_t input_quality = 0;
   std::uint8_t camera_state = 0;
 
-  // Hop stamps, timeline_now_ns() domain; 0 = hop not reached. The client_*
-  // and wire-recv stamps only exist in the client process (grafted from wire
-  // offsets); the server's recorder fills service_recv..wire_send.
-  std::uint64_t client_encode_ns = 0;  ///< client: frame encoded for wire
-  std::uint64_t service_recv_ns = 0;   ///< server io thread decoded submit
-  std::uint64_t gate_ns = 0;           ///< frame-integrity gate verdict
-  std::uint64_t queue_admit_ns = 0;    ///< accepted into the bounded queue
-  std::uint64_t schedule_ns = 0;       ///< worker consulted the scheduler
-  std::uint64_t engine_start_ns = 0;   ///< detect::process() entered
-  std::uint64_t engine_end_ns = 0;     ///< detect::process() returned
-  std::uint64_t deliver_ns = 0;        ///< in-order delivery callback fired
-  std::uint64_t wire_send_ns = 0;      ///< result encoded onto the wire
-  std::uint64_t client_decode_ns = 0;  ///< client decoded the result
+  // One <hop>_ns per hop row, timeline_now_ns() domain; 0 = not reached.
+#define PDET_HOP_STAMP(name, ...) std::uint64_t name##_ns = 0;
+  PDET_FRAME_HOPS(PDET_HOP_STAMP, PDET_HOP_STAMP)
+#undef PDET_HOP_STAMP
 
   /// Per-pyramid-level engine time, microseconds (level_count entries).
   std::array<std::uint32_t, kTimelineMaxLevels> level_us{};
 };
+
+/// ms from `from` to `to`; 0 when a stamp is missing or `to` precedes it.
+double ms_between(const FrameTimeline& t, Hop from, Hop to);
+
+/// One PDET_FRAME_SEGMENTS row.
+struct Segment {
+  const char* name;
+  Hop from;
+  Hop to;
+  int trace_row;  ///< Chrome dump row (tid); 0 = not drawn
+};
+
+#define PDET_SEGMENT_ROW(name, from, to, row) \
+  Segment{#name, Hop::from, Hop::to, row},
+inline constexpr Segment kSegments[] = {
+    PDET_FRAME_SEGMENTS(PDET_SEGMENT_ROW, PDET_SEGMENT_ROW)};
+#undef PDET_SEGMENT_ROW
 
 /// Fixed-capacity ring of the last N timelines for one stream.
 class TimelineRing {
@@ -151,24 +207,17 @@ class FlightRecorder {
   std::atomic<std::uint64_t> dropped_{0};
 };
 
-/// Hop durations of one timeline, derived from the stamps (ms; 0 when either
-/// end is missing). Shared by the text dump, the telemetry percentiles and
-/// the client's display.
+/// One <segment>_ms per segment row (ms_between of its hops).
 struct TimelineBreakdown {
-  double ingress_ms = 0.0;   ///< client encode -> service recv (client only)
-  double gate_ms = 0.0;      ///< service recv -> integrity-gate verdict
-  double admit_ms = 0.0;     ///< service recv -> queue admit
-  double queue_ms = 0.0;     ///< queue admit -> schedule
-  double engine_ms = 0.0;    ///< engine start -> end
-  double deliver_ms = 0.0;   ///< engine end -> deliver
-  double egress_ms = 0.0;    ///< deliver -> wire send
-  double return_ms = 0.0;    ///< wire send -> client decode (client only)
-  double total_ms = 0.0;     ///< first to last recorded stamp
+#define PDET_SEGMENT_MS(name, ...) double name##_ms = 0.0;
+  PDET_FRAME_SEGMENTS(PDET_SEGMENT_MS, PDET_SEGMENT_MS)
+#undef PDET_SEGMENT_MS
 };
 TimelineBreakdown breakdown(const FrameTimeline& t);
 
 /// One-line human rendering of a timeline ("tag=12 stream=0 seq=12 ok rung0
-/// admit=0.01ms queue=0.52ms engine=3.1ms ..."); used by dumps and clients.
+/// admit=0.010ms queue=0.520ms ..."), the segments whose stamps are both
+/// recorded; used by dumps and clients.
 std::string to_line(const FrameTimeline& t);
 
 }  // namespace pdet::obs

@@ -11,16 +11,9 @@
 #include "src/util/assert.hpp"
 #include "src/util/logging.hpp"
 #include "src/util/strings.hpp"
-#include "src/util/timer.hpp"
 
 namespace pdet::runtime {
 namespace {
-
-double ms_since(std::chrono::steady_clock::time_point t) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t)
-      .count();
-}
 
 std::vector<double> latency_bounds() {
   const std::span<const double> bounds = obs::default_latency_bounds_ms();
@@ -142,7 +135,6 @@ SubmitStatus DetectionServer::submit(int stream, const imgproc::ImageF& frame,
   task.sequence = s.context.next_sequence();
   task.faults = 0;
   task.frame = frame;  // copy into the reused per-stream slot
-  task.enqueued_at = Clock::now();
   task.timing = obs::FrameTimeline{};
   task.timing.trace_id = trace_tag;
   task.timing.stream = stream;
@@ -195,7 +187,7 @@ SubmitStatus DetectionServer::submit(int stream, const imgproc::ImageF& frame,
     // kDegradedInput, with the tracker's bounded coast predictions in place
     // of garbage pixels. Only an unusable verdict can enter quarantine.
     deliver_unprocessed(task, FrameStatus::kDegradedInput, scheduler_.level(),
-                        0.0, 0.0, s.dropped);
+                        s.dropped);
     if (quarantined_now) flight_trigger("camera quarantined");
     return SubmitStatus::kAccepted;
   }
@@ -208,14 +200,13 @@ SubmitStatus DetectionServer::submit(int stream, const imgproc::ImageF& frame,
       // The evicted frame (of any stream) still owes its stream a delivery:
       // account it as a queue drop, in order, from this producer thread.
       deliver_unprocessed(s.evicted, FrameStatus::kDroppedQueue,
-                          scheduler_.level(), ms_since(s.evicted.enqueued_at),
-                          0.0, s.dropped);
+                          scheduler_.level(), s.dropped);
       return SubmitStatus::kAcceptedEvicted;
     case PushResult::kRejected:
     case PushResult::kClosed:
       task.timing.queue_admit_ns = 0;  // never admitted
       deliver_unprocessed(task, FrameStatus::kDroppedQueue, scheduler_.level(),
-                          0.0, 0.0, s.dropped);
+                          s.dropped);
       return SubmitStatus::kRejected;
   }
   PDET_REQUIRE(false);
@@ -232,15 +223,15 @@ void DetectionServer::worker_main(WorkerState* state,
   StreamResult result;  // reused: detection vector stays warm
   while (queue_.pop(task)) {
     PDET_TRACE_SCOPE("runtime/frame");
-    const double wait_ms = ms_since(task.enqueued_at);
+    task.timing.schedule_ns = obs::timeline_now_ns();
     // Pressure counts the frame in hand too: it was popped an instant ago,
     // and without it a queue of capacity C could never read more than
     // (C-1)/C full here, leaving small queues unable to reach the watermark.
-    const AdmitDecision decision = scheduler_.admit(queue_.size() + 1, wait_ms);
-    task.timing.schedule_ns = obs::timeline_now_ns();
+    const AdmitDecision decision = scheduler_.admit(
+        queue_.size() + 1, frame_durations(task.timing).queue_wait_ms);
     if (decision.skip) {
       deliver_unprocessed(task, FrameStatus::kDroppedDeadline, decision.level,
-                          wait_ms, 0.0, result);
+                          result);
       continue;
     }
     result.stream = task.stream;
@@ -248,7 +239,6 @@ void DetectionServer::worker_main(WorkerState* state,
     result.status =
         decision.level == 0 ? FrameStatus::kOk : FrameStatus::kDegraded;
     result.degrade_level = decision.level;
-    result.queue_wait_ms = wait_ms;
     result.quality_reasons = task.quality_reasons;
 
     // Heartbeat for the watchdog: this worker owns one frame until `busy`
@@ -256,16 +246,15 @@ void DetectionServer::worker_main(WorkerState* state,
     // see WorkerState), with the frame's header so a watchdog delivery
     // carries the frame's own timeline, reasons and rung.
     task.timing.engine_start_ns = obs::timeline_now_ns();
+    task.timing.engine_end_ns = 0;  // clears a retried frame's last attempt
     {
       std::lock_guard<std::mutex> lock(state->mutex);
       state->busy = true;
       state->frame = task;  // the header only; the pixels stay here
       state->rung = decision.level;
-      state->busy_since = Clock::now();
     }
 
     bool faulted = false;
-    const util::Timer service;
     try {
       if (fault::armed()) {
         const fault::Decision stall = fault::check("runtime.worker.stall");
@@ -304,7 +293,6 @@ void DetectionServer::worker_main(WorkerState* state,
                      task.stream,
                      static_cast<unsigned long long>(task.sequence), e.what());
     }
-    result.service_ms = service.milliseconds();
     task.timing.engine_end_ns = obs::timeline_now_ns();
     result.timing = task.timing;
 
@@ -329,7 +317,6 @@ void DetectionServer::worker_main(WorkerState* state,
       handle_fault(task, result);
       continue;
     }
-    result.total_ms = ms_since(task.enqueued_at);
     finish(result);
   }
 }
@@ -379,7 +366,7 @@ void DetectionServer::handle_fault(FrameTask& task, StreamResult& result) {
     // Retry on another engine (any worker may pick it up; a transient
     // engine-state fault won't repeat there). try_push, not push: workers
     // are the queue's consumers, so a blocking push could deadlock. The
-    // original enqueued_at is kept — the deadline budget covers retries.
+    // frame keeps its receive stamp — the deadline budget covers retries.
     FrameTask evicted;
     switch (queue_.try_push(task, &evicted)) {
       case PushResult::kAccepted:
@@ -387,8 +374,7 @@ void DetectionServer::handle_fault(FrameTask& task, StreamResult& result) {
       case PushResult::kReplacedOldest: {
         StreamResult dropped;
         deliver_unprocessed(evicted, FrameStatus::kDroppedQueue,
-                            scheduler_.level(), ms_since(evicted.enqueued_at),
-                            0.0, dropped);
+                            scheduler_.level(), dropped);
         return;
       }
       case PushResult::kRejected:
@@ -406,8 +392,7 @@ void DetectionServer::handle_fault(FrameTask& task, StreamResult& result) {
                    task.stream, static_cast<unsigned long long>(task.sequence),
                    task.faults);
   }
-  deliver_unprocessed(task, FrameStatus::kError, result.degrade_level,
-                      result.queue_wait_ms, result.service_ms, result);
+  deliver_unprocessed(task, FrameStatus::kError, result.degrade_level, result);
   // Trigger after the delivery so the poison frame's own timeline is already
   // in the ring when the dump is written.
   if (poisoned) flight_trigger("poison frame");
@@ -426,19 +411,19 @@ void DetectionServer::watchdog_main() {
     for (std::size_t i = 0; i < n; ++i) {
       WorkerState& state = worker_states_[i];
       int rung = 0;
-      Clock::time_point busy_since{};
+      double busy_ms = 0.0;
       {
         std::lock_guard<std::mutex> lock(state.mutex);
-        if (state.quarantined || !state.busy ||
-            ms_since(state.busy_since) < options_.stall_timeout_ms) {
-          continue;
-        }
+        if (state.quarantined || !state.busy) continue;
+        // Busy time so far: the frame's service time if it completed now.
+        frame = state.frame;
+        frame.timing.complete_ns = obs::timeline_now_ns();
+        busy_ms = frame_durations(frame.timing).service_ms;
+        if (busy_ms < options_.stall_timeout_ms) continue;
         // Quarantine while busy: the worker will see the flag when it
         // clears busy under this mutex, and deliver nothing.
         state.quarantined = true;
-        frame = state.frame;
         rung = state.rung;
-        busy_since = state.busy_since;
       }
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -446,7 +431,6 @@ void DetectionServer::watchdog_main() {
         ++counters_.workers_replaced;
         clean_needed_ = options_.recovery_frames;
       }
-      const double busy_ms = ms_since(busy_since);
       util::log_warn(
           "runtime: watchdog quarantined stalled worker %zu "
           "(stream %d seq %llu, busy %.1f ms); spawning replacement",
@@ -454,9 +438,7 @@ void DetectionServer::watchdog_main() {
           busy_ms);
       // The hung frame's header as of engine start: its trace id, hop
       // stamps, gate verdict and rung, so the dump shows where it stalled.
-      deliver_unprocessed(frame, FrameStatus::kError, rung,
-                          ms_since(frame.enqueued_at) - busy_ms, busy_ms,
-                          error);
+      deliver_unprocessed(frame, FrameStatus::kError, rung, error);
       spawn_worker();
       flight_trigger("worker quarantine");
     }
@@ -465,16 +447,11 @@ void DetectionServer::watchdog_main() {
 
 void DetectionServer::deliver_unprocessed(const FrameHeader& frame,
                                           FrameStatus status, int rung,
-                                          double queue_wait_ms,
-                                          double service_ms,
                                           StreamResult& out) {
   out.stream = frame.stream;
   out.sequence = frame.sequence;
   out.status = status;
   out.degrade_level = rung;
-  out.queue_wait_ms = queue_wait_ms;
-  out.service_ms = service_ms;
-  out.total_ms = ms_since(frame.enqueued_at);
   out.timing = frame.timing;
   out.quality_reasons = frame.quality_reasons;
   out.detections.clear();
@@ -491,13 +468,18 @@ void DetectionServer::deliver_unprocessed(const FrameHeader& frame,
 }
 
 void DetectionServer::finish(StreamResult& result) {
-  // Finalize the frame's timeline: outcome + delivery stamp. wire_send (and
-  // the client_* hops) are stamped downstream, outside the server's view.
+  // Finalize the frame's timeline: outcome + completion stamp, and the
+  // durations read off it. deliver is stamped by the stream context,
+  // wire_send and the client_* hops downstream.
   result.timing.stream = result.stream;
   result.timing.sequence = result.sequence;
   result.timing.status = static_cast<std::uint8_t>(result.status);
   result.timing.degrade_level = static_cast<std::uint8_t>(result.degrade_level);
-  result.timing.deliver_ns = obs::timeline_now_ns();
+  result.timing.complete_ns = obs::timeline_now_ns();
+  const FrameDurations durations = frame_durations(result.timing);
+  result.queue_wait_ms = durations.queue_wait_ms;
+  result.service_ms = durations.service_ms;
+  result.total_ms = durations.total_ms;
   // The timeline is the single source for the gate verdict bytes (stamped at
   // submit); mirror them onto the result so every delivery path — worker,
   // drop, watchdog — reports consistently.
@@ -541,9 +523,9 @@ void DetectionServer::finish(StreamResult& result) {
       wait_hist_.record(result.queue_wait_ms);
     }
   }
-  // Record the timeline before delivering, for the same reason as the
-  // counters above: a telemetry query racing the delivery must find every
-  // result it has seen already in the ring.
+  // Record the timeline at completion, before delivering, for the same
+  // reason as the counters above: a telemetry query racing the delivery
+  // must find every result it has seen already in the ring.
   if (options_.timeline_depth > 0) flight_.record(result.timing);
   streams_[static_cast<std::size_t>(result.stream)]->context.deliver(result);
   {

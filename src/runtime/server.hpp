@@ -37,7 +37,9 @@
 // workers, callbacks fire on worker/producer threads under the stream's
 // delivery lock. Workers record obs spans/metrics directly (the obs layer is
 // thread-safe; per-thread buffers merge at export) and stamp each frame's
-// FrameTimeline at every hop; the server still aggregates its own counters
+// FrameTimeline at every hop, the frame's only clock: the scheduler's wait,
+// the watchdog's busy time and every StreamResult's durations are read off
+// it (frame_durations). The server still aggregates its own counters
 // locally so stats() is one consistent snapshot, and publish_metrics()
 // mirrors them into the registry.
 // Fault containment (see DESIGN §9): a worker that throws delivers a
@@ -229,7 +231,6 @@ class DetectionServer {
     int stream = -1;
     std::uint64_t sequence = 0;
     int faults = 0;  ///< processing attempts that faulted (poison tracking)
-    Clock::time_point enqueued_at{};
     /// Carries trace_id + recv/admit stamps through the queue; the worker
     /// adds schedule/engine stamps. Fixed-size POD, so queue slots stay
     /// allocation-free.
@@ -255,7 +256,6 @@ class DetectionServer {
     bool quarantined = false;  ///< watchdog took the frame; worker must exit
     FrameHeader frame;         ///< the frame in hand, stamped to engine start
     int rung = 0;              ///< the rung it runs at
-    Clock::time_point busy_since{};
     std::thread thread;
   };
 
@@ -309,8 +309,7 @@ class DetectionServer {
   /// frame ran (or would have run) at. A kDegradedInput delivery carries the
   /// stream tracker's coast predictions; every other status carries none.
   void deliver_unprocessed(const FrameHeader& frame, FrameStatus status,
-                           int rung, double queue_wait_ms, double service_ms,
-                           StreamResult& out);
+                           int rung, StreamResult& out);
   void finish(StreamResult& result);
   /// Flight-recorder dump trigger (poison frame, quarantine, health left
   /// healthy). Counts the trigger; writes dump files when configured and

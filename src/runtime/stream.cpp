@@ -14,7 +14,22 @@ std::uint64_t StreamContext::next_sequence() {
   return next_submit_++;
 }
 
-void StreamContext::deliver(const StreamResult& result) {
+FrameDurations frame_durations(const obs::FrameTimeline& t) {
+  using obs::Hop;
+  const auto status = static_cast<FrameStatus>(t.status);
+  const bool evicted =
+      status == FrameStatus::kDroppedQueue && t.queue_admit_ns != 0;
+  const bool ran = status == FrameStatus::kOk ||
+                   status == FrameStatus::kDegraded ||
+                   status == FrameStatus::kError;
+  const Hop ran_to = t.engine_end_ns != 0 ? Hop::engine_end : Hop::complete;
+  return {obs::ms_between(t, Hop::service_recv,
+                          evicted ? Hop::complete : Hop::schedule),
+          ran ? obs::ms_between(t, Hop::engine_start, ran_to) : 0.0,
+          obs::ms_between(t, Hop::service_recv, Hop::complete)};
+}
+
+void StreamContext::deliver(StreamResult& result) {
   std::lock_guard<std::mutex> lock(deliver_mutex_);
   PDET_REQUIRE(result.sequence >= next_deliver_);
   if (result.sequence != next_deliver_) {
@@ -33,20 +48,17 @@ void StreamContext::deliver(const StreamResult& result) {
     free_slot->result = result;
     return;
   }
-  if (callback_) callback_(result);
-  ++delivered_;
-  ++next_deliver_;
-  // Flush every buffered successor the delivery unblocked.
-  bool advanced = true;
-  while (advanced) {
-    advanced = false;
+  // Fire it and each buffered successor it unblocks, stamping deliver.
+  for (StreamResult* next = &result; next != nullptr;) {
+    next->timing.deliver_ns = obs::timeline_now_ns();
+    if (callback_) callback_(*next);
+    ++next_deliver_;
+    next = nullptr;
     for (PendingSlot& slot : pending_) {
       if (slot.used && slot.result.sequence == next_deliver_) {
-        if (callback_) callback_(slot.result);
-        ++delivered_;
-        ++next_deliver_;
         slot.used = false;
-        advanced = true;
+        next = &slot.result;
+        break;
       }
     }
   }
@@ -54,7 +66,7 @@ void StreamContext::deliver(const StreamResult& result) {
 
 std::uint64_t StreamContext::delivered() const {
   std::lock_guard<std::mutex> lock(deliver_mutex_);
-  return delivered_;
+  return next_deliver_;
 }
 
 }  // namespace pdet::runtime

@@ -33,16 +33,28 @@ enum class FrameStatus {
                      ///< engine output (pdet::guard, wire protocol >= 5)
 };
 
-/// One delivery. `detections` is empty for dropped frames; queue_wait_ms
-/// and service_ms are 0 for frames that never reached a worker.
+/// A frame's durations, read off its own stamps (ms; t.status as FrameStatus):
+///   queue_wait  recv -> schedule; evicted: recv -> complete; 0 if unadmitted
+///   service     engine_start -> engine_end (-> complete if the engine never
+///               returned); 0 unless the frame ran (ok, degraded, error)
+///   total       recv -> complete
+struct FrameDurations {
+  double queue_wait_ms = 0.0;
+  double service_ms = 0.0;
+  double total_ms = 0.0;
+};
+FrameDurations frame_durations(const obs::FrameTimeline& t);
+
+/// One delivery. `detections` is empty for dropped frames; the durations
+/// are frame_durations(timing).
 struct StreamResult {
   int stream = -1;
   std::uint64_t sequence = 0;
   FrameStatus status = FrameStatus::kOk;
   int degrade_level = 0;        ///< scheduler rung the frame ran at
-  double queue_wait_ms = 0.0;   ///< submit -> worker dequeue
+  double queue_wait_ms = 0.0;   ///< receive -> scheduled
   double service_ms = 0.0;      ///< engine processing time
-  double total_ms = 0.0;        ///< submit -> delivery handoff
+  double total_ms = 0.0;        ///< receive -> handed to the reorder buffer
   /// Input-integrity verdict (guard::FrameQuality / reason mask /
   /// guard::CameraState as raw ints so this header stays guard-free; 0s
   /// when the gate is disabled). kDegradedInput status always carries
@@ -77,8 +89,9 @@ class StreamContext {
   /// Hand one frame's outcome to the stream. If `result.sequence` is the
   /// next expected one, the callback fires immediately (plus any buffered
   /// successors it unblocks); otherwise the result is copied into a reused
-  /// pending slot. Thread-safe across workers and the submitter.
-  void deliver(const StreamResult& result);
+  /// pending slot. Each result's timing.deliver_ns is stamped as its
+  /// callback fires. Thread-safe across workers and the submitter.
+  void deliver(StreamResult& result);
 
   /// Frames delivered so far (callback invocations).
   std::uint64_t delivered() const;
@@ -97,8 +110,7 @@ class StreamContext {
   std::uint64_t next_submit_ = 0;
 
   mutable std::mutex deliver_mutex_;
-  std::uint64_t next_deliver_ = 0;
-  std::uint64_t delivered_ = 0;
+  std::uint64_t next_deliver_ = 0;  ///< = deliveries so far
   std::vector<PendingSlot> pending_;  ///< out-of-order buffer, slots reused
 };
 

@@ -12,8 +12,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/fault/injector.hpp"
@@ -541,6 +543,103 @@ TEST(RuntimeFaults, WatchdogErrorCarriesTheStalledFramesOwnRecord) {
   EXPECT_GE(r.service_ms, opts.stall_timeout_ms);
   EXPECT_EQ(server.stats().worker_stalls, 1);
   server.stop();
+}
+
+TEST(RuntimeFaults, EveryDeliveryPathReadsItsDurationsOffItsTimeline) {
+  // One server walked down every delivery path: ok, unusable, fault error,
+  // watchdog error with evictions and deadline skips behind the stall,
+  // degraded, and refused once stopped. Every result's three durations must
+  // be frame_durations() of its own timeline.
+  runtime::ServerOptions opts = fault_server_options();
+  opts.queue_capacity = 4;
+  opts.backpressure = runtime::BackpressurePolicy::kDropOldest;
+  opts.guard.enabled = true;
+  opts.max_frame_faults = 1;  // the first fault is the frame's error
+  opts.stall_timeout_ms = 150.0;
+  opts.watchdog_poll_ms = 5.0;
+  opts.scheduler.max_level = 2;        // pressure degrades, never skips
+  opts.scheduler.low_watermark = 0.0;  // and a raised rung stays raised
+  opts.scheduler.deadline_ms = 50.0;   // frames queued behind the stall miss it
+  const svm::LinearModel model = make_model(opts.hog, 17);
+  runtime::DetectionServer server(model, opts);
+  std::vector<runtime::StreamResult> results;
+  server.add_stream("cam0", [&results](const runtime::StreamResult& r) {
+    results.push_back(r);
+  });
+  std::vector<imgproc::ImageF> frames;
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    frames.push_back(make_frame(128, 128, 100 + seed));
+  }
+  server.start();
+  const auto submit = [&server, &frames](std::size_t i) {
+    return server.submit(0, frames[i]);
+  };
+
+  EXPECT_EQ(submit(0), runtime::SubmitStatus::kAccepted);  // ok
+  server.drain();
+  EXPECT_EQ(server.submit(0, imgproc::ImageF(128, 128, 0.0f)),
+            runtime::SubmitStatus::kAccepted);  // unusable
+  {
+    fault::Plan plan;
+    plan.with("runtime.engine.fault", 1.0, 0, 0, /*max_fires=*/1);
+    fault::ScopedPlan armed(plan);
+    EXPECT_EQ(submit(1), runtime::SubmitStatus::kAccepted);  // fault error
+    server.drain();
+  }
+  {
+    fault::Plan plan;
+    plan.with("runtime.worker.stall", 1.0, /*param=*/600, 0, /*max_fires=*/1);
+    fault::ScopedPlan armed(plan);
+    EXPECT_EQ(submit(2), runtime::SubmitStatus::kAccepted);  // watchdog error
+    while (server.stats().queue_depth != 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // Six frames behind the stalled one: two are evicted, four wait past
+    // their deadline for the replacement worker, which raises the rung.
+    for (std::size_t i = 3; i < 9; ++i) (void)submit(i);
+    server.drain();
+  }
+  EXPECT_EQ(submit(9), runtime::SubmitStatus::kAccepted);  // degraded
+  server.drain();
+  server.stop();
+  EXPECT_EQ(submit(0), runtime::SubmitStatus::kRejected);  // refused
+
+  const auto count = [&results](runtime::FrameStatus status, auto&& pred) {
+    return std::count_if(results.begin(), results.end(),
+                         [&](const runtime::StreamResult& r) {
+                           return r.status == status && pred(r.timing);
+                         });
+  };
+  const auto any = [](const obs::FrameTimeline&) { return true; };
+  const auto admitted = [](const obs::FrameTimeline& t) {
+    return t.queue_admit_ns != 0;
+  };
+  const auto engine_returned = [](const obs::FrameTimeline& t) {
+    return t.engine_end_ns != 0;
+  };
+  using runtime::FrameStatus;
+  ASSERT_EQ(results.size(), 12u);
+  EXPECT_EQ(count(FrameStatus::kOk, any), 1);
+  EXPECT_EQ(count(FrameStatus::kDegradedInput, any), 1);
+  EXPECT_EQ(count(FrameStatus::kError, engine_returned), 1);  // fault
+  EXPECT_EQ(count(FrameStatus::kError, std::not_fn(engine_returned)), 1);
+  EXPECT_EQ(count(FrameStatus::kDroppedQueue, admitted), 2);  // evicted
+  EXPECT_EQ(count(FrameStatus::kDroppedQueue, std::not_fn(admitted)), 1);
+  EXPECT_EQ(count(FrameStatus::kDroppedDeadline, any), 4);
+  EXPECT_EQ(count(FrameStatus::kDegraded, any), 1);
+  for (const runtime::StreamResult& r : results) {
+    const runtime::FrameDurations d = runtime::frame_durations(r.timing);
+    EXPECT_EQ(r.queue_wait_ms, d.queue_wait_ms) << "seq " << r.sequence;
+    EXPECT_EQ(r.service_ms, d.service_ms) << "seq " << r.sequence;
+    EXPECT_EQ(r.total_ms, d.total_ms) << "seq " << r.sequence;
+    EXPECT_GT(r.total_ms, 0.0) << "seq " << r.sequence;
+    if (r.status == FrameStatus::kError && r.timing.engine_end_ns == 0) {
+      EXPECT_GE(r.service_ms, opts.stall_timeout_ms);
+    }
+    if (r.status == FrameStatus::kDroppedQueue && r.timing.queue_admit_ns != 0) {
+      EXPECT_GT(r.queue_wait_ms, 0.0) << "an evicted frame waited";
+    }
+  }
 }
 
 TEST(RuntimeFaults, HealthWalksDegradedThenHealthyThenDraining) {

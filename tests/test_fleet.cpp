@@ -444,6 +444,43 @@ TEST(ShardRouter, AggregatedStatsMatchPerShardSums) {
   EXPECT_NE(telem.prometheus.find("pdet_fleet_shard 0"), std::string::npos);
   EXPECT_NE(telem.prometheus.find("pdet_fleet_shard 1"), std::string::npos);
 
+  // Its timeline rows against each shard's own report: every percentile is
+  // the worst shard's, the timeline counts are the shards' sums.
+  wire::TelemetryReport shards;
+  for (const auto& shard : fleet.shards) {
+    net::ClientOptions direct;
+    direct.port = shard->port();
+    direct.name = "auditor";
+    net::Client probe(direct);
+    ASSERT_TRUE(probe.connect()) << probe.last_error();
+    wire::TelemetryReport r;
+    ASSERT_TRUE(probe.query_telemetry(r, 15000.0)) << probe.last_error();
+    probe.disconnect();
+    shards.timeline_frames += r.timeline_frames;
+    shards.timeline_window += r.timeline_window;
+    wire::TelemetryReport::visit(
+        [](const obs::Segment&, wire::TelemetryPercentiles& worst,
+           const wire::TelemetryPercentiles& p) {
+          worst.p50_ms = std::max(worst.p50_ms, p.p50_ms);
+          worst.p99_ms = std::max(worst.p99_ms, p.p99_ms);
+        },
+        shards, r);
+  }
+  EXPECT_GT(shards.timeline_window, 0u);
+  EXPECT_EQ(telem.timeline_frames, shards.timeline_frames);
+  EXPECT_EQ(telem.timeline_window, shards.timeline_window);
+  int rows = 0;
+  wire::TelemetryReport::visit(
+      [&rows](const obs::Segment& segment,
+              const wire::TelemetryPercentiles& fleet_p,
+              const wire::TelemetryPercentiles& worst) {
+        ++rows;
+        EXPECT_EQ(fleet_p.p50_ms, worst.p50_ms) << segment.name;
+        EXPECT_EQ(fleet_p.p99_ms, worst.p99_ms) << segment.name;
+      },
+      telem, shards);
+  EXPECT_EQ(rows, static_cast<int>(wire::kTelemetrySegments));
+
   client.disconnect();
 }
 

@@ -436,6 +436,85 @@ TEST(WireCodec, TelemetryReportCapsOversizedPrometheusText) {
   EXPECT_EQ(out.telemetry.prometheus.size(), wire::kMaxTelemetryTextLen);
 }
 
+// --- golden bytes ------------------------------------------------------------
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+// The round trips above would still pass if an encoder and its decoder
+// changed their field order together; these pin the v6 bytes themselves.
+// Every trace hop, level slot and percentile holds a distinct value, so a
+// field that moves changes the hex. The hex was captured from the v6 codec
+// as first written, field by field.
+TEST(WireGolden, ResultTraceBlockKeepsItsV6Bytes) {
+  wire::Result r;
+  r.sequence = 7;
+  r.tag = 9;
+  r.status = runtime::FrameStatus::kDegraded;
+  r.degrade_level = 1;
+  r.queue_wait_ms = 0.5f;
+  r.service_ms = 2.0f;
+  r.total_ms = 4.0f;
+  r.input_quality = 1;
+  r.camera_state = 1;
+  r.quality_reasons = 0x21;
+  r.detections.push_back({10, 20, 64, 128, 1.5f, 1.25});
+  r.trace.admit_us = 101;
+  r.trace.schedule_us = 102;
+  r.trace.engine_start_us = 103;
+  r.trace.engine_end_us = 104;
+  r.trace.deliver_us = 105;
+  r.trace.send_us = 106;
+  r.trace.gate_us = 107;
+  r.trace.level_count = static_cast<std::uint8_t>(obs::kTimelineMaxLevels);
+  for (std::size_t i = 0; i < obs::kTimelineMaxLevels; ++i) {
+    r.trace.level_us[i] = 201 + static_cast<std::uint32_t>(i);
+  }
+  std::vector<std::uint8_t> buf;
+  wire::encode_result(r, buf);
+  EXPECT_EQ(hex(buf),
+            "314e44500604000095000000e51feb68"  // header (v6, kResult, CRC)
+            "0700000000000000" "0900000000000000"  // sequence, tag
+            "01010000" "0000003f" "00000040" "00008040"  // status..total_ms
+            "01010000" "21000000" "01000000"  // quality block, box count
+            "0a000000140000004000000080000000" "0000c03f" "000000000000f43f"
+            // trace block: admit, schedule, engine start/end, deliver,
+            // send, gate, then the level count and the level times
+            "65000000" "66000000" "67000000" "68000000" "69000000"
+            "6a000000" "6b000000" "0c"
+            "c9000000ca000000cb000000cc000000cd000000ce000000"
+            "cf000000d0000000d1000000d2000000d3000000d4000000");
+}
+
+TEST(WireGolden, TelemetryPercentilesKeepTheirV6Bytes) {
+  wire::TelemetryReport t;
+  t.uptime_seconds = 123.75;
+  t.health_state = 1;
+  t.timeline_frames = 4096;
+  t.timeline_window = 64;
+  t.admit = {0.25f, 0.5f};
+  t.queue = {1.0f, 2.0f};
+  t.engine = {4.0f, 8.0f};
+  t.total = {16.0f, 32.0f};
+  t.prometheus = "up 1\n";
+  std::vector<std::uint8_t> buf;
+  wire::encode_telemetry_report(t, buf);
+  EXPECT_EQ(hex(buf),
+            "314e4450060a000041000000a88f353f"  // header (v6, kTelemetryReport)
+            "0000000000f05e40" "01000000" "0010000000000000" "40000000"
+            // admit, queue, engine, total: p50 then p99 each
+            "0000803e0000003f" "0000803f00000040" "0000804000000041"
+            "0000804100000042"
+            "05000000757020310a");
+}
+
 TEST(WireCodec, StatsAndControlRoundtrip) {
   const auto frames = encode_one_of_each();
   wire::Message out;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <type_traits>
@@ -12,6 +13,7 @@
 
 #include "src/detect/multiscale.hpp"
 #include "src/detect/tracker.hpp"
+#include "src/fault/injector.hpp"
 #include "src/runtime/bounded_queue.hpp"
 #include "src/runtime/scheduler.hpp"
 #include "src/runtime/server.hpp"
@@ -283,20 +285,27 @@ StreamResult result_for(int stream, std::uint64_t seq) {
 
 TEST(StreamContext, ReordersOutOfOrderCompletions) {
   std::vector<std::uint64_t> delivered;
+  std::vector<std::uint64_t> deliver_ns;
   StreamContext ctx(0, "cam0", [&](const StreamResult& r) {
     delivered.push_back(r.sequence);
+    deliver_ns.push_back(r.timing.deliver_ns);
   });
-  for (int i = 0; i < 5; ++i) (void)ctx.next_sequence();
+  std::vector<StreamResult> results;
+  for (int i = 0; i < 5; ++i) results.push_back(result_for(0, ctx.next_sequence()));
 
-  ctx.deliver(result_for(0, 2));  // buffered
-  ctx.deliver(result_for(0, 1));  // buffered
+  ctx.deliver(results[2]);  // buffered
+  ctx.deliver(results[1]);  // buffered
   EXPECT_TRUE(delivered.empty());
-  ctx.deliver(result_for(0, 0));  // releases 0,1,2
+  ctx.deliver(results[0]);  // releases 0,1,2
   EXPECT_EQ(delivered, (std::vector<std::uint64_t>{0, 1, 2}));
-  ctx.deliver(result_for(0, 4));  // buffered again
-  ctx.deliver(result_for(0, 3));
+  ctx.deliver(results[4]);  // buffered again
+  ctx.deliver(results[3]);
   EXPECT_EQ(delivered, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
   EXPECT_EQ(ctx.delivered(), 5u);
+  // The deliver hop is stamped as each callback fires, parked or not, so
+  // the stamps run in sequence order.
+  EXPECT_NE(deliver_ns.front(), 0u);
+  EXPECT_TRUE(std::is_sorted(deliver_ns.begin(), deliver_ns.end()));
 }
 
 TEST(StreamContext, DroppedFramesKeepTheSequenceContiguous) {
@@ -308,9 +317,11 @@ TEST(StreamContext, DroppedFramesKeepTheSequenceContiguous) {
 
   StreamResult dropped = result_for(3, 1);
   dropped.status = FrameStatus::kDroppedQueue;
-  ctx.deliver(dropped);            // gap at 0: buffered
-  ctx.deliver(result_for(3, 0));   // releases 0 then the dropped 1
-  ctx.deliver(result_for(3, 2));
+  StreamResult first = result_for(3, 0);
+  StreamResult last = result_for(3, 2);
+  ctx.deliver(dropped);  // gap at 0: buffered
+  ctx.deliver(first);    // releases 0 then the dropped 1
+  ctx.deliver(last);
   ASSERT_EQ(delivered.size(), 3u);
   EXPECT_EQ(delivered[1].first, 1u);
   EXPECT_EQ(delivered[1].second, FrameStatus::kDroppedQueue);
@@ -504,6 +515,48 @@ TEST(DetectionServer, StreamTrackerIsFedInFrameOrderAtAnyWorkerCount) {
         EXPECT_EQ(got[d].score, coast[d].score);
       }
     }
+  }
+}
+
+TEST(DetectionServer, DeliverIsStampedWhenTheInOrderCallbackFires) {
+  // Frame 0 stalls on one worker while frame 1 finishes on the other and is
+  // parked behind it: frame 1's deliver hop is its callback, after frame 0's.
+  ServerOptions opts = nominal_options();
+  opts.multiscale.scales = {1.0};
+  const svm::LinearModel model = make_model(opts.hog, 21);
+  DetectionServer server(model, opts);
+  struct Seen {
+    obs::FrameTimeline timing;
+    std::uint64_t entry_ns = 0;  ///< timeline clock at callback entry
+  };
+  std::vector<Seen> seen;
+  server.add_stream("cam0", [&seen](const StreamResult& r) {
+    const std::uint64_t entry_ns = obs::timeline_now_ns();
+    seen.push_back({r.timing, entry_ns});
+  });
+  server.start();
+  {
+    fault::Plan plan;
+    plan.with("runtime.worker.stall", 1.0, /*param=*/300, 0, /*max_fires=*/1);
+    fault::ScopedPlan armed(plan);
+    ASSERT_EQ(server.submit(0, make_frame(128, 128, 1)),
+              SubmitStatus::kAccepted);
+    while (server.stats().queue_depth != 0) {  // a worker holds frame 0
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(server.submit(0, make_frame(128, 128, 2)),
+              SubmitStatus::kAccepted);
+    server.drain();
+  }
+  server.stop();
+
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_LT(seen[1].timing.complete_ns, seen[0].timing.complete_ns)
+      << "frame 1 completed first and was parked";
+  EXPECT_GE(seen[1].timing.deliver_ns, seen[0].timing.deliver_ns);
+  for (const Seen& s : seen) {
+    EXPECT_GE(s.timing.deliver_ns, s.timing.complete_ns);
+    EXPECT_LE(s.timing.deliver_ns, s.entry_ns);
   }
 }
 
