@@ -12,8 +12,8 @@
 #include "src/fixedpoint/cordic.hpp"
 #include "src/hog/descriptor.hpp"
 #include "src/hog/feature_scale.hpp"
+#include "src/hwsim/accelerator.hpp"
 #include "src/hwsim/fixed_pipeline.hpp"
-#include "src/hwsim/pipeline.hpp"
 #include "src/hwsim/score_backend.hpp"
 #include "src/score/backend.hpp"
 #include "src/imgproc/convert.hpp"
@@ -300,14 +300,13 @@ void BM_FixedPipelineWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_FixedPipelineWindow);
 
+// One 256x256 frame through the streamed circuit at scales {1, 2}.
 void BM_CyclePipeline256(benchmark::State& state) {
-  hwsim::PipelineConfig config;
-  config.frame_width = 256;
-  config.frame_height = 256;
-  config.extra_scales = {2.0};
+  const auto dim = static_cast<std::size_t>(hog::HogParams{}.descriptor_size());
+  const hwsim::Accelerator accel({}, scoring_model(dim, 12));
+  const imgproc::ImageU8 img = imgproc::to_u8(random_image(256, 256, 12));
   for (auto _ : state) {
-    hwsim::AcceleratorPipeline pipeline(config);
-    benchmark::DoNotOptimize(pipeline.run_frame());
+    benchmark::DoNotOptimize(accel.stream({&img, 1}));
   }
 }
 BENCHMARK(BM_CyclePipeline256);

@@ -2,17 +2,19 @@
 //
 //   $ hw_accelerator_sim [--width 640 --height 480] [--vcd trace.vcd]
 //
-// Shows everything the hardware model provides: fixed-point multi-scale
-// detection (what the RTL computes), the cycle-level pipeline run (when it
-// computes it: frame latency, fps, NHOGMem occupancy), the resource report
-// (paper Table 2), and optionally a VCD trace of the pipeline's occupancy
-// signals for a small frame, viewable in GTKWave.
+// Shows everything the hardware model provides from one streamed run of the
+// cycle-level circuit: fixed-point multi-scale detection (what the RTL
+// computes) and its timing (when: frame latency, fps, NHOGMem occupancy);
+// then the resource report (paper Table 2), and optionally a VCD trace of
+// the circuit's FIFO and ring occupancy over a small frame, viewable in
+// GTKWave.
 #include <cstdio>
 
 #include "src/core/pedestrian_detector.hpp"
 #include "src/dataset/scene.hpp"
 #include "src/hwsim/accelerator.hpp"
 #include "src/imgproc/convert.hpp"
+#include "src/sim/vcd.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/logging.hpp"
 
@@ -67,13 +69,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(timing.total_cycles));
   std::printf("frame time          : %.3f ms  (%.1f fps)\n", timing.frame_ms,
               timing.fps);
-  std::printf("windows classified  : %llu (native)",
-              static_cast<unsigned long long>(timing.windows_s0));
-  for (const auto w : timing.windows_extra) {
-    std::printf(" + %llu (scaled)", static_cast<unsigned long long>(w));
+  for (const auto& level : timing.levels) {
+    std::printf("scale %.1f           : %zu windows, NHOGMem peak %d of %d rows\n",
+                level.scale, level.scores.size(), level.nhog_max_occupancy,
+                timing.nhog_capacity);
   }
-  std::printf("\nNHOGMem occupancy   : %d of %d rows (paper ring: 18)\n",
-              timing.nhog_max_occupancy, timing.nhog_capacity);
   std::printf("gradient utilization: %.1f%%   classifier: %.1f%%\n",
               100 * timing.utilization_gradient,
               100 * timing.utilization_classifier);
@@ -87,15 +87,16 @@ int main(int argc, char** argv) {
   std::printf("\n--- resource report (paper Table 2 config) ---\n%s",
               accelerator.resources(1920, 1080).to_table().c_str());
 
-  // Optional VCD trace: re-run a small frame with waveform probes on the
-  // pipeline's occupancy signals (view with GTKWave).
+  // Optional VCD trace: stream the frame's top-left 128x192 corner with
+  // waveform probes on the circuit's occupancy signals (view with GTKWave).
+  // Its scale-2 level (8x12 cells) cannot hold a window, so only the native
+  // chain is traced.
   const std::string vcd_path = cli.get_string("vcd");
   if (!vcd_path.empty()) {
-    hwsim::PipelineConfig pc;
-    pc.frame_width = 128;
-    pc.frame_height = 192;
-    pc.extra_scales = {2.0};
-    if (!hwsim::trace_frame_to_vcd(pc, vcd_path)) {
+    const imgproc::ImageU8 corner = frame.crop(0, 0, 128, 192);
+    sim::VcdWriter vcd;
+    accelerator.stream({&corner, 1}, &vcd);
+    if (!vcd.write(vcd_path)) {
       std::fprintf(stderr, "cannot write %s\n", vcd_path.c_str());
       return 1;
     }

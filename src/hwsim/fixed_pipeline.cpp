@@ -178,48 +178,51 @@ IntCellGrid FixedHogPipeline::compute_cells(const imgproc::ImageU8& image) const
   return grid;
 }
 
+void ScaleTap::blend(std::span<const std::int64_t> a,
+                     std::span<const std::int64_t> b,
+                     std::span<std::int64_t> out) const {
+  const int frac_bits = w0.frac_bits();
+  const std::int64_t half = std::int64_t{1} << (frac_bits - 1);
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    out[k] = (w0.apply_scaled(a[k]) + w1.apply_scaled(b[k]) + half) >> frac_bits;
+  }
+}
+
+std::vector<ScaleTap> scale_taps(int out_n, int src_n, int frac_bits) {
+  PDET_REQUIRE(out_n >= 1 && out_n <= src_n);
+  std::vector<ScaleTap> taps;
+  taps.reserve(static_cast<std::size_t>(out_n));
+  const double ratio = static_cast<double>(src_n) / out_n;
+  for (int o = 0; o < out_n; ++o) {
+    const double f = (o + 0.5) * ratio - 0.5;
+    const double fl = std::floor(f);
+    int i0 = static_cast<int>(fl);
+    double w = f - fl;
+    int i1 = i0 + 1;
+    if (i0 < 0) {
+      i0 = 0;
+      i1 = 0;
+      w = 0.0;
+    }
+    if (i1 >= src_n) {
+      i1 = src_n - 1;
+      if (i0 >= src_n) i0 = src_n - 1;
+    }
+    taps.push_back({i0, i1, fixedpoint::ShiftAddConstant(1.0 - w, frac_bits),
+                    fixedpoint::ShiftAddConstant(w, frac_bits)});
+  }
+  return taps;
+}
+
 IntCellGrid FixedHogPipeline::downscale_cells(const IntCellGrid& src,
                                               int out_cells_x,
                                               int out_cells_y) const {
   PDET_REQUIRE(out_cells_x >= 1 && out_cells_y >= 1);
   PDET_REQUIRE(out_cells_x <= src.cells_x && out_cells_y <= src.cells_y);
 
-  // Separable bilinear taps; each tap coefficient is applied with CSD
-  // shift-and-add (no multiplier), as the paper's scaling modules do.
-  struct Tap {
-    int i0;
-    int i1;
-    fixedpoint::ShiftAddConstant w0;
-    fixedpoint::ShiftAddConstant w1;
-  };
-  auto make_taps = [&](int out_n, int src_n) {
-    std::vector<Tap> taps;
-    taps.reserve(static_cast<std::size_t>(out_n));
-    const double ratio = static_cast<double>(src_n) / out_n;
-    for (int o = 0; o < out_n; ++o) {
-      const double f = (o + 0.5) * ratio - 0.5;
-      const double fl = std::floor(f);
-      int i0 = static_cast<int>(fl);
-      double w = f - fl;
-      int i1 = i0 + 1;
-      if (i0 < 0) {
-        i0 = 0;
-        i1 = 0;
-        w = 0.0;
-      }
-      if (i1 >= src_n) {
-        i1 = src_n - 1;
-        if (i0 >= src_n) i0 = src_n - 1;
-      }
-      taps.push_back({i0, i1,
-                      fixedpoint::ShiftAddConstant(1.0 - w, config_.scale_frac_bits),
-                      fixedpoint::ShiftAddConstant(w, config_.scale_frac_bits)});
-    }
-    return taps;
-  };
-
-  const auto xtaps = make_taps(out_cells_x, src.cells_x);
-  const auto ytaps = make_taps(out_cells_y, src.cells_y);
+  const int frac_bits = config_.scale_frac_bits;
+  const auto xtaps = scale_taps(out_cells_x, src.cells_x, frac_bits);
+  const auto ytaps = scale_taps(out_cells_y, src.cells_y, frac_bits);
   const int bins = src.bins;
 
   // Horizontal pass.
@@ -232,17 +235,8 @@ IntCellGrid FixedHogPipeline::downscale_cells(const IntCellGrid& src,
                   0);
   for (int cy = 0; cy < src.cells_y; ++cy) {
     for (int ox = 0; ox < out_cells_x; ++ox) {
-      const Tap& t = xtaps[static_cast<std::size_t>(ox)];
-      const auto h0 = src.hist(t.i0, cy);
-      const auto h1 = src.hist(t.i1, cy);
-      auto dst = mid.hist(ox, cy);
-      for (int b = 0; b < bins; ++b) {
-        const std::int64_t acc =
-            t.w0.apply_scaled(h0[static_cast<std::size_t>(b)]) +
-            t.w1.apply_scaled(h1[static_cast<std::size_t>(b)]);
-        const std::int64_t half = std::int64_t{1} << (config_.scale_frac_bits - 1);
-        dst[static_cast<std::size_t>(b)] = (acc + half) >> config_.scale_frac_bits;
-      }
+      const ScaleTap& t = xtaps[static_cast<std::size_t>(ox)];
+      t.blend(src.hist(t.i0, cy), src.hist(t.i1, cy), mid.hist(ox, cy));
     }
   }
 
@@ -255,21 +249,25 @@ IntCellGrid FixedHogPipeline::downscale_cells(const IntCellGrid& src,
                       static_cast<std::size_t>(bins),
                   0);
   for (int oy = 0; oy < out_cells_y; ++oy) {
-    const Tap& t = ytaps[static_cast<std::size_t>(oy)];
+    const ScaleTap& t = ytaps[static_cast<std::size_t>(oy)];
     for (int ox = 0; ox < out_cells_x; ++ox) {
-      const auto h0 = mid.hist(ox, t.i0);
-      const auto h1 = mid.hist(ox, t.i1);
-      auto dst = out.hist(ox, oy);
-      for (int b = 0; b < bins; ++b) {
-        const std::int64_t acc =
-            t.w0.apply_scaled(h0[static_cast<std::size_t>(b)]) +
-            t.w1.apply_scaled(h1[static_cast<std::size_t>(b)]);
-        const std::int64_t half = std::int64_t{1} << (config_.scale_frac_bits - 1);
-        dst[static_cast<std::size_t>(b)] = (acc + half) >> config_.scale_frac_bits;
-      }
+      t.blend(mid.hist(ox, t.i0), mid.hist(ox, t.i1), out.hist(ox, oy));
     }
   }
   return out;
+}
+
+std::optional<LevelSize> FixedHogPipeline::level_size(LevelSize base,
+                                                      double scale) const {
+  PDET_REQUIRE(scale > 0.0);
+  const LevelSize level{
+      static_cast<int>(std::lround(base.cells_x / scale)),
+      static_cast<int>(std::lround(base.cells_y / scale))};
+  if (level.cells_x < params_.cells_per_window_x() ||
+      level.cells_y < params_.cells_per_window_y()) {
+    return std::nullopt;
+  }
+  return level;
 }
 
 IntBlockGrid FixedHogPipeline::normalize(const IntCellGrid& cells) const {

@@ -4,23 +4,26 @@
 #include <cmath>
 #include <numbers>
 
+#include "src/hwsim/timing.hpp"
 #include "src/util/assert.hpp"
 
 namespace pdet::hwsim {
 
 // ----------------------------------------------------------- PixelSource ---
 
-StreamPixelSource::StreamPixelSource(const imgproc::ImageU8& frame,
+StreamPixelSource::StreamPixelSource(std::span<const imgproc::ImageU8> frames,
                                      sim::Fifo<std::uint8_t>& out)
-    : Module("stream_pixel_source"),
-      frame_(frame),
-      out_(out),
-      total_(frame.pixel_count()) {}
+    : Module("stream_pixel_source"), frames_(frames), out_(out) {}
 
 void StreamPixelSource::eval() {
-  if (index_ < total_ && out_.can_push()) {
-    out_.push(frame_.pixels()[index_]);
-    ++index_;
+  if (frame_ == frames_.size()) return;
+  PDET_REQUIRE(out_.can_push() &&
+               "pixel FIFO overrun: the camera cannot be stalled");
+  const imgproc::ImageU8& frame = frames_[frame_];
+  out_.push(frame.pixels()[index_]);
+  if (++index_ == frame.pixel_count()) {
+    index_ = 0;
+    ++frame_;
   }
 }
 
@@ -28,7 +31,8 @@ void StreamPixelSource::eval() {
 
 StreamGradientUnit::StreamGradientUnit(const hog::HogParams& params,
                                        const FixedPointConfig& fp, int width,
-                                       int height, sim::Fifo<std::uint8_t>& in,
+                                       int height, int frames,
+                                       sim::Fifo<std::uint8_t>& in,
                                        sim::Fifo<GradientVote>& out)
     : Module("stream_gradient_unit"),
       params_(params),
@@ -38,21 +42,29 @@ StreamGradientUnit::StreamGradientUnit(const hog::HogParams& params,
       height_(height),
       in_(in),
       out_(out),
-      total_(static_cast<std::size_t>(width) * static_cast<std::size_t>(height)) {
+      total_(static_cast<std::size_t>(width) * static_cast<std::size_t>(height) *
+             static_cast<std::size_t>(frames)) {
   for (auto& line : lines_) line.assign(static_cast<std::size_t>(width), 0);
 }
 
-std::uint8_t StreamGradientUnit::pixel_clamped(int x, int y) const {
+std::uint8_t StreamGradientUnit::pixel(int x, std::size_t line) const {
   x = std::clamp(x, 0, width_ - 1);
-  y = std::clamp(y, 0, height_ - 1);
-  return lines_[static_cast<std::size_t>(y % 3)][static_cast<std::size_t>(x)];
+  return lines_[line % 3][static_cast<std::size_t>(x)];
 }
 
-void StreamGradientUnit::emit_for(int x, int y, sim::Fifo<GradientVote>& out) {
-  const int dx = static_cast<int>(pixel_clamped(x + 1, y)) -
-                 static_cast<int>(pixel_clamped(x - 1, y));
-  const int dy = static_cast<int>(pixel_clamped(x, y + 1)) -
-                 static_cast<int>(pixel_clamped(x, y - 1));
+GradientVote StreamGradientUnit::vote_at(std::size_t index) const {
+  const auto w = static_cast<std::size_t>(width_);
+  const auto x = static_cast<int>(index % w);
+  const std::size_t line = index / w;
+  const auto y = static_cast<int>(line % static_cast<std::size_t>(height_));
+  // Border replication within the frame: its first and last rows are their
+  // own neighbours, never the adjacent frame's.
+  const std::size_t above = y > 0 ? line - 1 : line;
+  const std::size_t below = y + 1 < height_ ? line + 1 : line;
+  const int dx = static_cast<int>(pixel(x + 1, line)) -
+                 static_cast<int>(pixel(x - 1, line));
+  const int dy = static_cast<int>(pixel(x, below)) -
+                 static_cast<int>(pixel(x, above));
   GradientVote vote;
   vote.x = x;
   vote.y = y;
@@ -78,104 +90,103 @@ void StreamGradientUnit::emit_for(int x, int y, sim::Fifo<GradientVote>& out) {
       vote.w1_q8 = 0;
     }
   }
-  out.push(vote);
+  return vote;
 }
 
 void StreamGradientUnit::eval() {
-  // Consume one pixel per cycle, but never let the writer overrun the
-  // three-line window before the lagging emit pointer has used it.
-  if (received_ < total_ && in_.can_pop() &&
-      received_ < emitted_ + 2 * static_cast<std::size_t>(width_)) {
-    const std::uint8_t px = in_.pop();
-    const auto x = static_cast<int>(received_ % static_cast<std::size_t>(width_));
-    const auto y = static_cast<int>(received_ / static_cast<std::size_t>(width_));
-    lines_[static_cast<std::size_t>(y % 3)][static_cast<std::size_t>(x)] = px;
+  const auto w = static_cast<std::size_t>(width_);
+  bool active = false;
+  // Take one pixel per cycle, but never overwrite a line the lagging emit
+  // pointer still reads. A refusal backs up into the source's FIFO.
+  if (in_.can_pop() && received_ < emitted_ + 2 * w) {
+    lines_[(received_ / w) % 3][received_ % w] = in_.pop();
     ++received_;
+    active = true;
   }
   if (emitted_ < total_ && out_.can_push()) {
-    const auto ex = static_cast<int>(emitted_ % static_cast<std::size_t>(width_));
-    const auto ey = static_cast<int>(emitted_ / static_cast<std::size_t>(width_));
-    // (ex, ey) needs pixel (ex, ey+1), which arrives after (ex+1, ey).
+    // (x, y) needs pixel (x, y+1), which arrives after (x+1, y); a frame's
+    // last row needs only the rest of its frame.
+    const std::size_t line = emitted_ / w;
+    const bool last_row =
+        static_cast<int>(line % static_cast<std::size_t>(height_)) ==
+        height_ - 1;
     const std::size_t needed =
-        ey + 1 < height_
-            ? static_cast<std::size_t>(ey + 1) * static_cast<std::size_t>(width_) +
-                  static_cast<std::size_t>(ex) + 1
-            : total_;
+        last_row ? (line + 1) * w : (line + 1) * w + emitted_ % w + 1;
     if (received_ >= needed) {
-      emit_for(ex, ey, out_);
+      out_.push(vote_at(emitted_));
       ++emitted_;
+      active = true;
     }
   }
+  if (active) ++busy_;
 }
 
 // ------------------------------------------------------- CellAccumulator ---
 
 StreamCellAccumulator::StreamCellAccumulator(const hog::HogParams& params,
-                                             int width, int height,
+                                             int width, int height, int frames,
                                              sim::Fifo<GradientVote>& in,
                                              sim::Fifo<CellRowData>& out)
     : Module("stream_cell_accumulator"),
       params_(params),
-      width_(width),
-      height_(height),
       cells_x_(width / params.cell_size),
       cells_y_(height / params.cell_size),
+      rows_total_(cells_y_ * frames),
+      votes_per_frame_(static_cast<std::size_t>(width) *
+                       static_cast<std::size_t>(height)),
       in_(in),
-      out_(out),
-      votes_total_(static_cast<std::size_t>(width) * static_cast<std::size_t>(height)) {
+      out_(out) {
   for (auto& b : banks_) {
     b.assign(static_cast<std::size_t>(cells_x_) * static_cast<std::size_t>(params.bins), 0);
   }
 }
 
-std::vector<std::int64_t>& StreamCellAccumulator::bank(int cell_row) {
-  return banks_[static_cast<std::size_t>(cell_row % 3)];
+std::vector<std::int64_t>& StreamCellAccumulator::bank(int row) {
+  return banks_[static_cast<std::size_t>(row % 3)];
 }
 
-void StreamCellAccumulator::finalize_row(int cell_row) {
+bool StreamCellAccumulator::row_final(int row) const {
+  const auto frame = static_cast<std::size_t>(row / cells_y_);
+  if (votes_seen_ >= (frame + 1) * votes_per_frame_) return true;
+  if (!in_.can_pop()) return false;
+  // Cell row c receives its last vote from image row 8c + 11 (bilinear) or
+  // 8c + 7 (no spatial interpolation); a vote past that row finalizes it.
+  const int spill = params_.spatial_interp ? 11 : 7;
+  return in_.front().y > (row % cells_y_) * params_.cell_size + spill;
+}
+
+void StreamCellAccumulator::finalize_row(int row) {
   CellRowData data;
-  data.row = cell_row;
-  data.hist = bank(cell_row);
-  std::fill(bank(cell_row).begin(), bank(cell_row).end(), 0);
+  data.row = row;
+  data.hist = bank(row);
+  std::fill(bank(row).begin(), bank(row).end(), 0);
   out_.push(std::move(data));
   ++emitted_rows_;
 }
 
 void StreamCellAccumulator::eval() {
-  if (!in_.can_pop()) {
-    // Input exhausted: flush any rows still pending at frame end.
-    if (votes_seen_ == votes_total_ && emitted_rows_ < cells_y_ &&
-        out_.can_push()) {
-      finalize_row(emitted_rows_);
-    }
-    return;
-  }
-
-  // A vote from image row y may finalize cell row c = (y - 4) / 8 - 1... in
-  // terms of the spill analysis: cell row c receives its last vote from
-  // image row 8c + 11 (bilinear) or 8c + 7 (no interpolation), so when the
-  // incoming vote's row passes that bound, row c is final.
-  const GradientVote& head = in_.front();
-  const int spill = params_.spatial_interp ? 11 : 7;
-  if (emitted_rows_ < cells_y_ &&
-      head.y > emitted_rows_ * params_.cell_size + spill) {
-    if (!out_.can_push()) return;  // stall until the row event drains
+  if (emitted_rows_ < rows_total_ && row_final(emitted_rows_)) {
+    if (!out_.can_push()) return;  // back-pressure stalls the vote stream
     finalize_row(emitted_rows_);
-    return;  // one action per cycle, like the RTL's shared write port
   }
-
-  const GradientVote vote = in_.pop();
+  if (!in_.can_pop()) return;
+  const auto frame_row0 =
+      static_cast<int>(votes_seen_ / votes_per_frame_) * cells_y_;
   ++votes_seen_;
+  deposit(in_.pop(), frame_row0);
+}
+
+void StreamCellAccumulator::deposit(const GradientVote& vote, int frame_row0) {
   if (vote.mag_q == 0) return;
   const int cell = params_.cell_size;
   if (vote.x >= cells_x_ * cell || vote.y >= cells_y_ * cell) return;
 
   const std::int64_t one_q8 = 256;
-  auto deposit = [&](int cx, int cy, std::int64_t wsp_q8) {
+  auto add = [&](int cx, int cy, std::int64_t wsp_q8) {
     if (cx < 0 || cx >= cells_x_ || cy < 0 || cy >= cells_y_) return;
     if (wsp_q8 == 0) return;
-    PDET_ASSERT(cy >= emitted_rows_);  // never write a finalized row
-    auto& b = bank(cy);
+    PDET_ASSERT(frame_row0 + cy >= emitted_rows_);  // never a finalized row
+    auto& b = bank(frame_row0 + cy);
     const auto base_idx =
         static_cast<std::size_t>(cx) * static_cast<std::size_t>(params_.bins);
     const std::int64_t base = vote.mag_q * wsp_q8;
@@ -194,12 +205,12 @@ void StreamCellAccumulator::eval() {
     const int cy0 = static_cast<int>(std::floor(fy));
     const std::int64_t wx1 = std::llround((fx - cx0) * 256.0);
     const std::int64_t wy1 = std::llround((fy - cy0) * 256.0);
-    deposit(cx0, cy0, ((one_q8 - wx1) * (one_q8 - wy1)) >> 8);
-    deposit(cx0 + 1, cy0, (wx1 * (one_q8 - wy1)) >> 8);
-    deposit(cx0, cy0 + 1, ((one_q8 - wx1) * wy1) >> 8);
-    deposit(cx0 + 1, cy0 + 1, (wx1 * wy1) >> 8);
+    add(cx0, cy0, ((one_q8 - wx1) * (one_q8 - wy1)) >> 8);
+    add(cx0 + 1, cy0, (wx1 * (one_q8 - wy1)) >> 8);
+    add(cx0, cy0 + 1, ((one_q8 - wx1) * wy1) >> 8);
+    add(cx0 + 1, cy0 + 1, (wx1 * wy1) >> 8);
   } else {
-    deposit(vote.x / cell, vote.y / cell, one_q8);
+    add(vote.x / cell, vote.y / cell, one_q8);
   }
 }
 
@@ -254,37 +265,34 @@ std::uint64_t DataNhogMem::bank_reads(int bank) const {
 // -------------------------------------------------------- StreamNormalizer -
 
 StreamNormalizer::StreamNormalizer(const FixedHogPipeline& pipeline,
-                                   int cells_x, int cells_y,
+                                   int cells_x, int cells_y, int frames,
                                    sim::Fifo<CellRowData>& in, DataNhogMem& mem)
     : Module("stream_normalizer"),
       pipeline_(pipeline),
       cells_x_(cells_x),
       cells_y_(cells_y),
+      rows_total_(cells_y * frames),
       in_(in),
       mem_(mem) {}
 
 void StreamNormalizer::produce(int row) {
-  // Build the <=3-row slice around `row`. Because the slice's edges coincide
-  // with either the true frame edges or rows whose blocks `row` never
-  // references, normalizing the slice and taking `row`'s line is bit-equal
-  // to normalizing the full grid (test_hwsim_streaming verifies).
-  const int lo = std::max(row - 1, 0);
-  const int hi = std::min(row + 1, cells_y_ - 1);
+  // Build the <=3-row slice around `row` within its frame. Because the
+  // slice's edges coincide with either the true frame edges or rows whose
+  // blocks `row` never references, normalizing the slice and taking `row`'s
+  // line is bit-equal to normalizing the full grid (test_hwsim_streaming
+  // verifies).
+  const int row0 = row - row % cells_y_;
+  const int lo = std::max(row - 1, row0);
+  const int hi = std::min(row + 1, row0 + cells_y_ - 1);
   IntCellGrid slice;
   slice.cells_x = cells_x_;
   slice.cells_y = hi - lo + 1;
   slice.bins = pipeline_.params().bins;
-  slice.data.clear();
   for (int r = lo; r <= hi; ++r) {
-    bool found = false;
-    for (const auto& w : window_) {
-      if (w.row == r) {
-        slice.data.insert(slice.data.end(), w.hist.begin(), w.hist.end());
-        found = true;
-        break;
-      }
-    }
-    PDET_REQUIRE(found && "normalizer lost a buffered cell row");
+    const auto it = std::find_if(window_.begin(), window_.end(),
+                                 [r](const CellRowData& w) { return w.row == r; });
+    PDET_REQUIRE(it != window_.end() && "normalizer lost a buffered cell row");
+    slice.data.insert(slice.data.end(), it->hist.begin(), it->hist.end());
   }
   const IntBlockGrid normalized = pipeline_.normalize(slice);
   NormRowData out;
@@ -298,11 +306,13 @@ void StreamNormalizer::produce(int row) {
 }
 
 void StreamNormalizer::eval() {
-  if (in_.can_pop()) {
-    CellRowData row = in_.pop();
-    highest_row_ = std::max(highest_row_, row.row);
-    window_.push_back(std::move(row));
-    while (window_.size() > 3) window_.pop_front();
+  // Rows below the first one the next normalization reads are done with;
+  // a new row is taken only while the 3-row window has room for it.
+  const int first = std::max(emitted_ - 1, emitted_ - emitted_ % cells_y_);
+  while (!window_.empty() && window_.front().row < first) window_.pop_front();
+  if (window_.size() < 3 && in_.can_pop()) {
+    window_.push_back(in_.pop());
+    highest_row_ = window_.back().row;
   }
 
   if (busy_countdown_ > 0) {
@@ -313,11 +323,10 @@ void StreamNormalizer::eval() {
     }
     return;
   }
-  if (emitted_ >= cells_y_) return;
+  if (emitted_ >= rows_total_) return;
   const int next = emitted_;
-  const bool ready = next == cells_y_ - 1 ? highest_row_ >= cells_y_ - 1
-                                          : highest_row_ >= next + 1;
-  if (!ready) return;
+  const bool frame_bottom = next % cells_y_ == cells_y_ - 1;
+  if (highest_row_ < (frame_bottom ? next : next + 1)) return;
   if (mem_.occupancy() >= mem_.capacity()) return;
   produce(next);
   busy_countdown_ = 2 * cells_x_;
@@ -342,87 +351,49 @@ void StreamFanout::eval() {
 
 // ------------------------------------------------------- StreamCellScaler --
 
-std::vector<StreamCellScaler::Tap> StreamCellScaler::make_taps(int out_n,
-                                                               int src_n,
-                                                               int frac_bits) {
-  // Identical tap construction to FixedHogPipeline::downscale_cells.
-  std::vector<Tap> taps;
-  taps.reserve(static_cast<std::size_t>(out_n));
-  const double ratio = static_cast<double>(src_n) / out_n;
-  for (int o = 0; o < out_n; ++o) {
-    const double f = (o + 0.5) * ratio - 0.5;
-    const double fl = std::floor(f);
-    int i0 = static_cast<int>(fl);
-    double w = f - fl;
-    int i1 = i0 + 1;
-    if (i0 < 0) {
-      i0 = 0;
-      i1 = 0;
-      w = 0.0;
-    }
-    if (i1 >= src_n) {
-      i1 = src_n - 1;
-      if (i0 >= src_n) i0 = src_n - 1;
-    }
-    taps.push_back({i0, i1, fixedpoint::ShiftAddConstant(1.0 - w, frac_bits),
-                    fixedpoint::ShiftAddConstant(w, frac_bits)});
-  }
-  return taps;
-}
-
 StreamCellScaler::StreamCellScaler(const FixedHogPipeline& pipeline,
-                                   int src_cells_x, int src_cells_y,
-                                   int out_cells_x, int out_cells_y,
+                                   LevelSize src, LevelSize out, int frames,
                                    sim::Fifo<CellRowData>& in,
-                                   sim::Fifo<CellRowData>& out)
+                                   sim::Fifo<CellRowData>& out_fifo)
     : Module("stream_cell_scaler"),
       bins_(pipeline.params().bins),
-      frac_bits_(pipeline.config().scale_frac_bits),
-      src_cells_x_(src_cells_x),
-      src_cells_y_(src_cells_y),
-      out_cells_x_(out_cells_x),
-      out_cells_y_(out_cells_y),
-      xtaps_(make_taps(out_cells_x, src_cells_x, frac_bits_)),
-      ytaps_(make_taps(out_cells_y, src_cells_y, frac_bits_)),
+      src_(src),
+      out_(out),
+      rows_total_(out.cells_y * frames),
+      xtaps_(scale_taps(out.cells_x, src.cells_x,
+                        pipeline.config().scale_frac_bits)),
+      ytaps_(scale_taps(out.cells_y, src.cells_y,
+                        pipeline.config().scale_frac_bits)),
       in_(in),
-      out_(out) {
-  PDET_REQUIRE(out_cells_x >= 1 && out_cells_x <= src_cells_x);
-  PDET_REQUIRE(out_cells_y >= 1 && out_cells_y <= src_cells_y);
-}
+      out_fifo_(out_fifo) {}
 
 std::vector<std::int64_t> StreamCellScaler::horizontal_pass(
     const CellRowData& row) const {
-  std::vector<std::int64_t> mid(
-      static_cast<std::size_t>(out_cells_x_) * static_cast<std::size_t>(bins_));
-  const std::int64_t half = std::int64_t{1} << (frac_bits_ - 1);
+  const auto bins = static_cast<std::size_t>(bins_);
+  std::vector<std::int64_t> mid(xtaps_.size() * bins);
   const auto src = std::span<const std::int64_t>(row.hist);
-  for (int ox = 0; ox < out_cells_x_; ++ox) {
-    const Tap& t = xtaps_[static_cast<std::size_t>(ox)];
-    const auto h0 = src.subspan(
-        static_cast<std::size_t>(t.i0) * static_cast<std::size_t>(bins_),
-        static_cast<std::size_t>(bins_));
-    const auto h1 = src.subspan(
-        static_cast<std::size_t>(t.i1) * static_cast<std::size_t>(bins_),
-        static_cast<std::size_t>(bins_));
-    for (int b = 0; b < bins_; ++b) {
-      const std::int64_t acc =
-          t.w0.apply_scaled(h0[static_cast<std::size_t>(b)]) +
-          t.w1.apply_scaled(h1[static_cast<std::size_t>(b)]);
-      mid[static_cast<std::size_t>(ox) * static_cast<std::size_t>(bins_) +
-          static_cast<std::size_t>(b)] = (acc + half) >> frac_bits_;
-    }
+  for (std::size_t ox = 0; ox < xtaps_.size(); ++ox) {
+    const ScaleTap& t = xtaps_[ox];
+    t.blend(src.subspan(static_cast<std::size_t>(t.i0) * bins, bins),
+            src.subspan(static_cast<std::size_t>(t.i1) * bins, bins),
+            std::span<std::int64_t>(mid).subspan(ox * bins, bins));
   }
   return mid;
 }
 
 void StreamCellScaler::eval() {
+  // Output row o of frame f reads source rows f * src_.cells_y + its taps.
+  const auto src_row0 = [&](int o) { return o / out_.cells_y * src_.cells_y; };
+  const auto ytap = [&](int o) -> const ScaleTap& {
+    return ytaps_[static_cast<std::size_t>(o % out_.cells_y)];
+  };
   if (in_.can_pop()) {
     CellRowData row = in_.pop();
-    highest_src_row_ = std::max(highest_src_row_, row.row);
+    highest_src_row_ = row.row;
     mid_rows_.emplace_back(row.row, horizontal_pass(row));
     // Prune mid rows no pending output row can still read.
-    if (emitted_ < out_cells_y_) {
-      const int min_needed = ytaps_[static_cast<std::size_t>(emitted_)].i0;
+    if (emitted_ < rows_total_) {
+      const int min_needed = src_row0(emitted_) + ytap(emitted_).i0;
       while (!mid_rows_.empty() && mid_rows_.front().first < min_needed) {
         mid_rows_.pop_front();
       }
@@ -431,77 +402,82 @@ void StreamCellScaler::eval() {
 
   if (busy_countdown_ > 0) {
     if (--busy_countdown_ == 0) {
-      if (!out_.can_push()) {
+      if (!out_fifo_.can_push()) {
         busy_countdown_ = 1;  // hold the result until the FIFO drains
         return;
       }
-      out_.push(std::move(*pending_));
+      out_fifo_.push(std::move(*pending_));
       pending_.reset();
       ++emitted_;
     }
     return;
   }
-  if (emitted_ >= out_cells_y_) return;
-  const Tap& ty = ytaps_[static_cast<std::size_t>(emitted_)];
-  if (highest_src_row_ < ty.i1) return;
+  if (emitted_ >= rows_total_) return;
+  const ScaleTap& ty = ytap(emitted_);
+  const int i0 = src_row0(emitted_) + ty.i0;
+  const int i1 = src_row0(emitted_) + ty.i1;
+  if (highest_src_row_ < i1) return;
 
   const std::vector<std::int64_t>* mid0 = nullptr;
   const std::vector<std::int64_t>* mid1 = nullptr;
   for (const auto& [idx, mid] : mid_rows_) {
-    if (idx == ty.i0) mid0 = &mid;
-    if (idx == ty.i1) mid1 = &mid;
+    if (idx == i0) mid0 = &mid;
+    if (idx == i1) mid1 = &mid;
   }
   PDET_REQUIRE(mid0 != nullptr && mid1 != nullptr &&
                "scaler pruned a mid row it still needed");
   CellRowData out_row;
   out_row.row = emitted_;
-  out_row.hist.resize(static_cast<std::size_t>(out_cells_x_) *
-                      static_cast<std::size_t>(bins_));
-  const std::int64_t half = std::int64_t{1} << (frac_bits_ - 1);
-  for (std::size_t k = 0; k < out_row.hist.size(); ++k) {
-    const std::int64_t acc =
-        ty.w0.apply_scaled((*mid0)[k]) + ty.w1.apply_scaled((*mid1)[k]);
-    out_row.hist[k] = (acc + half) >> frac_bits_;
-  }
+  out_row.hist.resize(mid0->size());
+  ty.blend(*mid0, *mid1, out_row.hist);
   pending_ = std::move(out_row);
-  busy_countdown_ = 2 * out_cells_x_;
+  busy_countdown_ = 2 * out_.cells_x;
 }
 
 // -------------------------------------------------------- StreamClassifier -
 
 StreamClassifier::StreamClassifier(const hog::HogParams& params,
-                                   const QuantizedModel& model, int grid_rows,
-                                   int grid_cols, DataNhogMem& mem)
+                                   const QuantizedModel& model, LevelSize grid,
+                                   int frames, DataNhogMem& mem)
     : Module("stream_classifier"),
       params_(params),
       model_(model),
-      grid_rows_(grid_rows),
-      grid_cols_(grid_cols),
+      grid_(grid),
+      rows_total_(grid.cells_y * frames),
       mem_(mem) {
-  PDET_REQUIRE(grid_rows >= 16 && grid_cols >= 8);
+  PDET_REQUIRE(grid.cells_x >= params.cells_per_window_x() &&
+               grid.cells_y >= params.cells_per_window_y());
 }
 
 void StreamClassifier::run_pass(int row) {
-  if (row < 15) return;
-  const int anchor_row = row - 15;
   const int bw = params_.cells_per_window_x();
   const int bh = params_.cells_per_window_y();
-  std::vector<std::int32_t> desc;
-  desc.reserve(static_cast<std::size_t>(params_.descriptor_size()));
-  for (int cx = 0; cx + bw <= grid_cols_; ++cx) {
-    desc.clear();
-    for (int j = 0; j < bh; ++j) {
-      for (int i = 0; i < bw; ++i) {
-        const auto f = mem_.read_cell(anchor_row + j, cx + i);
-        desc.insert(desc.end(), f.begin(), f.end());
+  const int local = row % grid_.cells_y;
+  if (local >= bh - 1) {
+    const int top = row - (bh - 1);
+    std::vector<std::int32_t> desc;
+    desc.reserve(static_cast<std::size_t>(params_.descriptor_size()));
+    for (int cx = 0; cx + bw <= grid_.cells_x; ++cx) {
+      desc.clear();
+      for (int j = 0; j < bh; ++j) {
+        for (int i = 0; i < bw; ++i) {
+          const auto f = mem_.read_cell(top + j, cx + i);
+          desc.insert(desc.end(), f.begin(), f.end());
+        }
       }
+      scores_.push_back({row / grid_.cells_y, cx, local - (bh - 1),
+                         model_.decision(desc)});
     }
-    scores_.push_back({cx, anchor_row, model_.decision(desc)});
   }
-  mem_.evict_below(row + 1 - 15);
+  // Rows above the next pass's window are dead. Windows never span frames,
+  // so a frame's last pass frees the whole frame.
+  const int next_local = (row + 1) % grid_.cells_y;
+  mem_.evict_below(row + 1 - std::min(next_local, bh - 1));
+  if (local == grid_.cells_y - 1) frame_done_cycles_.push_back(cycle_);
 }
 
 void StreamClassifier::eval() {
+  ++cycle_;
   if (done()) return;
   if (sweep_countdown_ > 0) {
     ++busy_;
@@ -512,157 +488,8 @@ void StreamClassifier::eval() {
     return;
   }
   if (mem_.has_row(swept_rows_)) {
-    sweep_countdown_ = 288 + 36 * static_cast<std::uint64_t>(grid_cols_ - 1);
+    sweep_countdown_ = TimingModel::sweep_cycles(grid_.cells_x);
   }
-}
-
-// ------------------------------------------------------------- end-to-end --
-
-StreamingResult run_streaming_frame(const imgproc::ImageU8& frame,
-                                    const hog::HogParams& params,
-                                    const FixedPointConfig& fp,
-                                    const svm::LinearModel& model,
-                                    int nhogmem_rows) {
-  params.validate();
-  PDET_REQUIRE(!frame.empty());
-  const int width = frame.width();
-  const int height = frame.height();
-  const int cells_x = width / params.cell_size;
-  const int cells_y = height / params.cell_size;
-  PDET_REQUIRE(cells_x >= params.cells_per_window_x());
-  PDET_REQUIRE(cells_y >= params.cells_per_window_y());
-
-  const FixedHogPipeline pipeline(params, fp);
-  const QuantizedModel qmodel = QuantizedModel::quantize(model, fp);
-
-  sim::Simulator simulator;
-  sim::Fifo<std::uint8_t> px_fifo(2);
-  sim::Fifo<GradientVote> grad_fifo(2);
-  sim::Fifo<CellRowData> row_fifo(4);
-  simulator.add_commit_hook([&] { px_fifo.commit(); });
-  simulator.add_commit_hook([&] { grad_fifo.commit(); });
-  simulator.add_commit_hook([&] { row_fifo.commit(); });
-
-  StreamPixelSource source(frame, px_fifo);
-  StreamGradientUnit gradient(params, fp, width, height, px_fifo, grad_fifo);
-  StreamCellAccumulator accumulator(params, width, height, grad_fifo, row_fifo);
-  DataNhogMem mem(nhogmem_rows, cells_x, params.bins);
-  StreamNormalizer normalizer(pipeline, cells_x, cells_y, row_fifo, mem);
-  StreamClassifier classifier(params, qmodel, cells_y, cells_x, mem);
-
-  simulator.add(source);
-  simulator.add(gradient);
-  simulator.add(accumulator);
-  simulator.add(normalizer);
-  simulator.add(classifier);
-
-  const std::uint64_t budget =
-      6 * static_cast<std::uint64_t>(width) * static_cast<std::uint64_t>(height) +
-      1'000'000;
-  const bool finished =
-      simulator.run_until([&] { return classifier.done(); }, budget);
-  PDET_REQUIRE(finished && "streaming pipeline did not complete");
-
-  StreamingResult result;
-  result.scores = classifier.scores();
-  result.cycles = simulator.cycle();
-  result.nhog_max_occupancy = mem.max_occupancy();
-  std::uint64_t mn = ~std::uint64_t{0};
-  std::uint64_t mx = 0;
-  for (int b = 0; b < DataNhogMem::kBanks; ++b) {
-    mn = std::min(mn, mem.bank_reads(b));
-    mx = std::max(mx, mem.bank_reads(b));
-  }
-  result.min_bank_reads = mn;
-  result.max_bank_reads = mx;
-  return result;
-}
-
-TwoScaleStreamingResult run_streaming_frame_two_scale(
-    const imgproc::ImageU8& frame, const hog::HogParams& params,
-    const FixedPointConfig& fp, const svm::LinearModel& model, double scale,
-    int nhogmem_rows) {
-  params.validate();
-  PDET_REQUIRE(scale > 1.0);
-  const int width = frame.width();
-  const int height = frame.height();
-  const int cells_x = width / params.cell_size;
-  const int cells_y = height / params.cell_size;
-  const int out_x = std::max(params.cells_per_window_x(),
-                             static_cast<int>(std::lround(cells_x / scale)));
-  const int out_y = std::max(params.cells_per_window_y(),
-                             static_cast<int>(std::lround(cells_y / scale)));
-  PDET_REQUIRE(cells_x >= params.cells_per_window_x());
-  PDET_REQUIRE(cells_y >= params.cells_per_window_y());
-
-  const FixedHogPipeline pipeline(params, fp);
-  const QuantizedModel qmodel = QuantizedModel::quantize(model, fp);
-
-  sim::Simulator simulator;
-  sim::Fifo<std::uint8_t> px_fifo(2);
-  sim::Fifo<GradientVote> grad_fifo(2);
-  sim::Fifo<CellRowData> row_fifo(4);
-  sim::Fifo<CellRowData> row_native(4);
-  sim::Fifo<CellRowData> row_to_scaler(4);
-  sim::Fifo<CellRowData> row_scaled(4);
-  for (auto* f : {&row_fifo, &row_native, &row_to_scaler, &row_scaled}) {
-    simulator.add_commit_hook([f] { f->commit(); });
-  }
-  simulator.add_commit_hook([&] { px_fifo.commit(); });
-  simulator.add_commit_hook([&] { grad_fifo.commit(); });
-
-  StreamPixelSource source(frame, px_fifo);
-  StreamGradientUnit gradient(params, fp, width, height, px_fifo, grad_fifo);
-  StreamCellAccumulator accumulator(params, width, height, grad_fifo, row_fifo);
-  StreamFanout fanout(row_fifo, {&row_native, &row_to_scaler});
-
-  DataNhogMem mem0(nhogmem_rows, cells_x, params.bins);
-  StreamNormalizer normalizer0(pipeline, cells_x, cells_y, row_native, mem0);
-  StreamClassifier classifier0(params, qmodel, cells_y, cells_x, mem0);
-
-  StreamCellScaler scaler(pipeline, cells_x, cells_y, out_x, out_y,
-                          row_to_scaler, row_scaled);
-  DataNhogMem mem1(nhogmem_rows, out_x, params.bins);
-  StreamNormalizer normalizer1(pipeline, out_x, out_y, row_scaled, mem1);
-  StreamClassifier classifier1(params, qmodel, out_y, out_x, mem1);
-
-  simulator.add(source);
-  simulator.add(gradient);
-  simulator.add(accumulator);
-  simulator.add(fanout);
-  simulator.add(normalizer0);
-  simulator.add(scaler);
-  simulator.add(normalizer1);
-  simulator.add(classifier0);
-  simulator.add(classifier1);
-
-  const std::uint64_t budget =
-      8 * static_cast<std::uint64_t>(width) * static_cast<std::uint64_t>(height) +
-      2'000'000;
-  const bool finished = simulator.run_until(
-      [&] { return classifier0.done() && classifier1.done(); }, budget);
-  PDET_REQUIRE(finished && "two-scale streaming pipeline did not complete");
-
-  TwoScaleStreamingResult result;
-  result.scale = scale;
-  auto collect = [&](StreamClassifier& cl, DataNhogMem& mem) {
-    StreamingResult r;
-    r.scores = cl.scores();
-    r.cycles = simulator.cycle();
-    r.nhog_max_occupancy = mem.max_occupancy();
-    std::uint64_t mn = ~std::uint64_t{0};
-    std::uint64_t mx = 0;
-    for (int b = 0; b < DataNhogMem::kBanks; ++b) {
-      mn = std::min(mn, mem.bank_reads(b));
-      mx = std::max(mx, mem.bank_reads(b));
-    }
-    r.min_bank_reads = mn;
-    r.max_bank_reads = mx;
-    return r;
-  };
-  result.native = collect(classifier0, mem0);
-  result.scaled = collect(classifier1, mem1);
-  return result;
 }
 
 }  // namespace pdet::hwsim

@@ -1,33 +1,42 @@
-// Data-carrying streaming model of the HOG extractor + classifier.
+// Cycle-level model of the accelerator (paper Figures 5-8), carrying the
+// real fixed-point values.
 //
-// pipeline.hpp models *when* (tokens, cadences); fixed_pipeline.hpp models
-// *what* (arithmetic, whole-frame at once). This layer closes the loop: the
-// same fixed-point arithmetic evaluated *as the hardware streams it* —
-// pixel by pixel through line buffers, cell accumulators with the
-// overlapped-band spill the bilinear spatial vote causes, a 3-row
-// normalizer, a 16-bank NHOGMem holding real feature values, and a
-// classifier that gathers window columns bank-by-bank. Its window scores are
-// bit-identical to FixedHogPipeline's (the test suite asserts this), which
-// demonstrates that the paper's streaming memory organisation loses nothing
-// relative to the batch computation.
+// Each RTL block is a sim::Module on the shared clock, passing the values it
+// computes through registered FIFOs:
+//
+//   StreamPixelSource --1 px/cycle--> StreamGradientUnit --1 vote/cycle-->
+//   StreamCellAccumulator --cell rows--> StreamFanout --+--> level chain 0
+//                                                      +--> level chain 1..
+//   level chain: [StreamCellScaler -->] StreamNormalizer --> DataNhogMem
+//                (16 banks, nhogmem_rows ring) <--columns-- StreamClassifier
+//
+// The arithmetic is FixedHogPipeline's (fixed_pipeline.hpp), evaluated as
+// the hardware streams it: pixel by pixel through line buffers, cell
+// accumulators with the overlapped-band spill the bilinear spatial vote
+// causes, a 3-row normalizer, a 16-bank NHOGMem holding real features, and
+// a classifier that gathers window columns bank by bank at the paper's
+// cadence (timing.hpp). Its window scores are bit-identical to
+// FixedHogPipeline's; the test suite asserts this. Accelerator::stream
+// (accelerator.hpp) wires these units into one run over the scale list and
+// streams one or more frames back to back.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
-
-#include "src/fixedpoint/shiftadd.hpp"
 
 #include "src/hwsim/fixed_pipeline.hpp"
 #include "src/sim/fifo.hpp"
 #include "src/sim/module.hpp"
-#include "src/sim/simulator.hpp"
 
 namespace pdet::hwsim {
 
 /// One finished row of cell histograms (bins per cell, Q.hist fixed point).
+/// Rows are numbered across the whole run: frame f's row c is
+/// f * cells_y + c.
 struct CellRowData {
   int row = 0;
   std::vector<std::int64_t> hist;  ///< cells_x * bins
@@ -39,25 +48,26 @@ struct NormRowData {
   std::vector<std::int32_t> features;  ///< cells_x * 36
 };
 
-/// Streams a frame's pixels in raster order, one per cycle.
+/// Streams the frames' pixels in raster order, one per cycle, frame after
+/// frame. Like a camera it cannot be stalled: a full FIFO is an overrun.
 class StreamPixelSource : public sim::Module {
  public:
-  StreamPixelSource(const imgproc::ImageU8& frame,
+  StreamPixelSource(std::span<const imgproc::ImageU8> frames,
                     sim::Fifo<std::uint8_t>& out);
   void eval() override;
-  bool done() const { return index_ == total_; }
 
  private:
-  const imgproc::ImageU8& frame_;
+  std::span<const imgproc::ImageU8> frames_;
   sim::Fifo<std::uint8_t>& out_;
+  std::size_t frame_ = 0;
   std::size_t index_ = 0;
-  std::size_t total_;
 };
 
 /// Line-buffered gradient + CORDIC + orientation binning. Consumes one pixel
 /// per cycle; once a full row plus one pixel is buffered it emits one
 /// gradient vote record per cycle (centered differences with border
 /// replication, identical arithmetic to FixedHogPipeline::compute_cells).
+/// (x, y) are frame coordinates.
 struct GradientVote {
   std::int32_t x = 0;
   std::int32_t y = 0;
@@ -70,14 +80,15 @@ struct GradientVote {
 class StreamGradientUnit : public sim::Module {
  public:
   StreamGradientUnit(const hog::HogParams& params, const FixedPointConfig& fp,
-                     int width, int height, sim::Fifo<std::uint8_t>& in,
+                     int width, int height, int frames,
+                     sim::Fifo<std::uint8_t>& in,
                      sim::Fifo<GradientVote>& out);
   void eval() override;
-  bool done() const { return emitted_ == total_; }
+  std::uint64_t busy_cycles() const { return busy_; }
 
  private:
-  void emit_for(int x, int y, sim::Fifo<GradientVote>& out);
-  std::uint8_t pixel_clamped(int x, int y) const;
+  GradientVote vote_at(std::size_t index) const;
+  std::uint8_t pixel(int x, std::size_t line) const;
 
   hog::HogParams params_;
   fixedpoint::Cordic cordic_;
@@ -86,50 +97,50 @@ class StreamGradientUnit : public sim::Module {
   int height_;
   sim::Fifo<std::uint8_t>& in_;
   sim::Fifo<GradientVote>& out_;
-  // Three-line window: rows y-1, y, y+1 relative to the emit row.
+  // Three-line window over the run's lines: line n lives in lines_[n % 3].
   std::vector<std::uint8_t> lines_[3];
   std::size_t received_ = 0;
   std::size_t emitted_ = 0;
   std::size_t total_;
+  std::uint64_t busy_ = 0;
 };
 
 /// Accumulates gradient votes into cell histograms. Owns three cell-row
-/// accumulator banks (prev/cur/next): the bilinear spatial vote of a pixel
-/// in image rows [8c, 8c+4) still touches cell row c-1, so row c-1 is only
-/// final once row 8c+4 begins — the overlap that forces line-buffered
-/// accumulators in the RTL.
+/// accumulator banks: the bilinear spatial vote of a pixel in image rows
+/// [8c, 8c+4) still touches cell row c-1, so row c-1 is only final once
+/// row 8c+4 begins — the overlap that forces line-buffered accumulators in
+/// the RTL. A finished row's bank is never one the next vote writes, so the
+/// hand-off and that vote share a cycle.
 class StreamCellAccumulator : public sim::Module {
  public:
   StreamCellAccumulator(const hog::HogParams& params, int width, int height,
-                        sim::Fifo<GradientVote>& in,
+                        int frames, sim::Fifo<GradientVote>& in,
                         sim::Fifo<CellRowData>& out);
   void eval() override;
-  bool done() const { return emitted_rows_ == cells_y_; }
-  int cells_x() const { return cells_x_; }
-  int cells_y() const { return cells_y_; }
 
  private:
-  std::vector<std::int64_t>& bank(int cell_row);
-  void finalize_row(int cell_row);
+  bool row_final(int row) const;
+  std::vector<std::int64_t>& bank(int row);
+  void finalize_row(int row);
+  void deposit(const GradientVote& vote, int frame_row0);
 
   hog::HogParams params_;
-  int width_;
-  int height_;
   int cells_x_;
   int cells_y_;
+  int rows_total_;
+  std::size_t votes_per_frame_;
   sim::Fifo<GradientVote>& in_;
   sim::Fifo<CellRowData>& out_;
-  // Ring of 3 accumulator banks indexed by cell_row % 3.
+  // Ring of 3 accumulator banks indexed by row % 3.
   std::vector<std::int64_t> banks_[3];
   int emitted_rows_ = 0;
   std::size_t votes_seen_ = 0;
-  std::size_t votes_total_;
 };
 
 /// 16-bank normalized-feature memory holding real data. Rows live in an
-/// 18-slot ring; bank(cy) = cy mod 16, so the 16 cells of a window column
-/// always come from 16 distinct banks — the conflict-free read pattern the
-/// paper's classifier depends on. Read/write accesses are counted per bank.
+/// nhogmem_rows ring; bank(cy) = cy mod 16, so the 16 cells of a window
+/// column always come from 16 distinct banks — the conflict-free read
+/// pattern the paper's classifier depends on. Reads are counted per bank.
 class DataNhogMem {
  public:
   DataNhogMem(int capacity_rows, int cells_x, int bins);
@@ -156,16 +167,16 @@ class DataNhogMem {
   std::uint64_t reads_[kBanks] = {};
 };
 
-/// Normalizes finished cell rows (needs rows r-1, r, r+1; borders clamp) and
-/// writes them to the data memory. Reuses FixedHogPipeline's normalization
-/// arithmetic on a 3-row slice so the streamed values are bit-identical to
-/// the batch path. Busy 2 cycles per cell like the token model.
+/// Normalizes finished cell rows (needs rows r-1, r, r+1 of its frame;
+/// borders clamp) and writes them to the data memory. Reuses
+/// FixedHogPipeline's normalization arithmetic on a 3-row slice so the
+/// streamed values are bit-identical to the batch path. Busy 2 cycles per
+/// cell; takes a cell row only when its 3-row window has room.
 class StreamNormalizer : public sim::Module {
  public:
   StreamNormalizer(const FixedHogPipeline& pipeline, int cells_x, int cells_y,
-                   sim::Fifo<CellRowData>& in, DataNhogMem& mem);
+                   int frames, sim::Fifo<CellRowData>& in, DataNhogMem& mem);
   void eval() override;
-  bool done() const { return emitted_ == cells_y_; }
 
  private:
   void produce(int row);
@@ -173,18 +184,18 @@ class StreamNormalizer : public sim::Module {
   const FixedHogPipeline& pipeline_;
   int cells_x_;
   int cells_y_;
+  int rows_total_;
   sim::Fifo<CellRowData>& in_;
   DataNhogMem& mem_;
-  std::deque<CellRowData> window_;  // last <= 3 cell rows
+  std::deque<CellRowData> window_;  // the <= 3 rows the next row reads
   int highest_row_ = -1;
   int emitted_ = 0;
   int busy_countdown_ = 0;
   std::optional<NormRowData> pending_;
 };
 
-/// One-to-N fan-out of finished cell rows: the native normalizer and the
-/// first down-scaling module both consume the extractor's output (paper
-/// Figure 5/6 tee point).
+/// One-to-N fan-out of finished cell rows: every level's chain consumes the
+/// extractor's output (paper Figure 5/6 tee point).
 class StreamFanout : public sim::Module {
  public:
   StreamFanout(sim::Fifo<CellRowData>& in,
@@ -199,39 +210,27 @@ class StreamFanout : public sim::Module {
 /// Streaming shift-and-add cell-histogram down-scaler (paper Figure 6): the
 /// separable bilinear resampler of FixedHogPipeline::downscale_cells run as
 /// a clocked row pipeline. Consumes source cell rows, applies the horizontal
-/// CSD taps immediately, buffers the two mid rows each output row needs, and
-/// emits scaled cell rows — bit-identical to the batch scaler. Occupies
+/// CSD taps immediately, buffers the mid rows its output rows still need,
+/// and emits scaled cell rows — bit-identical to the batch scaler. Occupies
 /// 2 cycles per output cell per row, like the other row engines.
 class StreamCellScaler : public sim::Module {
  public:
-  StreamCellScaler(const FixedHogPipeline& pipeline, int src_cells_x,
-                   int src_cells_y, int out_cells_x, int out_cells_y,
-                   sim::Fifo<CellRowData>& in, sim::Fifo<CellRowData>& out);
+  StreamCellScaler(const FixedHogPipeline& pipeline, LevelSize src,
+                   LevelSize out, int frames, sim::Fifo<CellRowData>& in,
+                   sim::Fifo<CellRowData>& out_fifo);
   void eval() override;
-  bool done() const { return emitted_ == out_cells_y_; }
-  int out_cells_x() const { return out_cells_x_; }
-  int out_cells_y() const { return out_cells_y_; }
 
  private:
-  struct Tap {
-    int i0;
-    int i1;
-    fixedpoint::ShiftAddConstant w0;
-    fixedpoint::ShiftAddConstant w1;
-  };
-  static std::vector<Tap> make_taps(int out_n, int src_n, int frac_bits);
   std::vector<std::int64_t> horizontal_pass(const CellRowData& row) const;
 
   int bins_;
-  int frac_bits_;
-  int src_cells_x_;
-  int src_cells_y_;
-  int out_cells_x_;
-  int out_cells_y_;
-  std::vector<Tap> xtaps_;
-  std::vector<Tap> ytaps_;
+  LevelSize src_;
+  LevelSize out_;
+  int rows_total_;
+  std::vector<ScaleTap> xtaps_;
+  std::vector<ScaleTap> ytaps_;
   sim::Fifo<CellRowData>& in_;
-  sim::Fifo<CellRowData>& out_;
+  sim::Fifo<CellRowData>& out_fifo_;
   /// Mid (horizontally-scaled) rows still needed by pending output rows.
   std::deque<std::pair<int, std::vector<std::int64_t>>> mid_rows_;
   int highest_src_row_ = -1;
@@ -240,67 +239,46 @@ class StreamCellScaler : public sim::Module {
   std::optional<CellRowData> pending_;
 };
 
-/// Row-locked MACBAR classifier over real data: one pass per grid row at the
-/// paper cadence (288-cycle fill + 36 per column); passes with >= 16 rows
-/// resident emit true window scores via the quantized model.
+/// One window's score; (cell_x, cell_y) is its anchor in its frame's level.
 struct WindowScore {
+  int frame = 0;
   int cell_x = 0;
   int cell_y = 0;
   double score = 0.0;
 };
 
+/// Row-locked MACBAR classifier over real data: one pass per grid row at the
+/// paper cadence (TimingModel::sweep_cycles); a pass whose row completes a
+/// window's rows within its frame emits true window scores via the
+/// quantized model.
 class StreamClassifier : public sim::Module {
  public:
   StreamClassifier(const hog::HogParams& params, const QuantizedModel& model,
-                   int grid_rows, int grid_cols, DataNhogMem& mem);
+                   LevelSize grid, int frames, DataNhogMem& mem);
   void eval() override;
-  bool done() const { return swept_rows_ == grid_rows_; }
+  bool done() const { return swept_rows_ == rows_total_; }
   const std::vector<WindowScore>& scores() const { return scores_; }
+  int swept_rows() const { return swept_rows_; }
   std::uint64_t busy_cycles() const { return busy_; }
+  /// Cycle at which each frame's last pass finished.
+  const std::vector<std::uint64_t>& frame_done_cycles() const {
+    return frame_done_cycles_;
+  }
 
  private:
   void run_pass(int row);
 
   hog::HogParams params_;
   const QuantizedModel& model_;
-  int grid_rows_;
-  int grid_cols_;
+  LevelSize grid_;
+  int rows_total_;
   DataNhogMem& mem_;
   int swept_rows_ = 0;
   std::uint64_t sweep_countdown_ = 0;
   std::uint64_t busy_ = 0;
+  std::uint64_t cycle_ = 0;
   std::vector<WindowScore> scores_;
+  std::vector<std::uint64_t> frame_done_cycles_;
 };
-
-/// End-to-end streaming run: returns every window score plus cycle count and
-/// memory statistics.
-struct StreamingResult {
-  std::vector<WindowScore> scores;
-  std::uint64_t cycles = 0;
-  int nhog_max_occupancy = 0;
-  std::uint64_t max_bank_reads = 0;
-  std::uint64_t min_bank_reads = 0;
-};
-
-StreamingResult run_streaming_frame(const imgproc::ImageU8& frame,
-                                    const hog::HogParams& params,
-                                    const FixedPointConfig& fp,
-                                    const svm::LinearModel& model,
-                                    int nhogmem_rows = 18);
-
-/// Two-scale streaming run (paper Figure 6): the extractor's cell rows tee
-/// into the native chain and into a streaming down-scaler feeding a second
-/// normalizer + memory + classifier. Both levels' scores are bit-identical
-/// to the batch fixed-point paths (native, and downscale_cells + normalize).
-struct TwoScaleStreamingResult {
-  StreamingResult native;
-  StreamingResult scaled;
-  double scale = 1.0;
-};
-
-TwoScaleStreamingResult run_streaming_frame_two_scale(
-    const imgproc::ImageU8& frame, const hog::HogParams& params,
-    const FixedPointConfig& fp, const svm::LinearModel& model,
-    double scale = 2.0, int nhogmem_rows = 18);
 
 }  // namespace pdet::hwsim

@@ -3,13 +3,15 @@
 // The hwsim accelerator model is built from Modules driven by a shared
 // Simulator clock. Each cycle runs in two phases, mirroring synchronous RTL:
 //
-//   eval()   — combinational: read *current* state of registers/FIFOs and
-//              stage next-state writes (Reg::write, Fifo::push/pop).
+//   eval()   — combinational: read *current* state of FIFOs and stage
+//              next-state writes (Fifo::push/pop).
 //   commit() — clock edge: all staged writes latch simultaneously.
 //
-// Because every module sees only pre-edge state during eval(), module
-// registration order cannot change behaviour — the property that makes the
-// cycle counts reported by hwsim trustworthy.
+// Because every module sees only pre-edge FIFO state during eval(), modules
+// that talk only through FIFOs may be registered in any order — the property
+// that makes the cycle counts reported by hwsim trustworthy. A passive
+// memory shared by two modules (hwsim's NHOGMem) is read and written at
+// once, so its writer is registered before its reader.
 #pragma once
 
 #include <string>

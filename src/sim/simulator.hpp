@@ -23,8 +23,8 @@ class Simulator {
   /// side in an accelerator aggregate).
   void add(Module& module);
 
-  /// Attach a FIFO/register commit hook that runs at every clock edge (used
-  /// for channels that are not owned by any single module).
+  /// Attach a commit hook that runs at every clock edge (used for FIFOs that
+  /// are not owned by any single module).
   void add_commit_hook(std::function<void()> hook);
 
   /// Advance one cycle: eval() all modules, then commit() hooks and modules.

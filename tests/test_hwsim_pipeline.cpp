@@ -1,14 +1,18 @@
-// Tests for the cycle-level pipeline, the timing model, and the resource
-// model — the paper's Section 5 numbers.
+// Tests for the timing model, the streamed circuit's timing, and the
+// resource model — the paper's Section 5 numbers.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
-#include "src/hwsim/pipeline.hpp"
+#include "src/hwsim/accelerator.hpp"
 #include "src/hwsim/resources.hpp"
 #include "src/hwsim/timing.hpp"
+#include "src/sim/vcd.hpp"
+#include "src/util/rng.hpp"
 
 namespace pdet::hwsim {
 namespace {
@@ -65,170 +69,181 @@ TEST(Timing, SmallerFramesScaleDown) {
   EXPECT_GT(model.max_fps(), 60.0);
 }
 
-TEST(PipelineSim, StandaloneClassifierMatchesPaperFigure) {
-  EXPECT_EQ(AcceleratorPipeline::classifier_standalone_cycles(135, 240),
-            1'200'420u);
+// ----------------------------------------------- the streamed circuit's time
+
+// Timing does not depend on pixel values or weights: every pixel casts a
+// vote and every window is scored. Random frames and a random model keep
+// the runs honest anyway.
+svm::LinearModel random_model(std::uint64_t seed) {
+  util::Rng rng(seed);
+  svm::LinearModel model;
+  model.weights.resize(static_cast<std::size_t>(hog::HogParams{}.descriptor_size()));
+  for (auto& w : model.weights) w = static_cast<float>(rng.normal(0.0, 0.02));
+  return model;
 }
 
-TEST(PipelineSim, StandaloneMatchesTimingModelForAnyGrid) {
-  for (const auto [rows, cols] : {std::pair{16, 8}, {20, 30}, {68, 120}}) {
-    TimingConfig config;
-    config.frame_width = cols * 8;
-    config.frame_height = rows * 8;
-    const TimingModel model(config);
-    EXPECT_EQ(AcceleratorPipeline::classifier_standalone_cycles(rows, cols),
-              model.classifier_frame_cycles());
+std::vector<imgproc::ImageU8> random_frames(int w, int h, int count,
+                                            std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<imgproc::ImageU8> frames;
+  for (int f = 0; f < count; ++f) {
+    imgproc::ImageU8 img(w, h);
+    for (auto& p : img.pixels()) {
+      p = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    }
+    frames.push_back(std::move(img));
   }
+  return frames;
 }
 
-class SmallFrameSim : public testing::Test {
- protected:
-  static PipelineConfig small_config() {
-    PipelineConfig config;
-    config.frame_width = 256;   // 32 cell cols
-    config.frame_height = 256;  // 32 cell rows
-    config.extra_scales = {2.0};
-    return config;
-  }
-};
+StreamingResult stream(int w, int h, std::vector<double> scales,
+                       int frames = 1, int nhogmem_rows = 18,
+                       sim::VcdWriter* vcd = nullptr) {
+  AcceleratorConfig config;
+  config.scales = std::move(scales);
+  config.nhogmem_rows = nhogmem_rows;
+  const Accelerator accel(config, random_model(7));
+  return accel.stream(random_frames(w, h, frames, 11), vcd);
+}
 
-TEST_F(SmallFrameSim, FrameCompletesAndCountsWindows) {
-  AcceleratorPipeline pipeline(small_config());
-  const PipelineStats stats = pipeline.run_frame();
+std::uint64_t windows(const StreamLevel& level) { return level.scores.size(); }
+
+TEST(StreamTiming, SmallFrameCountsWindowsPerLevel) {
+  const StreamingResult r = stream(256, 256, {1.0, 2.0});
+  ASSERT_EQ(r.levels.size(), 2u);
   // Native grid 32x32: (32-8+1) windows per pass, (32-15) passes with output.
-  EXPECT_EQ(stats.windows_s0, 25u * 17u);
+  EXPECT_EQ(windows(r.levels[0]), 25u * 17u);
   // Scaled grid 16x16: 9 windows x 1 productive pass.
-  ASSERT_EQ(stats.windows_extra.size(), 1u);
-  EXPECT_EQ(stats.windows_extra[0], 9u);
+  EXPECT_EQ(r.levels[1].scale, 2.0);
+  EXPECT_EQ(windows(r.levels[1]), 9u);
 }
 
-TEST_F(SmallFrameSim, TotalCyclesNearPixelStreamBound) {
-  AcceleratorPipeline pipeline(small_config());
-  const PipelineStats stats = pipeline.run_frame();
+TEST(StreamTiming, NoExtraScaleStillCompletes) {
+  const StreamingResult r = stream(128, 192, {1.0});
+  // 16x24 grid: 9 window columns x (24-15) productive passes.
+  ASSERT_EQ(r.levels.size(), 1u);
+  EXPECT_EQ(windows(r.levels[0]), 9u * 9u);
+}
+
+TEST(StreamTiming, WideFrameWindowCount) {
+  const StreamingResult r = stream(512, 256, {1.0});
+  EXPECT_EQ(windows(r.levels[0]),
+            static_cast<std::uint64_t>((64 - 7) * (32 - 15)));
+}
+
+TEST(StreamTiming, TotalCyclesNearPixelStreamBound) {
+  const StreamingResult r = stream(256, 256, {1.0, 2.0});
   const std::uint64_t pixels = 256u * 256u;
-  // Extraction-bound: total = pixel ingest + pipeline drain + final sweep.
-  EXPECT_GE(stats.total_cycles, pixels);
-  EXPECT_LE(stats.total_cycles,
-            pixels + TimingModel::sweep_cycles(32) * 3 + 256 * 4);
+  // Extraction-bound: total = pixel ingest + pipeline drain + final sweeps.
+  EXPECT_GE(r.total_cycles, pixels);
+  EXPECT_LE(r.total_cycles, pixels + TimingModel::sweep_cycles(32) * 3 + 256 * 4);
 }
 
-TEST_F(SmallFrameSim, NhogOccupancyStaysWithinPaperRing) {
-  AcceleratorPipeline pipeline(small_config());
-  const PipelineStats stats = pipeline.run_frame();
-  // The paper reduced NHOGMem to 18 rows; the simulated pipeline must fit
-  // in that ring but genuinely need a 16-row window plus in-flight rows.
-  EXPECT_LE(stats.nhog_max_occupancy, 18);
-  EXPECT_GE(stats.nhog_max_occupancy, 16);
-  EXPECT_EQ(stats.nhog_capacity, 18);
+TEST(StreamTiming, RingPeakWithinCapacity) {
+  const StreamingResult r = stream(256, 256, {1.0, 2.0});
+  // The paper reduced NHOGMem to 18 rows; the streamed circuit fits in that
+  // ring but genuinely needs a 16-row window plus rows in flight.
+  EXPECT_EQ(r.nhog_capacity, 18);
+  for (const StreamLevel& level : r.levels) {
+    EXPECT_LE(level.nhog_max_occupancy, 18);
+  }
+  EXPECT_GE(r.levels[0].nhog_max_occupancy, 16);
 }
 
-TEST_F(SmallFrameSim, SeventeenRowRingStillWorks) {
-  // Ablation: the architecture needs 16 resident rows + 1 landing row; a
-  // 17-row ring is the proven minimum in this pipeline.
-  PipelineConfig config = small_config();
-  config.nhogmem_rows = 17;
-  AcceleratorPipeline pipeline(config);
-  const PipelineStats stats = pipeline.run_frame();
-  EXPECT_LE(stats.nhog_max_occupancy, 17);
-  EXPECT_EQ(stats.windows_s0, 25u * 17u);
+TEST(StreamTiming, WindowSizedRingCompletes) {
+  // A ring of exactly one window's rows is the smallest the accelerator
+  // takes; whether it keeps up is left to the simulation, and it does.
+  const StreamingResult r = stream(256, 256, {1.0, 2.0}, 1, 16);
+  EXPECT_LE(r.levels[0].nhog_max_occupancy, 16);
+  EXPECT_EQ(windows(r.levels[0]), 25u * 17u);
+  EXPECT_EQ(windows(r.levels[1]), 9u);
 }
 
-TEST_F(SmallFrameSim, GradientStreamsEveryCycle) {
-  AcceleratorPipeline pipeline(small_config());
-  const PipelineStats stats = pipeline.run_frame();
+TEST(StreamTiming, RejectsRingSmallerThanAWindow) {
+  AcceleratorConfig config;
+  config.nhogmem_rows = 15;  // a window's 16 rows can never be resident
+  EXPECT_DEATH(Accelerator(config, random_model(1)), "nhogmem_rows");
+}
+
+TEST(StreamTiming, GradientStreamsEveryCycle) {
+  const StreamingResult r = stream(256, 256, {1.0, 2.0});
   // Extraction dominates: the gradient unit is busy nearly every cycle.
-  EXPECT_GT(stats.utilization_gradient, 0.9);
+  EXPECT_GT(r.utilization_gradient, 0.9);
 }
 
-TEST_F(SmallFrameSim, ClassifierFasterThanExtractor) {
-  AcceleratorPipeline pipeline(small_config());
-  const PipelineStats stats = pipeline.run_frame();
+TEST(StreamTiming, ClassifierFasterThanExtractor) {
+  const StreamingResult r = stream(256, 256, {1.0, 2.0});
   // "Ensuring that our classifier is as fast as the previous HOG extractor
   // stage": the classifier must not be the bottleneck (busy < extractor).
-  EXPECT_LT(stats.utilization_classifier, stats.utilization_gradient);
+  EXPECT_LT(r.utilization_classifier, r.utilization_gradient);
 }
 
-TEST_F(SmallFrameSim, FpsReportedFromClock) {
-  PipelineConfig config = small_config();
-  config.clock_hz = 125e6;
-  AcceleratorPipeline pipeline(config);
-  const PipelineStats stats = pipeline.run_frame();
-  EXPECT_NEAR(stats.fps,
-              config.clock_hz / static_cast<double>(stats.total_cycles) , 1.0);
+TEST(StreamTiming, FpsReportedFromClock) {
+  const StreamingResult r = stream(256, 256, {1.0, 2.0});
+  EXPECT_NEAR(r.fps, 125e6 / static_cast<double>(r.total_cycles), 1e-9);
+  EXPECT_NEAR(r.frame_ms, 1e3 / r.fps, 1e-12);
 }
 
-TEST(PipelineSim, NoExtraScalesStillCompletes) {
-  PipelineConfig config;
-  config.frame_width = 128;
-  config.frame_height = 192;
-  AcceleratorPipeline pipeline(config);
-  const PipelineStats stats = pipeline.run_frame();
-  // 16x24 grid: 9 window columns x (24-15) productive passes.
-  EXPECT_EQ(stats.windows_s0, 9u * 9u);
-  EXPECT_TRUE(stats.windows_extra.empty());
+TEST(StreamTiming, SingleFrameHasNoSustainedPeriod) {
+  const StreamingResult r = stream(128, 192, {1.0});
+  ASSERT_EQ(r.frame_done_cycles.size(), 1u);
+  EXPECT_EQ(r.frame_done_cycles[0], r.total_cycles);
+  EXPECT_EQ(r.sustained_period_cycles, 0u);
 }
 
-TEST(PipelineSim, SustainedThroughputMatchesExtractorRate) {
+TEST(StreamTiming, SustainedThroughputMatchesExtractorRate) {
   // Three frames streamed back to back: the inter-frame completion period
   // must equal the extractor's pixel count (the bottleneck stage), which is
   // the basis of the paper's 60 fps HDTV claim.
-  PipelineConfig config;
-  config.frame_width = 256;
-  config.frame_height = 256;
-  config.extra_scales = {2.0};
-  config.frames = 3;
-  AcceleratorPipeline pipeline(config);
-  const PipelineStats stats = pipeline.run_frame();
-  ASSERT_EQ(stats.frame_done_cycles.size(), 3u);
+  const StreamingResult r = stream(256, 256, {1.0, 2.0}, 3);
+  ASSERT_EQ(r.frame_done_cycles.size(), 3u);
   const std::uint64_t pixels = 256u * 256u;
-  EXPECT_NEAR(static_cast<double>(stats.sustained_period_cycles),
+  EXPECT_NEAR(static_cast<double>(r.sustained_period_cycles),
               static_cast<double>(pixels), static_cast<double>(pixels) * 0.02);
+  // The camera cannot be stalled, so it sets the pace exactly: a stage that
+  // lost even one cycle per frame would lengthen the period and, frames
+  // later, overrun the gradient line buffer.
+  EXPECT_EQ(r.sustained_period_cycles, pixels);
+  EXPECT_EQ(r.frame_done_cycles[2] - r.frame_done_cycles[1],
+            r.frame_done_cycles[1] - r.frame_done_cycles[0]);
   // Window counts triple relative to one frame.
-  EXPECT_EQ(stats.windows_s0, 3u * 25u * 17u);
-  ASSERT_EQ(stats.windows_extra.size(), 1u);
-  EXPECT_EQ(stats.windows_extra[0], 3u * 9u);
-  // The ring never grows beyond the paper's 18 rows even across frame
-  // boundaries.
-  EXPECT_LE(stats.nhog_max_occupancy, 18);
+  EXPECT_EQ(windows(r.levels[0]), 3u * 25u * 17u);
+  EXPECT_EQ(windows(r.levels[1]), 3u * 9u);
+  // The ring never grows beyond the paper's 18 rows across frame boundaries.
+  EXPECT_LE(r.levels[0].nhog_max_occupancy, 18);
 }
 
-TEST(PipelineSim, SingleFrameHasNoSustainedPeriod) {
-  PipelineConfig config;
-  config.frame_width = 128;
-  config.frame_height = 192;
-  AcceleratorPipeline pipeline(config);
-  const PipelineStats stats = pipeline.run_frame();
-  ASSERT_EQ(stats.frame_done_cycles.size(), 1u);
-  EXPECT_EQ(stats.sustained_period_cycles, 0u);
+TEST(StreamTiming, ScaledLevelTooSmallForAWindowIsDropped) {
+  // At scale 2 a 128x192 frame's 16x24 cells become 8x12: too short for a
+  // 16-row window. Both paths drop the level rather than stretch it.
+  AcceleratorConfig config;
+  config.threshold = -1e9f;  // keep every window
+  const Accelerator accel(config, random_model(3));
+  const auto frames = random_frames(128, 192, 1, 5);
+  const StreamingResult r = accel.stream(frames);
+  ASSERT_EQ(r.levels.size(), 1u);
+  EXPECT_EQ(r.levels[0].scale, 1.0);
+  const auto raw = accel.detect(frames[0]);
+  EXPECT_EQ(raw.size(), 9u * 9u);
+  for (const auto& d : raw) EXPECT_EQ(d.scale, 1.0);
 }
 
-TEST(PipelineSim, VcdTraceWritten) {
-  PipelineConfig config;
-  config.frame_width = 64;
-  config.frame_height = 128;
+TEST(StreamTiming, CameraOverrunIsAnError) {
+  // An 8-cell-wide frame gives the MACBAR array 288 + 7 * 36 = 540 cycles
+  // per cell row, but a cell row of pixels takes only 8 * 64 = 512. The ring
+  // fills, back-pressure reaches the camera, and the camera cannot wait.
+  EXPECT_DEATH(stream(64, 4096, {1.0}), "overrun");
+}
+
+TEST(StreamTiming, VcdTraceWritten) {
+  sim::VcdWriter vcd;
+  stream(128, 192, {1.0, 2.0}, 1, 18, &vcd);
   const std::string path = testing::TempDir() + "/pdet_pipeline.vcd";
-  ASSERT_TRUE(trace_frame_to_vcd(config, path));
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[256] = {};
-  (void)std::fread(buf, 1, sizeof buf - 1, f);
-  std::fclose(f);
-  EXPECT_NE(std::string(buf).find("nhog_occupancy"), std::string::npos);
-}
-
-TEST(PipelineSim, RejectsTooSmallRing) {
-  PipelineConfig config;
-  config.nhogmem_rows = 16;  // no landing slot: constructor must refuse
-  EXPECT_DEATH(AcceleratorPipeline pipeline(config), "nhogmem_rows");
-}
-
-TEST(PipelineSim, WideFrameWindowCountConsistency) {
-  PipelineConfig config;
-  config.frame_width = 512;
-  config.frame_height = 256;
-  AcceleratorPipeline pipeline(config);
-  const PipelineStats stats = pipeline.run_frame();
-  EXPECT_EQ(stats.windows_s0, static_cast<std::uint64_t>((64 - 7) * (32 - 15)));
+  ASSERT_TRUE(vcd.write(path));
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("nhog_occupancy"), std::string::npos);
 }
 
 // ------------------------------------------------------------- resources ---

@@ -2,7 +2,10 @@
 // full scenes, end-to-end timing/accounting consistency.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "src/core/pedestrian_detector.hpp"
 #include "src/dataset/scene.hpp"
@@ -134,7 +137,9 @@ TEST_F(EndToEnd, ProcessFrameTimingConsistentWithModel) {
             timing.extractor_frame_cycles() +
                 3 * hwsim::TimingModel::sweep_cycles(frame.width() / 8) +
                 4ull * static_cast<unsigned long long>(frame.width()));
-  EXPECT_LE(result.timing.nhog_max_occupancy, 18);
+  for (const auto& level : result.timing.levels) {
+    EXPECT_LE(level.nhog_max_occupancy, 18);
+  }
 }
 
 TEST_F(EndToEnd, ProcessFrameWindowCountMatchesScanFormula) {
@@ -143,9 +148,36 @@ TEST_F(EndToEnd, ProcessFrameWindowCountMatchesScanFormula) {
   const auto result = accel_->process_frame(frame);
   const int cols = frame.width() / 8;
   const int rows = frame.height() / 8;
-  EXPECT_EQ(result.timing.windows_s0,
+  EXPECT_EQ(result.timing.levels[0].scores.size(),
             static_cast<std::uint64_t>(cols - 7) *
                 static_cast<std::uint64_t>(rows - 15));
+}
+
+TEST_F(EndToEnd, ProcessFrameRawIsTheBatchPathsRaw) {
+  // process_frame's detections come from the streamed circuit, detect()'s
+  // from the batch datapath: same boxes in the same order, bitwise scores.
+  const dataset::Scene scene = make_scene(109);
+  const imgproc::ImageU8 frame = imgproc::to_u8(scene.image);
+  for (const std::vector<double>& scales :
+       {std::vector<double>{1.0, 2.0}, std::vector<double>{1.0, 1.4, 2.0}}) {
+    hwsim::AcceleratorConfig config;
+    config.threshold = -0.5f;
+    config.scales = scales;
+    const hwsim::Accelerator accel(config, detector_->model());
+    const auto streamed = accel.process_frame(frame).raw;
+    const auto batch = accel.detect(frame);
+    ASSERT_FALSE(batch.empty());
+    ASSERT_EQ(streamed.size(), batch.size()) << scales.size() << " scales";
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(streamed[i].x, batch[i].x);
+      EXPECT_EQ(streamed[i].y, batch[i].y);
+      EXPECT_EQ(streamed[i].width, batch[i].width);
+      EXPECT_EQ(streamed[i].height, batch[i].height);
+      EXPECT_EQ(streamed[i].scale, batch[i].scale);
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(streamed[i].score),
+                std::bit_cast<std::uint32_t>(batch[i].score));
+    }
+  }
 }
 
 TEST_F(EndToEnd, ResourceReportForConfiguredScales) {

@@ -6,27 +6,11 @@
 
 #include "src/sim/fifo.hpp"
 #include "src/sim/module.hpp"
-#include "src/sim/reg.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/sim/vcd.hpp"
 
 namespace pdet::sim {
 namespace {
-
-TEST(Reg, ReadsOldValueUntilCommit) {
-  Reg<int> r(5);
-  EXPECT_EQ(r.get(), 5);
-  r.write(9);
-  EXPECT_EQ(r.get(), 5);  // pre-edge
-  r.commit();
-  EXPECT_EQ(r.get(), 9);  // post-edge
-}
-
-TEST(Reg, CommitWithoutWriteKeepsValue) {
-  Reg<int> r(3);
-  r.commit();
-  EXPECT_EQ(r.get(), 3);
-}
 
 TEST(Fifo, PushVisibleOnlyAfterCommit) {
   Fifo<int> f(4);
