@@ -126,14 +126,14 @@ StreamingResult Accelerator::stream(std::span<const imgproc::ImageU8> frames,
   sim::Fifo<GradientVote> vote_fifo(2);
   sim::Fifo<CellRowData> row_fifo(4);
   StreamPixelSource source(frames, px_fifo);
-  StreamGradientUnit gradient(hp, config_.fixed, width, height, n, px_fifo,
-                              vote_fifo);
-  StreamCellAccumulator accumulator(hp, width, height, n, vote_fifo, row_fifo);
+  StreamGradientUnit gradient(pipeline_, width, height, n, px_fifo, vote_fifo);
+  StreamCellAccumulator accumulator(pipeline_, width, height, n, vote_fifo,
+                                    row_fifo);
   std::vector<sim::Fifo<CellRowData>*> ports;
   for (const auto& c : chains) ports.push_back(&c->input);
   StreamFanout fanout(row_fifo, std::move(ports));
 
-  sim::Simulator simulator(config_.clock_hz);
+  sim::Simulator simulator;
   simulator.add_commit_hook([&] {
     px_fifo.commit();
     vote_fifo.commit();

@@ -40,13 +40,6 @@ std::span<const std::int32_t> IntBlockGrid::features(int cx, int cy) const {
       static_cast<std::size_t>(feature_len));
 }
 
-std::span<std::int32_t> IntBlockGrid::features(int cx, int cy) {
-  PDET_ASSERT(cx >= 0 && cx < cells_x && cy >= 0 && cy < cells_y);
-  return std::span<std::int32_t>(data).subspan(
-      grid_offset(cx, cy, cells_x, feature_len),
-      static_cast<std::size_t>(feature_len));
-}
-
 std::int64_t isqrt64(std::int64_t v) {
   PDET_REQUIRE(v >= 0);
   if (v < 2) return v;
@@ -98,6 +91,41 @@ FixedHogPipeline::FixedHogPipeline(const hog::HogParams& params,
                params_.norm == hog::BlockNorm::kL2Hys);
   PDET_REQUIRE(config.hist_frac_bits >= 1 && config.hist_frac_bits <= 16);
   PDET_REQUIRE(config.norm_frac_bits >= 4 && config.norm_frac_bits <= 20);
+  const auto eps = static_cast<double>(params_.normalize_epsilon);
+  eps_raw_ = std::max<std::int64_t>(
+      1, std::llround(eps * 255.0 * std::ldexp(1.0, config_.hist_frac_bits)));
+  one_norm_ = std::int64_t{1} << config_.norm_frac_bits;
+  clip_norm_ = std::llround(static_cast<double>(params_.l2hys_clip) *
+                            static_cast<double>(one_norm_));
+  eps2_norm_ = std::max<std::int64_t>(
+      1, std::llround(eps * static_cast<double>(one_norm_)));
+}
+
+GradientVote FixedHogPipeline::vote(int x, int y, int dx, int dy) const {
+  GradientVote v;
+  v.x = x;
+  v.y = y;
+  if (dx == 0 && dy == 0) return v;
+  const auto cr = cordic_.vectoring(dx, dy);
+  v.mag_q =
+      std::llround(cr.magnitude * std::ldexp(1.0, config_.hist_frac_bits));
+  const double bin_width = kPi / params_.bins;
+  if (params_.orientation_interp) {
+    const double pos = cr.angle / bin_width - 0.5;
+    const double fl = std::floor(pos);
+    int bin0 = static_cast<int>(fl);
+    int bin1 = bin0 + 1;
+    if (bin0 < 0) bin0 += params_.bins;
+    if (bin1 >= params_.bins) bin1 -= params_.bins;
+    v.bin0 = static_cast<std::int16_t>(bin0);
+    v.bin1 = static_cast<std::int16_t>(bin1);
+    v.w1_q8 = std::llround((pos - fl) * 256.0);
+  } else {
+    v.bin0 = static_cast<std::int16_t>(
+        std::min(static_cast<int>(cr.angle / bin_width), params_.bins - 1));
+    v.bin1 = v.bin0;
+  }
+  return v;
 }
 
 IntCellGrid FixedHogPipeline::compute_cells(const imgproc::ImageU8& image) const {
@@ -106,73 +134,22 @@ IntCellGrid FixedHogPipeline::compute_cells(const imgproc::ImageU8& image) const
   grid.cells_x = image.width() / cell;
   grid.cells_y = image.height() / cell;
   grid.bins = params_.bins;
-  grid.data.assign(static_cast<std::size_t>(grid.cells_x) * static_cast<std::size_t>(grid.cells_y) *
-                       static_cast<std::size_t>(grid.bins),
-                   0);
-  if (grid.cells_x == 0 || grid.cells_y == 0) return grid;
-
-  const int width = grid.cells_x * cell;
-  const int height = grid.cells_y * cell;
-  const double bin_width = kPi / params_.bins;
-  const std::int64_t one_q8 = 256;  // Q8 unit used for vote weights
-
-  for (int y = 0; y < height; ++y) {
-    for (int x = 0; x < width; ++x) {
+  const std::size_t row_len = static_cast<std::size_t>(grid.cells_x) *
+                              static_cast<std::size_t>(grid.bins);
+  grid.data.assign(row_len * static_cast<std::size_t>(grid.cells_y), 0);
+  const auto row = [&](int cy) {
+    return std::span<std::int64_t>(grid.data).subspan(
+        static_cast<std::size_t>(cy) * row_len, row_len);
+  };
+  const LevelSize size{grid.cells_x, grid.cells_y};
+  for (int y = 0; y < grid.cells_y * cell; ++y) {
+    for (int x = 0; x < grid.cells_x * cell; ++x) {
       // Centered differences on raw 8-bit pixels (range [-255, 255]).
       const int dx = static_cast<int>(image.at_clamped(x + 1, y)) -
                      static_cast<int>(image.at_clamped(x - 1, y));
       const int dy = static_cast<int>(image.at_clamped(x, y + 1)) -
                      static_cast<int>(image.at_clamped(x, y - 1));
-      if (dx == 0 && dy == 0) continue;
-      const auto cr = cordic_.vectoring(dx, dy);
-      // Magnitude quantized to Q(hist_frac).
-      const std::int64_t mag_q = std::llround(
-          cr.magnitude * std::ldexp(1.0, config_.hist_frac_bits));
-      if (mag_q == 0) continue;
-
-      int bin0;
-      int bin1;
-      std::int64_t w1_q8;  // Q8 weight of bin1
-      if (params_.orientation_interp) {
-        const double pos = cr.angle / bin_width - 0.5;
-        const double fl = std::floor(pos);
-        bin0 = static_cast<int>(fl);
-        w1_q8 = std::llround((pos - fl) * 256.0);
-        bin1 = bin0 + 1;
-        if (bin0 < 0) bin0 += params_.bins;
-        if (bin1 >= params_.bins) bin1 -= params_.bins;
-      } else {
-        bin0 = std::min(static_cast<int>(cr.angle / bin_width), params_.bins - 1);
-        bin1 = bin0;
-        w1_q8 = 0;
-      }
-
-      auto vote = [&](int cx, int cy, std::int64_t wsp_q8) {
-        if (cx < 0 || cx >= grid.cells_x || cy < 0 || cy >= grid.cells_y) return;
-        if (wsp_q8 == 0) return;
-        auto h = grid.hist(cx, cy);
-        // mag_q (Q.hist) * w (Q8) * wsp (Q8) >> 16 keeps Q.hist.
-        const std::int64_t base = mag_q * wsp_q8;
-        h[static_cast<std::size_t>(bin0)] += (base * (one_q8 - w1_q8)) >> 16;
-        if (w1_q8 > 0) {
-          h[static_cast<std::size_t>(bin1)] += (base * w1_q8) >> 16;
-        }
-      };
-
-      if (params_.spatial_interp) {
-        const double fx = (x + 0.5) / cell - 0.5;
-        const double fy = (y + 0.5) / cell - 0.5;
-        const int cx0 = static_cast<int>(std::floor(fx));
-        const int cy0 = static_cast<int>(std::floor(fy));
-        const std::int64_t wx1 = std::llround((fx - cx0) * 256.0);
-        const std::int64_t wy1 = std::llround((fy - cy0) * 256.0);
-        vote(cx0, cy0, ((one_q8 - wx1) * (one_q8 - wy1)) >> 8);
-        vote(cx0 + 1, cy0, (wx1 * (one_q8 - wy1)) >> 8);
-        vote(cx0, cy0 + 1, ((one_q8 - wx1) * wy1) >> 8);
-        vote(cx0 + 1, cy0 + 1, (wx1 * wy1) >> 8);
-      } else {
-        vote(x / cell, y / cell, one_q8);
-      }
+      deposit(vote(x, y, dx, dy), size, row);
     }
   }
   return grid;
@@ -270,81 +247,109 @@ std::optional<LevelSize> FixedHogPipeline::level_size(LevelSize base,
   return level;
 }
 
+void FixedHogPipeline::normalize_group(std::span<const std::int64_t> top,
+                                       std::span<const std::int64_t> bottom,
+                                       int bx,
+                                       std::span<std::int32_t> out) const {
+  const auto bins = static_cast<std::size_t>(params_.bins);
+  const auto x0 = static_cast<std::size_t>(bx) * bins;
+  // The right-hand cells; a one-cell-wide row repeats its cell.
+  const std::size_t x1 = std::min(x0 + bins, top.size() - bins);
+  const std::span<const std::int64_t> members[4] = {
+      top.subspan(x0, bins), top.subspan(x1, bins), bottom.subspan(x0, bins),
+      bottom.subspan(x1, bins)};
+  // First L2 pass in the raw domain. Each quotient lies within
+  // [-one_norm, one_norm], since a member's square never exceeds the sum it
+  // is in, so it fits the int32 output.
+  std::int64_t sumsq = eps_raw_ * eps_raw_;
+  for (const auto& m : members) {
+    for (const std::int64_t v : m) sumsq += v * v;
+  }
+  const std::int64_t norm = std::max<std::int64_t>(1, isqrt64(sumsq));
+  for (std::size_t k = 0; k < 4; ++k) {
+    for (std::size_t b = 0; b < bins; ++b) {
+      out[k * bins + b] =
+          static_cast<std::int32_t>((members[k][b] * one_norm_) / norm);
+    }
+  }
+  if (params_.norm == hog::BlockNorm::kL2Hys) {
+    std::int64_t sumsq2 = eps2_norm_ * eps2_norm_;
+    for (std::int32_t& v : out) {
+      v = static_cast<std::int32_t>(std::min<std::int64_t>(v, clip_norm_));
+      sumsq2 += std::int64_t{v} * v;
+    }
+    // sumsq2 is Q(2*norm_frac); isqrt gives Q(norm_frac).
+    const std::int64_t norm2 = std::max<std::int64_t>(1, isqrt64(sumsq2));
+    for (std::int32_t& v : out) {
+      v = static_cast<std::int32_t>((std::int64_t{v} * one_norm_) / norm2);
+    }
+  }
+}
+
+void FixedHogPipeline::read_groups(int cy, int cells_y,
+                                   std::span<const std::int32_t> above,
+                                   std::span<const std::int32_t> at,
+                                   std::span<std::int32_t> out) const {
+  const auto bins = static_cast<std::size_t>(params_.bins);
+  const std::size_t group_len = 4 * bins;
+  const auto cells_x = static_cast<int>(out.size() / group_len);
+  for (int cx = 0; cx < cells_x; ++cx) {
+    for (int s = 0; s < 4; ++s) {
+      const int ox = s & 1;
+      const int oy = s >> 1;
+      const int bx = group_of(cx, ox, cells_x);
+      const int quadrant = 2 * (cy - group_of(cy, oy, cells_y)) + cx - bx;
+      const std::size_t offset = static_cast<std::size_t>(bx) * group_len +
+                                 static_cast<std::size_t>(quadrant) * bins;
+      const auto src = (oy == 1 ? above : at).subspan(offset, bins);
+      const auto dst =
+          out.subspan(static_cast<std::size_t>(4 * cx + s) * bins, bins);
+      std::copy(src.begin(), src.end(), dst.begin());
+    }
+  }
+}
+
 IntBlockGrid FixedHogPipeline::normalize(const IntCellGrid& cells) const {
-  const int bins = cells.bins;
+  PDET_REQUIRE(cells.bins == params_.bins);
   IntBlockGrid out;
   out.cells_x = cells.cells_x;
   out.cells_y = cells.cells_y;
-  out.feature_len = 4 * bins;
-  out.data.assign(static_cast<std::size_t>(out.cells_x) * static_cast<std::size_t>(out.cells_y) *
-                      static_cast<std::size_t>(out.feature_len),
-                  0);
+  out.feature_len = 4 * cells.bins;
+  const std::size_t out_row_len = static_cast<std::size_t>(out.cells_x) *
+                                  static_cast<std::size_t>(out.feature_len);
+  out.data.assign(out_row_len * static_cast<std::size_t>(out.cells_y), 0);
+  if (out.data.empty()) return out;
 
-  // Epsilon in the raw histogram domain: the software chain uses eps = 1e-3
-  // on [0,1]-range images; raw values carry an extra 255 * 2^hist_frac.
-  const std::int64_t eps_raw = std::max<std::int64_t>(
-      1, std::llround(static_cast<double>(params_.normalize_epsilon) * 255.0 *
-                      std::ldexp(1.0, config_.hist_frac_bits)));
-  const std::int64_t one_norm = std::int64_t{1} << config_.norm_frac_bits;
-  const std::int64_t clip_norm =
-      std::llround(static_cast<double>(params_.l2hys_clip) *
-                   static_cast<double>(one_norm));
-  const std::int64_t eps2_norm = std::max<std::int64_t>(
-      1, std::llround(static_cast<double>(params_.normalize_epsilon) *
-                      static_cast<double>(one_norm)));
-
-  std::vector<std::int64_t> gathered(static_cast<std::size_t>(4 * bins));
-  std::vector<std::int64_t> normed(static_cast<std::size_t>(4 * bins));
-
-  auto normalize_group = [&](int bx, int by, int cell_cx, int cell_cy,
-                             std::span<std::int32_t> dst) {
-    bx = std::clamp(bx, 0, std::max(cells.cells_x - 2, 0));
-    by = std::clamp(by, 0, std::max(cells.cells_y - 2, 0));
-    int k = 0;
-    for (int dy2 = 0; dy2 < 2; ++dy2) {
-      for (int dx2 = 0; dx2 < 2; ++dx2) {
-        const auto h = cells.hist(std::min(bx + dx2, cells.cells_x - 1),
-                                  std::min(by + dy2, cells.cells_y - 1));
-        for (int b = 0; b < bins; ++b) {
-          gathered[static_cast<std::size_t>(k++)] = h[static_cast<std::size_t>(b)];
-        }
-      }
-    }
-    // First L2 pass in the raw domain.
-    std::int64_t sumsq = eps_raw * eps_raw;
-    for (const std::int64_t v : gathered) sumsq += v * v;
-    const std::int64_t norm = std::max<std::int64_t>(1, isqrt64(sumsq));
-    for (std::size_t i = 0; i < gathered.size(); ++i) {
-      normed[i] = (gathered[i] * one_norm) / norm;  // Q(norm_frac), < ~1
-    }
-    if (params_.norm == hog::BlockNorm::kL2Hys) {
-      std::int64_t sumsq2 = eps2_norm * eps2_norm;
-      for (std::int64_t& v : normed) {
-        v = std::min(v, clip_norm);
-        sumsq2 += v * v;
-      }
-      // sumsq2 is Q(2*norm_frac); isqrt gives Q(norm_frac).
-      const std::int64_t norm2 = std::max<std::int64_t>(1, isqrt64(sumsq2));
-      for (std::int64_t& v : normed) v = (v * one_norm) / norm2;
-    }
-    const int dxc = std::clamp(cell_cx - bx, 0, 1);
-    const int dyc = std::clamp(cell_cy - by, 0, 1);
-    const auto offset = static_cast<std::size_t>((dyc * 2 + dxc) * bins);
-    for (int b = 0; b < bins; ++b) {
-      dst[static_cast<std::size_t>(b)] =
-          static_cast<std::int32_t>(normed[offset + static_cast<std::size_t>(b)]);
-    }
+  const std::size_t cell_row_len = static_cast<std::size_t>(cells.cells_x) *
+                                   static_cast<std::size_t>(cells.bins);
+  const auto cell_row = [&](int cy) {
+    return std::span<const std::int64_t>(cells.data)
+        .subspan(static_cast<std::size_t>(cy) * cell_row_len, cell_row_len);
   };
-
-  for (int cy = 0; cy < cells.cells_y; ++cy) {
-    for (int cx = 0; cx < cells.cells_x; ++cx) {
-      auto feat = out.features(cx, cy);
-      const auto nb = static_cast<std::size_t>(bins);
-      normalize_group(cx, cy, cx, cy, feat.subspan(0, nb));
-      normalize_group(cx - 1, cy, cx, cy, feat.subspan(nb, nb));
-      normalize_group(cx, cy - 1, cx, cy, feat.subspan(2 * nb, nb));
-      normalize_group(cx - 1, cy - 1, cx, cy, feat.subspan(3 * nb, nb));
+  const auto group_len = static_cast<std::size_t>(out.feature_len);
+  const int gx = group_count(cells.cells_x);
+  const std::size_t group_row_len = static_cast<std::size_t>(gx) * group_len;
+  std::vector<std::int32_t> groups(
+      group_row_len * static_cast<std::size_t>(group_count(cells.cells_y)));
+  const auto group_row = [&](int by) {
+    return std::span<std::int32_t>(groups).subspan(
+        static_cast<std::size_t>(by) * group_row_len, group_row_len);
+  };
+  for (int by = 0; by < group_count(cells.cells_y); ++by) {
+    const auto top = cell_row(by);
+    const auto bottom = cell_row(std::min(by + 1, cells.cells_y - 1));
+    for (int bx = 0; bx < gx; ++bx) {
+      const auto dst =
+          group_row(by).subspan(static_cast<std::size_t>(bx) * group_len,
+                                group_len);
+      normalize_group(top, bottom, bx, dst);
     }
+  }
+  for (int cy = 0; cy < cells.cells_y; ++cy) {
+    read_groups(cy, cells.cells_y, group_row(group_of(cy, 1, cells.cells_y)),
+                group_row(group_of(cy, 0, cells.cells_y)),
+                std::span<std::int32_t>(out.data).subspan(
+                    static_cast<std::size_t>(cy) * out_row_len, out_row_len));
   }
   return out;
 }

@@ -1,8 +1,6 @@
 #include "src/hwsim/streaming.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <numbers>
 
 #include "src/hwsim/timing.hpp"
 #include "src/util/assert.hpp"
@@ -29,15 +27,12 @@ void StreamPixelSource::eval() {
 
 // ---------------------------------------------------------- GradientUnit ---
 
-StreamGradientUnit::StreamGradientUnit(const hog::HogParams& params,
-                                       const FixedPointConfig& fp, int width,
-                                       int height, int frames,
+StreamGradientUnit::StreamGradientUnit(const FixedHogPipeline& pipeline,
+                                       int width, int height, int frames,
                                        sim::Fifo<std::uint8_t>& in,
                                        sim::Fifo<GradientVote>& out)
     : Module("stream_gradient_unit"),
-      params_(params),
-      cordic_(fp.cordic_iterations),
-      fp_(fp),
+      pipeline_(pipeline),
       width_(width),
       height_(height),
       in_(in),
@@ -65,32 +60,7 @@ GradientVote StreamGradientUnit::vote_at(std::size_t index) const {
                  static_cast<int>(pixel(x - 1, line));
   const int dy = static_cast<int>(pixel(x, below)) -
                  static_cast<int>(pixel(x, above));
-  GradientVote vote;
-  vote.x = x;
-  vote.y = y;
-  if (dx != 0 || dy != 0) {
-    const auto cr = cordic_.vectoring(dx, dy);
-    vote.mag_q =
-        std::llround(cr.magnitude * std::ldexp(1.0, fp_.hist_frac_bits));
-    const double bin_width = std::numbers::pi / params_.bins;
-    if (params_.orientation_interp) {
-      const double pos = cr.angle / bin_width - 0.5;
-      const double fl = std::floor(pos);
-      int bin0 = static_cast<int>(fl);
-      vote.w1_q8 = std::llround((pos - fl) * 256.0);
-      int bin1 = bin0 + 1;
-      if (bin0 < 0) bin0 += params_.bins;
-      if (bin1 >= params_.bins) bin1 -= params_.bins;
-      vote.bin0 = static_cast<std::int16_t>(bin0);
-      vote.bin1 = static_cast<std::int16_t>(bin1);
-    } else {
-      vote.bin0 = static_cast<std::int16_t>(std::min(
-          static_cast<int>(cr.angle / bin_width), params_.bins - 1));
-      vote.bin1 = vote.bin0;
-      vote.w1_q8 = 0;
-    }
-  }
-  return vote;
+  return pipeline_.vote(x, y, dx, dy);
 }
 
 void StreamGradientUnit::eval() {
@@ -123,21 +93,23 @@ void StreamGradientUnit::eval() {
 
 // ------------------------------------------------------- CellAccumulator ---
 
-StreamCellAccumulator::StreamCellAccumulator(const hog::HogParams& params,
+StreamCellAccumulator::StreamCellAccumulator(const FixedHogPipeline& pipeline,
                                              int width, int height, int frames,
                                              sim::Fifo<GradientVote>& in,
                                              sim::Fifo<CellRowData>& out)
     : Module("stream_cell_accumulator"),
-      params_(params),
-      cells_x_(width / params.cell_size),
-      cells_y_(height / params.cell_size),
+      pipeline_(pipeline),
+      cells_x_(width / pipeline.params().cell_size),
+      cells_y_(height / pipeline.params().cell_size),
       rows_total_(cells_y_ * frames),
       votes_per_frame_(static_cast<std::size_t>(width) *
                        static_cast<std::size_t>(height)),
       in_(in),
       out_(out) {
   for (auto& b : banks_) {
-    b.assign(static_cast<std::size_t>(cells_x_) * static_cast<std::size_t>(params.bins), 0);
+    b.assign(static_cast<std::size_t>(cells_x_) *
+                 static_cast<std::size_t>(pipeline.params().bins),
+             0);
   }
 }
 
@@ -151,8 +123,9 @@ bool StreamCellAccumulator::row_final(int row) const {
   if (!in_.can_pop()) return false;
   // Cell row c receives its last vote from image row 8c + 11 (bilinear) or
   // 8c + 7 (no spatial interpolation); a vote past that row finalizes it.
-  const int spill = params_.spatial_interp ? 11 : 7;
-  return in_.front().y > (row % cells_y_) * params_.cell_size + spill;
+  const hog::HogParams& params = pipeline_.params();
+  const int spill = params.spatial_interp ? 11 : 7;
+  return in_.front().y > (row % cells_y_) * params.cell_size + spill;
 }
 
 void StreamCellAccumulator::finalize_row(int row) {
@@ -173,45 +146,12 @@ void StreamCellAccumulator::eval() {
   const auto frame_row0 =
       static_cast<int>(votes_seen_ / votes_per_frame_) * cells_y_;
   ++votes_seen_;
-  deposit(in_.pop(), frame_row0);
-}
-
-void StreamCellAccumulator::deposit(const GradientVote& vote, int frame_row0) {
-  if (vote.mag_q == 0) return;
-  const int cell = params_.cell_size;
-  if (vote.x >= cells_x_ * cell || vote.y >= cells_y_ * cell) return;
-
-  const std::int64_t one_q8 = 256;
-  auto add = [&](int cx, int cy, std::int64_t wsp_q8) {
-    if (cx < 0 || cx >= cells_x_ || cy < 0 || cy >= cells_y_) return;
-    if (wsp_q8 == 0) return;
-    PDET_ASSERT(frame_row0 + cy >= emitted_rows_);  // never a finalized row
-    auto& b = bank(frame_row0 + cy);
-    const auto base_idx =
-        static_cast<std::size_t>(cx) * static_cast<std::size_t>(params_.bins);
-    const std::int64_t base = vote.mag_q * wsp_q8;
-    b[base_idx + static_cast<std::size_t>(vote.bin0)] +=
-        (base * (one_q8 - vote.w1_q8)) >> 16;
-    if (vote.w1_q8 > 0) {
-      b[base_idx + static_cast<std::size_t>(vote.bin1)] +=
-          (base * vote.w1_q8) >> 16;
-    }
-  };
-
-  if (params_.spatial_interp) {
-    const double fx = (vote.x + 0.5) / cell - 0.5;
-    const double fy = (vote.y + 0.5) / cell - 0.5;
-    const int cx0 = static_cast<int>(std::floor(fx));
-    const int cy0 = static_cast<int>(std::floor(fy));
-    const std::int64_t wx1 = std::llround((fx - cx0) * 256.0);
-    const std::int64_t wy1 = std::llround((fy - cy0) * 256.0);
-    add(cx0, cy0, ((one_q8 - wx1) * (one_q8 - wy1)) >> 8);
-    add(cx0 + 1, cy0, (wx1 * (one_q8 - wy1)) >> 8);
-    add(cx0, cy0 + 1, ((one_q8 - wx1) * wy1) >> 8);
-    add(cx0 + 1, cy0 + 1, (wx1 * wy1) >> 8);
-  } else {
-    add(vote.x / cell, vote.y / cell, one_q8);
-  }
+  pipeline_.deposit(in_.pop(), {cells_x_, cells_y_},
+                    [&](int cy) -> std::vector<std::int64_t>& {
+                      // Never a row that was already handed off.
+                      PDET_ASSERT(frame_row0 + cy >= emitted_rows_);
+                      return bank(frame_row0 + cy);
+                    });
 }
 
 // ------------------------------------------------------------ DataNhogMem --
@@ -273,41 +213,53 @@ StreamNormalizer::StreamNormalizer(const FixedHogPipeline& pipeline,
       cells_y_(cells_y),
       rows_total_(cells_y * frames),
       in_(in),
-      mem_(mem) {}
+      mem_(mem) {
+  const auto group_len =
+      static_cast<std::size_t>(pipeline.params().block_feature_len());
+  for (auto& groups : group_rows_) {
+    groups.assign(static_cast<std::size_t>(group_count(cells_x)) * group_len,
+                  0);
+  }
+}
+
+const std::vector<std::int64_t>& StreamNormalizer::buffered(int row) const {
+  const auto it =
+      std::find_if(window_.begin(), window_.end(),
+                   [row](const CellRowData& w) { return w.row == row; });
+  PDET_REQUIRE(it != window_.end() && "normalizer lost a buffered cell row");
+  return it->hist;
+}
 
 void StreamNormalizer::produce(int row) {
-  // Build the <=3-row slice around `row` within its frame. Because the
-  // slice's edges coincide with either the true frame edges or rows whose
-  // blocks `row` never references, normalizing the slice and taking `row`'s
-  // line is bit-equal to normalizing the full grid (test_hwsim_streaming
-  // verifies).
-  const int row0 = row - row % cells_y_;
-  const int lo = std::max(row - 1, row0);
-  const int hi = std::min(row + 1, row0 + cells_y_ - 1);
-  IntCellGrid slice;
-  slice.cells_x = cells_x_;
-  slice.cells_y = hi - lo + 1;
-  slice.bins = pipeline_.params().bins;
-  for (int r = lo; r <= hi; ++r) {
-    const auto it = std::find_if(window_.begin(), window_.end(),
-                                 [r](const CellRowData& w) { return w.row == r; });
-    PDET_REQUIRE(it != window_.end() && "normalizer lost a buffered cell row");
-    slice.data.insert(slice.data.end(), it->hist.begin(), it->hist.end());
+  const auto group_len =
+      static_cast<std::size_t>(pipeline_.params().block_feature_len());
+  const int local = row % cells_y_;
+  if (local < group_count(cells_y_)) {
+    // Group row `local` spans this cell row and the next (a one-row frame
+    // repeats its row); the following cell row reads it again.
+    const auto& top = buffered(row);
+    const auto& bottom = buffered(local + 1 < cells_y_ ? row + 1 : row);
+    const std::span<std::int32_t> groups(group_rows_[local % 2]);
+    for (int bx = 0; bx < group_count(cells_x_); ++bx) {
+      pipeline_.normalize_group(
+          top, bottom, bx,
+          groups.subspan(static_cast<std::size_t>(bx) * group_len, group_len));
+    }
   }
-  const IntBlockGrid normalized = pipeline_.normalize(slice);
   NormRowData out;
   out.row = row;
-  const auto line = normalized.features(0, row - lo);
-  const auto stride = static_cast<std::size_t>(cells_x_) *
-                      static_cast<std::size_t>(normalized.feature_len);
-  out.features.assign(
-      line.data(), line.data() + stride);  // features(0, r) starts row r
+  out.features.resize(static_cast<std::size_t>(cells_x_) * group_len);
+  pipeline_.read_groups(local, cells_y_,
+                        group_rows_[group_of(local, 1, cells_y_) % 2],
+                        group_rows_[group_of(local, 0, cells_y_) % 2],
+                        out.features);
   pending_ = std::move(out);
 }
 
 void StreamNormalizer::eval() {
-  // Rows below the first one the next normalization reads are done with;
-  // a new row is taken only while the 3-row window has room for it.
+  // The window holds rows r-1, r and r+1 of the next row r's frame (the
+  // groups of row r-1 are already kept); a new row is taken only while the
+  // window has room for it.
   const int first = std::max(emitted_ - 1, emitted_ - emitted_ % cells_y_);
   while (!window_.empty() && window_.front().row < first) window_.pop_front();
   if (window_.size() < 3 && in_.can_pop()) {

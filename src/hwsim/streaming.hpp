@@ -10,15 +10,15 @@
 //   level chain: [StreamCellScaler -->] StreamNormalizer --> DataNhogMem
 //                (16 banks, nhogmem_rows ring) <--columns-- StreamClassifier
 //
-// The arithmetic is FixedHogPipeline's (fixed_pipeline.hpp), evaluated as
-// the hardware streams it: pixel by pixel through line buffers, cell
-// accumulators with the overlapped-band spill the bilinear spatial vote
-// causes, a 3-row normalizer, a 16-bank NHOGMem holding real features, and
-// a classifier that gathers window columns bank by bank at the paper's
-// cadence (timing.hpp). Its window scores are bit-identical to
-// FixedHogPipeline's; the test suite asserts this. Accelerator::stream
-// (accelerator.hpp) wires these units into one run over the scale list and
-// streams one or more frames back to back.
+// The units keep only the schedule: line buffers and border replication,
+// the bilinear spill and the row hand-off, the normalizer's 3-row window,
+// the ring, the bank reads and the sweep cadence (timing.hpp). Every value
+// comes from FixedHogPipeline's stage functions (fixed_pipeline.hpp): vote,
+// deposit, normalize_group with read_groups, and ScaleTap::blend; each
+// group is normalized once. So the window scores are bit-identical to
+// FixedHogPipeline's batch path; the test suite asserts this.
+// Accelerator::stream (accelerator.hpp) wires these units into one run over
+// the scale list and streams one or more frames back to back.
 #pragma once
 
 #include <cstdint>
@@ -63,25 +63,14 @@ class StreamPixelSource : public sim::Module {
   std::size_t index_ = 0;
 };
 
-/// Line-buffered gradient + CORDIC + orientation binning. Consumes one pixel
-/// per cycle; once a full row plus one pixel is buffered it emits one
-/// gradient vote record per cycle (centered differences with border
-/// replication, identical arithmetic to FixedHogPipeline::compute_cells).
-/// (x, y) are frame coordinates.
-struct GradientVote {
-  std::int32_t x = 0;
-  std::int32_t y = 0;
-  std::int16_t bin0 = 0;
-  std::int16_t bin1 = 0;
-  std::int64_t mag_q = 0;    ///< CORDIC magnitude, Q.hist
-  std::int64_t w1_q8 = 0;    ///< orientation weight of bin1, Q8
-};
-
+/// Line-buffered gradient unit. Consumes one pixel per cycle; once a full
+/// row plus one pixel is buffered it emits one gradient vote per cycle: the
+/// centered differences, with border replication, binned by
+/// FixedHogPipeline::vote.
 class StreamGradientUnit : public sim::Module {
  public:
-  StreamGradientUnit(const hog::HogParams& params, const FixedPointConfig& fp,
-                     int width, int height, int frames,
-                     sim::Fifo<std::uint8_t>& in,
+  StreamGradientUnit(const FixedHogPipeline& pipeline, int width, int height,
+                     int frames, sim::Fifo<std::uint8_t>& in,
                      sim::Fifo<GradientVote>& out);
   void eval() override;
   std::uint64_t busy_cycles() const { return busy_; }
@@ -90,9 +79,7 @@ class StreamGradientUnit : public sim::Module {
   GradientVote vote_at(std::size_t index) const;
   std::uint8_t pixel(int x, std::size_t line) const;
 
-  hog::HogParams params_;
-  fixedpoint::Cordic cordic_;
-  FixedPointConfig fp_;
+  const FixedHogPipeline& pipeline_;
   int width_;
   int height_;
   sim::Fifo<std::uint8_t>& in_;
@@ -105,16 +92,17 @@ class StreamGradientUnit : public sim::Module {
   std::uint64_t busy_ = 0;
 };
 
-/// Accumulates gradient votes into cell histograms. Owns three cell-row
-/// accumulator banks: the bilinear spatial vote of a pixel in image rows
-/// [8c, 8c+4) still touches cell row c-1, so row c-1 is only final once
-/// row 8c+4 begins — the overlap that forces line-buffered accumulators in
-/// the RTL. A finished row's bank is never one the next vote writes, so the
-/// hand-off and that vote share a cycle.
+/// Accumulates gradient votes into cell histograms with
+/// FixedHogPipeline::deposit. Owns three cell-row accumulator banks: the
+/// bilinear spatial vote of a pixel in image rows [8c, 8c+4) still touches
+/// cell row c-1, so row c-1 is only final once row 8c+4 begins — the
+/// overlap that forces line-buffered accumulators in the RTL. A finished
+/// row's bank is never one the next vote writes, so the hand-off and that
+/// vote share a cycle.
 class StreamCellAccumulator : public sim::Module {
  public:
-  StreamCellAccumulator(const hog::HogParams& params, int width, int height,
-                        int frames, sim::Fifo<GradientVote>& in,
+  StreamCellAccumulator(const FixedHogPipeline& pipeline, int width,
+                        int height, int frames, sim::Fifo<GradientVote>& in,
                         sim::Fifo<CellRowData>& out);
   void eval() override;
 
@@ -122,9 +110,8 @@ class StreamCellAccumulator : public sim::Module {
   bool row_final(int row) const;
   std::vector<std::int64_t>& bank(int row);
   void finalize_row(int row);
-  void deposit(const GradientVote& vote, int frame_row0);
 
-  hog::HogParams params_;
+  const FixedHogPipeline& pipeline_;
   int cells_x_;
   int cells_y_;
   int rows_total_;
@@ -167,11 +154,13 @@ class DataNhogMem {
   std::uint64_t reads_[kBanks] = {};
 };
 
-/// Normalizes finished cell rows (needs rows r-1, r, r+1 of its frame;
-/// borders clamp) and writes them to the data memory. Reuses
-/// FixedHogPipeline's normalization arithmetic on a 3-row slice so the
-/// streamed values are bit-identical to the batch path. Busy 2 cycles per
-/// cell; takes a cell row only when its 3-row window has room.
+/// Normalizes finished cell rows and writes them to the data memory. Cell
+/// row r of a frame belongs to group rows r-1 and r (borders clamp); group
+/// row r spans cell rows r and r+1, so it is normalized once, with
+/// FixedHogPipeline::normalize_group, when row r is produced, and kept for
+/// row r+1. Each row's features are read from its two group rows
+/// (FixedHogPipeline::read_groups). Busy 2 cycles per cell; takes a cell
+/// row only when its 3-row window (rows r-1, r, r+1) has room.
 class StreamNormalizer : public sim::Module {
  public:
   StreamNormalizer(const FixedHogPipeline& pipeline, int cells_x, int cells_y,
@@ -180,6 +169,7 @@ class StreamNormalizer : public sim::Module {
 
  private:
   void produce(int row);
+  const std::vector<std::int64_t>& buffered(int row) const;
 
   const FixedHogPipeline& pipeline_;
   int cells_x_;
@@ -187,7 +177,8 @@ class StreamNormalizer : public sim::Module {
   int rows_total_;
   sim::Fifo<CellRowData>& in_;
   DataNhogMem& mem_;
-  std::deque<CellRowData> window_;  // the <= 3 rows the next row reads
+  std::deque<CellRowData> window_;  // the <= 3 rows around the next row
+  std::vector<std::int32_t> group_rows_[2];  // group row g in [g % 2]
   int highest_row_ = -1;
   int emitted_ = 0;
   int busy_countdown_ = 0;

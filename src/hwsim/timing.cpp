@@ -29,10 +29,13 @@ std::uint64_t TimingModel::classifier_frame_cycles() const {
 
 std::uint64_t TimingModel::classifier_frame_cycles_at_scale(double scale) const {
   PDET_REQUIRE(scale >= 1.0);
-  const int rows = std::max(
-      1, static_cast<int>(std::lround(config_.cell_rows() / scale)));
-  const int cols = std::max(
-      1, static_cast<int>(std::lround(config_.cell_cols() / scale)));
+  const auto rows = static_cast<int>(std::lround(config_.cell_rows() / scale));
+  const auto cols = static_cast<int>(std::lround(config_.cell_cols() / scale));
+  // A level smaller than the 8 x 16-cell window is dropped, never swept.
+  if (cols < TimingConstants::kMacbars ||
+      rows < TimingConstants::kBlocksPerColumn) {
+    return 0;
+  }
   return static_cast<std::uint64_t>(rows) * sweep_cycles(cols);
 }
 

@@ -57,7 +57,10 @@ class TimingModel {
   /// Classifier cycles for the whole frame (all cell rows swept).
   std::uint64_t classifier_frame_cycles() const;
 
-  /// Classifier cycles for a down-scaled level (grid shrunk by `scale`).
+  /// Classifier cycles for a down-scaled level (grid shrunk by `scale`,
+  /// each side rounded to the nearest cell); 0 for a level smaller than the
+  /// 8 x 16-cell window, which the accelerator drops
+  /// (FixedHogPipeline::level_size).
   std::uint64_t classifier_frame_cycles_at_scale(double scale) const;
 
   /// Front-end ingest cycles (one pixel per cycle).

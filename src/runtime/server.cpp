@@ -15,6 +15,9 @@
 namespace pdet::runtime {
 namespace {
 
+// Flight-recorder dumps written per server; later triggers only count.
+constexpr int kMaxFlightDumps = 4;
+
 std::vector<double> latency_bounds() {
   const std::span<const double> bounds = obs::default_latency_bounds_ms();
   return {bounds.begin(), bounds.end()};
@@ -556,7 +559,7 @@ void DetectionServer::flight_trigger(const char* reason) {
   util::log_warn("runtime: flight recorder triggered (%s)", reason);
   if (options_.flight_dump_path.empty()) return;
   const int n = flight_dumps_written_.fetch_add(1, std::memory_order_relaxed);
-  if (n >= options_.max_flight_dumps) return;
+  if (n >= kMaxFlightDumps) return;
   const std::string base =
       options_.flight_dump_path + util::format("-%d", n);
   std::string text = util::format("trigger: %s\n", reason);

@@ -145,12 +145,10 @@ struct ServerOptions {
   // preallocated rings and dumped when a fault trigger fires.
   /// Timelines retained per stream; 0 disables recording (and dumps).
   std::size_t timeline_depth = 64;
-  /// Dump file prefix; on a trigger the recorder writes
-  /// `<prefix>-<n>.trace.json` (Chrome trace) and `<prefix>-<n>.txt`.
-  /// Empty = count triggers but write nothing.
+  /// Dump file prefix; on each of the first 4 triggers the recorder writes
+  /// `<prefix>-<n>.trace.json` (Chrome trace) and `<prefix>-<n>.txt`; later
+  /// triggers only count. Empty = count triggers but write nothing.
   std::string flight_dump_path;
-  /// Cap on dump files written (triggers beyond it only count).
-  int max_flight_dumps = 4;
 };
 
 /// Outcome of one submit() call, from the producer's point of view. Every

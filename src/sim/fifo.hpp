@@ -8,7 +8,6 @@
 // pushes this cycle).
 #pragma once
 
-#include <algorithm>
 #include <deque>
 #include <vector>
 
@@ -54,16 +53,11 @@ class Fifo {
     staged_pushes_.clear();
   }
 
-  /// High-water mark of post-edge occupancy, for buffer-sizing studies.
-  std::size_t max_occupancy() const { return max_occupancy_; }
-  void record_occupancy() { max_occupancy_ = std::max(max_occupancy_, items_.size()); }
-
  private:
   std::size_t capacity_;
   std::deque<T> items_;
   std::vector<T> staged_pushes_;
   std::size_t pop_count_ = 0;
-  std::size_t max_occupancy_ = 0;
 };
 
 }  // namespace pdet::sim

@@ -1,13 +1,8 @@
 #include "src/sim/simulator.hpp"
 
 #include "src/sim/vcd.hpp"
-#include "src/util/assert.hpp"
 
 namespace pdet::sim {
-
-Simulator::Simulator(double clock_hz) : clock_hz_(clock_hz) {
-  PDET_REQUIRE(clock_hz > 0.0);
-}
 
 void Simulator::add(Module& module) { modules_.push_back(&module); }
 

@@ -14,10 +14,6 @@ class VcdWriter;
 
 class Simulator {
  public:
-  /// `clock_hz` is used only for reporting cycle counts as wall time; the
-  /// paper's design runs at 125 MHz.
-  explicit Simulator(double clock_hz = 125e6);
-
   /// Register a module. The simulator does not own it; the caller keeps the
   /// modules alive for the simulator's lifetime (they typically live side by
   /// side in an accelerator aggregate).
@@ -38,16 +34,11 @@ class Simulator {
   bool run_until(const std::function<bool()>& done, std::uint64_t max_cycles);
 
   std::uint64_t cycle() const { return cycle_; }
-  double clock_hz() const { return clock_hz_; }
-  double elapsed_seconds() const {
-    return static_cast<double>(cycle_) / clock_hz_;
-  }
 
   /// Optional VCD tracing; sampled after every commit.
   void set_vcd(VcdWriter* vcd) { vcd_ = vcd; }
 
  private:
-  double clock_hz_;
   std::uint64_t cycle_ = 0;
   std::vector<Module*> modules_;
   std::vector<std::function<void()>> commit_hooks_;

@@ -10,6 +10,10 @@
 namespace pdet::tile {
 namespace {
 
+// Halo guard in cells beyond the window span (see plan.hpp's file comment):
+// 2 covers every border effect in the chain; more would only cost overlap.
+constexpr int kGuardCells = 2;
+
 bool is_integral(double s) { return std::abs(s - std::round(s)) < 1e-9; }
 
 int round_up(int value, int unit) {
@@ -26,7 +30,6 @@ void TilePlan::build(int frame_w, int frame_h, const hog::HogParams& params,
   PDET_REQUIRE(frame_w >= params.window_width &&
                frame_h >= params.window_height);
   PDET_REQUIRE(!multiscale.scales.empty());
-  PDET_REQUIRE(options.guard_cells >= 0);
   PDET_REQUIRE(options.tiles_x >= 0 && options.tiles_y >= 0);
 
   const int cell = params.cell_size;
@@ -50,7 +53,7 @@ void TilePlan::build(int frame_w, int frame_h, const hog::HogParams& params,
   // Halos in frame pixels, rounded up to the alignment unit so expanded tile
   // origins stay on the aligned lattice (the leading halo shifts the origin;
   // a misaligned origin would break the translation argument).
-  const int guard_px = options.guard_cells * cell;
+  const int guard_px = kGuardCells * cell;
   halo_lead_px_ = round_up(guard_px * s_max_i, alignment_px_);
   halo_trail_x_px_ =
       round_up((params.window_width + guard_px) * s_max_i, alignment_px_);

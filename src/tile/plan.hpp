@@ -54,9 +54,6 @@ struct TilePlanOptions {
   /// row/column absorbs the remainder, so the actual grid never exceeds it.
   int tiles_x = 0;
   int tiles_y = 0;
-  /// Halo guard in cells beyond the window span (see file comment). 2 covers
-  /// every border effect in the chain; raising it only costs overlap.
-  int guard_cells = 2;
 };
 
 /// One tile: `core` is the owned (half-open) partition rectangle, `rect` the

@@ -1,128 +1,14 @@
-// Unit tests for src/fixedpoint: Q-format arithmetic, CORDIC, CSD shift-add.
+// Unit tests for src/fixedpoint: CORDIC and CSD shift-add.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
 
 #include "src/fixedpoint/cordic.hpp"
-#include "src/fixedpoint/fixed.hpp"
 #include "src/fixedpoint/shiftadd.hpp"
-#include "src/util/rng.hpp"
 
 namespace pdet::fixedpoint {
 namespace {
-
-using F8 = Fixed<8, 8>;
-using F4 = Fixed<4, 12>;
-
-TEST(Fixed, FromDoubleRoundtrip) {
-  const F8 x = F8::from_double(3.25);
-  EXPECT_DOUBLE_EQ(x.to_double(), 3.25);
-  const F8 y = F8::from_double(-1.5);
-  EXPECT_DOUBLE_EQ(y.to_double(), -1.5);
-}
-
-TEST(Fixed, RoundsToNearest) {
-  // Resolution of Q8.8 is 1/256; 1/512 rounds up to one LSB.
-  const F8 x = F8::from_double(1.0 / 512.0);
-  EXPECT_EQ(x.raw(), 1);
-  const F8 y = F8::from_double(-1.0 / 512.0);
-  EXPECT_EQ(y.raw(), -1);
-}
-
-TEST(Fixed, AdditionAndSubtraction) {
-  const F8 a = F8::from_double(1.5);
-  const F8 b = F8::from_double(2.25);
-  EXPECT_DOUBLE_EQ((a + b).to_double(), 3.75);
-  EXPECT_DOUBLE_EQ((a - b).to_double(), -0.75);
-  EXPECT_DOUBLE_EQ((-a).to_double(), -1.5);
-}
-
-TEST(Fixed, MultiplicationExactOnRepresentable) {
-  const F8 a = F8::from_double(1.5);
-  const F8 b = F8::from_double(-2.5);
-  EXPECT_DOUBLE_EQ((a * b).to_double(), -3.75);
-}
-
-TEST(Fixed, MultiplicationRounds) {
-  const F8 a = F8::from_double(1.0 / 256.0);  // 1 LSB
-  const F8 b = F8::from_double(0.5);
-  // Exact product is half an LSB; rounds away from zero to 1 LSB.
-  EXPECT_EQ((a * b).raw(), 1);
-}
-
-TEST(Fixed, Division) {
-  const F8 a = F8::from_double(3.0);
-  const F8 b = F8::from_double(2.0);
-  EXPECT_DOUBLE_EQ((a / b).to_double(), 1.5);
-}
-
-TEST(Fixed, SaturationOnOverflow) {
-  const F8 max = F8::max_value();
-  const F8 one = F8::from_int(1);
-  EXPECT_EQ((max + one).raw(), F8::kMaxRaw);
-  EXPECT_EQ((F8::min_value() - one).raw(), F8::kMinRaw);
-  EXPECT_EQ((max * max).raw(), F8::kMaxRaw);
-}
-
-TEST(Fixed, FromDoubleSaturates) {
-  EXPECT_EQ(F8::from_double(1e9).raw(), F8::kMaxRaw);
-  EXPECT_EQ(F8::from_double(-1e9).raw(), F8::kMinRaw);
-}
-
-TEST(Fixed, Shifts) {
-  const F8 x = F8::from_double(2.0);
-  EXPECT_DOUBLE_EQ((x << 2).to_double(), 8.0);
-  EXPECT_DOUBLE_EQ((x >> 1).to_double(), 1.0);
-}
-
-TEST(Fixed, ToIntTruncatesTowardNegInfinity) {
-  EXPECT_EQ(F8::from_double(2.75).to_int(), 2);
-  EXPECT_EQ(F8::from_double(-2.25).to_int(), -3);
-}
-
-TEST(Fixed, Comparisons) {
-  EXPECT_LT(F4::from_double(0.1), F4::from_double(0.2));
-  EXPECT_EQ(F4::from_double(0.5), F4::from_double(0.5));
-}
-
-TEST(Fixed, Resolution) {
-  EXPECT_DOUBLE_EQ(F8::resolution(), 1.0 / 256.0);
-  EXPECT_DOUBLE_EQ(F4::resolution(), 1.0 / 4096.0);
-}
-
-TEST(Fixed, RandomizedArithmeticMatchesDoubleWithinResolution) {
-  // Property sweep: +, -, * against double arithmetic, error bounded by the
-  // format resolution (one LSB for +/-, ~1 LSB for rounded products).
-  pdet::util::Rng rng(99);
-  using F = Fixed<10, 12>;
-  for (int i = 0; i < 2000; ++i) {
-    const double a = rng.uniform(-200.0, 200.0);
-    const double b = rng.uniform(-200.0, 200.0);
-    const F fa = F::from_double(a);
-    const F fb = F::from_double(b);
-    if (std::fabs(a + b) < 500.0) {
-      EXPECT_NEAR((fa + fb).to_double(), a + b, 2.5 * F::resolution());
-    }
-    if (std::fabs(a - b) < 500.0) {
-      EXPECT_NEAR((fa - fb).to_double(), a - b, 2.5 * F::resolution());
-    }
-    const double small_a = a / 100.0;
-    const double small_b = b / 100.0;
-    const F sa = F::from_double(small_a);
-    const F sb = F::from_double(small_b);
-    EXPECT_NEAR((sa * sb).to_double(), small_a * small_b,
-                (std::fabs(small_a) + std::fabs(small_b) + 2.0) * F::resolution());
-  }
-}
-
-TEST(Fixed, NegationIsInvolutionExceptAtMin) {
-  using F = Fixed<8, 8>;
-  for (double v = -100.0; v < 100.0; v += 3.7) {
-    const F x = F::from_double(v);
-    EXPECT_EQ((-(-x)).raw(), x.raw());
-  }
-}
 
 struct CordicCase {
   double fx;

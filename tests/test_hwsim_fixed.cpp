@@ -12,6 +12,7 @@
 #include "src/hwsim/fixed_pipeline.hpp"
 #include "src/imgproc/convert.hpp"
 #include "src/svm/train_dcd.hpp"
+#include "src/util/bytes.hpp"
 #include "src/util/rng.hpp"
 
 namespace pdet::hwsim {
@@ -242,6 +243,86 @@ TEST(FixedPipeline, ExtractWindowSizeAndRange) {
   const IntBlockGrid blocks = pipe.normalize(pipe.compute_cells(random_u8(128, 160, 12)));
   const auto desc = pipe.extract_window(blocks, 2, 1);
   EXPECT_EQ(desc.size(), 4608u);
+}
+
+template <typename T>
+std::uint32_t crc_of(const std::vector<T>& values) {
+  return util::crc32({reinterpret_cast<const std::uint8_t*>(values.data()),
+                      values.size() * sizeof(T)});
+}
+
+// The oracle's bytes on three small frames, one per datapath configuration:
+// CRC32s captured from the whole-frame oracle before its stage arithmetic
+// was shared with the streamed circuit. They move only if the datapath's
+// arithmetic is meant to change. Each frame has a flat band, so zero
+// gradients and eps-dominated groups are covered too, and a size that is
+// not a whole number of cells.
+struct GoldenCase {
+  const char* name;
+  int width;
+  int height;
+  std::uint64_t seed;
+  std::uint32_t cells;
+  std::uint32_t down_2_0;
+  std::uint32_t down_1_4;
+  std::uint32_t blocks;
+  std::uint32_t scores;
+};
+
+hog::HogParams golden_params(int index) {
+  hog::HogParams p = hw_params();
+  if (index == 1) p.spatial_interp = false;
+  if (index == 2) {
+    p.orientation_interp = false;
+    p.norm = hog::BlockNorm::kL2;
+  }
+  return p;
+}
+
+TEST(FixedGolden, OracleBytesArePinned) {
+  const GoldenCase cases[] = {
+      {"default", 100, 165, 31,
+       0x38319a09u, 0x87dc177cu, 0xaec3b086u, 0x5a031a74u, 0x78d977e5u},
+      {"no spatial interp", 96, 139, 32,
+       0xb06e1815u, 0xfcc84f62u, 0xec0e3a08u, 0xc248bca1u, 0xc6541561u},
+      {"no orientation interp, L2", 77, 200, 33,
+       0x7ecc1514u, 0x2cd756f1u, 0x3af22653u, 0xb3ef9b71u, 0x162cc107u},
+  };
+  for (int i = 0; i < 3; ++i) {
+    const GoldenCase& c = cases[i];
+    SCOPED_TRACE(c.name);
+    const FixedHogPipeline pipe(golden_params(i));
+    const hog::HogParams& p = pipe.params();
+    imgproc::ImageU8 img = random_u8(c.width, c.height, c.seed);
+    for (int y = c.height / 3; y < c.height / 2; ++y) {
+      for (int x = 0; x < c.width; ++x) img.at(x, y) = 128;
+    }
+    const IntCellGrid cells = pipe.compute_cells(img);
+    const auto down = [&](double ratio) {
+      return pipe.downscale_cells(
+          cells, static_cast<int>(std::lround(cells.cells_x / ratio)),
+          static_cast<int>(std::lround(cells.cells_y / ratio)));
+    };
+    const IntBlockGrid blocks = pipe.normalize(cells);
+    util::Rng rng(c.seed);
+    svm::LinearModel model;
+    model.weights.resize(static_cast<std::size_t>(p.descriptor_size()));
+    for (auto& w : model.weights) w = static_cast<float>(rng.normal(0.0, 0.02));
+    model.bias = -0.05f;
+    const QuantizedModel qmodel = QuantizedModel::quantize(model, {});
+    std::vector<double> scores;
+    for (int cy = 0; cy + p.cells_per_window_y() <= blocks.cells_y; ++cy) {
+      for (int cx = 0; cx + p.cells_per_window_x() <= blocks.cells_x; ++cx) {
+        scores.push_back(pipe.classify_window(blocks, qmodel, cx, cy));
+      }
+    }
+    ASSERT_FALSE(scores.empty());
+    EXPECT_EQ(crc_of(cells.data), c.cells);
+    EXPECT_EQ(crc_of(down(2.0).data), c.down_2_0);
+    EXPECT_EQ(crc_of(down(1.4).data), c.down_1_4);
+    EXPECT_EQ(crc_of(blocks.data), c.blocks);
+    EXPECT_EQ(crc_of(scores), c.scores);
+  }
 }
 
 }  // namespace

@@ -59,6 +59,22 @@ TEST(Timing, ScaledLevelIsCheaper) {
             model.classifier_frame_cycles() / 3);
 }
 
+TEST(Timing, ScaledLevelSmallerThanAWindowCostsNothing) {
+  // 128x192 is 16 x 24 cells; at scale 2 the level is 8 x 12, short of the
+  // window's 16 rows, so the circuit drops it and the closed form charges
+  // nothing for it. HDTV's levels are unchanged.
+  TimingConfig config;
+  config.frame_width = 128;
+  config.frame_height = 192;
+  const TimingModel small(config);
+  EXPECT_EQ(small.classifier_frame_cycles_at_scale(2.0), 0u);
+  EXPECT_EQ(small.classifier_frame_cycles_at_scale(1.0),
+            small.classifier_frame_cycles());
+  const TimingModel hdtv;
+  EXPECT_EQ(hdtv.classifier_frame_cycles_at_scale(1.0), 1'200'420u);
+  EXPECT_EQ(hdtv.classifier_frame_cycles_at_scale(2.0), 310'896u);
+}
+
 TEST(Timing, SmallerFramesScaleDown) {
   TimingConfig config;
   config.frame_width = 640;

@@ -364,6 +364,10 @@ TEST_F(ObsTest, HwsimBridgePublishesCycleModel) {
   EXPECT_EQ(r.gauge("hwsim.cycles.classifier_level.1"),
             static_cast<double>(model.classifier_frame_cycles_at_scale(2.0)));
   EXPECT_GT(r.gauge("hwsim.max_fps"), 60.0);
+  // A level smaller than the window is dropped by the circuit: 0 cycles.
+  hwsim::publish_timing_metrics(
+      hwsim::TimingModel(hwsim::timing_config_for_frame(128, 192)), scales);
+  EXPECT_EQ(r.gauge("hwsim.cycles.classifier_level.1"), 0.0);
   // The bridge rides the metrics switch like every other helper.
   r.reset();
   set_metrics_enabled(false);

@@ -72,18 +72,6 @@ TEST(Fifo, MultiplePopsPerCycle) {
   EXPECT_EQ(f.front(), 3);
 }
 
-TEST(Fifo, OccupancyHighWaterMark) {
-  Fifo<int> f(8);
-  f.push(1);
-  f.push(2);
-  f.commit();
-  f.record_occupancy();
-  f.pop();
-  f.commit();
-  f.record_occupancy();
-  EXPECT_EQ(f.max_occupancy(), 2u);
-}
-
 /// Producer pushes k, k+1, ... one per cycle.
 class Producer : public Module {
  public:
@@ -112,7 +100,7 @@ class Consumer : public Module {
 };
 
 TEST(Simulator, ProducerConsumerInOrder) {
-  Simulator simulator(100e6);
+  Simulator simulator;
   Fifo<int> f(2);
   simulator.add_commit_hook([&] { f.commit(); });
   Producer p(f);
@@ -148,11 +136,10 @@ TEST(Simulator, ModuleOrderDoesNotChangeBehaviour) {
   EXPECT_EQ(run_with_order(true), run_with_order(false));
 }
 
-TEST(Simulator, CycleCountAndElapsed) {
-  Simulator simulator(125e6);
+TEST(Simulator, CycleCount) {
+  Simulator simulator;
   simulator.run(125);
   EXPECT_EQ(simulator.cycle(), 125u);
-  EXPECT_NEAR(simulator.elapsed_seconds(), 1e-6, 1e-12);
 }
 
 TEST(Simulator, RunUntilPredicate) {
