@@ -265,8 +265,15 @@ void BM_ScanLevel960x540(benchmark::State& state) {
   const hog::BlockGrid blocks = hog::normalize_cells(cells, params);
   detect::ScanOptions scan;
   scan.threshold = 1e9f;
+  score::CpuBackend backend;
+  score::ScoreBatch batch;
+  batch.configure(static_cast<std::size_t>(params.descriptor_size()),
+                  score::kDefaultBatchCapacity);
+  std::vector<detect::Detection> hits;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(detect::scan_level(blocks, params, model, scan));
+    benchmark::DoNotOptimize(detect::scan_level_into(blocks, params, model,
+                                                     backend, scan, batch,
+                                                     hits));
   }
 }
 BENCHMARK(BM_ScanLevel960x540);

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/detect/scanner.hpp"
-#include "src/hog/descriptor.hpp"
 #include "src/util/assert.hpp"
 #include "src/util/logging.hpp"
-#include "src/util/timer.hpp"
 
 namespace pdet::core {
 namespace {
@@ -67,36 +64,28 @@ void ModelPyramidDetector::train(const dataset::WindowSet& base_windows) {
 detect::MultiscaleResult ModelPyramidDetector::detect(
     const imgproc::ImageF& frame) const {
   PDET_REQUIRE(trained());
-  // ONE extraction + normalization; every model scans the same grid.
-  const hog::CellGrid cells = hog::compute_cell_grid(frame, config_.base);
-  const hog::BlockGrid blocks = hog::normalize_cells(cells, config_.base);
+  // ONE extraction + normalization at the native scale; every model scans
+  // the same level. The models' windows are scale-sized, so their boxes are
+  // already in native pixels and only their scale names the model.
+  detect::MultiscaleOptions native;
+  native.scales = {1.0};
+  native.scan.threshold = config_.threshold;
+  native.run_nms = false;
+  engine_.build_pyramid(frame, config_.base, native);
 
   detect::MultiscaleResult result;
   for (const ScaledModel& sm : models_) {
-    if (blocks.blocks_x() < sm.params.blocks_per_window_x() ||
-        blocks.blocks_y() < sm.params.blocks_per_window_y()) {
-      continue;
+    const detect::MultiscaleResult& found =
+        engine_.scan_pyramid(sm.params, sm.model, native);
+    for (detect::LevelStats stats : found.per_level) {
+      stats.scale = sm.scale;
+      result.per_level.push_back(stats);
     }
-    detect::ScanOptions scan;
-    scan.threshold = config_.threshold;
-    const util::Timer level_timer;
-    const auto hits = detect::scan_level(blocks, sm.params, sm.model, scan);
-    // Same per-level bookkeeping contract as detect_multiscale (one
-    // LevelStats entry per scanned level, windows summed into the total).
-    detect::LevelStats stats;
-    stats.scale = sm.scale;
-    stats.cells_x = cells.cells_x();
-    stats.cells_y = cells.cells_y();
-    stats.windows = detect::scan_window_count(blocks, sm.params);
-    stats.detections = static_cast<long long>(hits.size());
-    stats.ms = level_timer.milliseconds();
-    result.windows_evaluated += stats.windows;
-    result.per_level.push_back(stats);
-    for (detect::Detection d : hits) {
-      // Already in native pixels: the window itself is scale-sized.
+    for (detect::Detection d : found.raw) {
       d.scale = sm.scale;
       result.raw.push_back(d);
     }
+    result.windows_evaluated += found.windows_evaluated;
   }
   result.levels = static_cast<int>(result.per_level.size());
   result.detections = detect::nms(result.raw, config_.nms_iou);

@@ -4,8 +4,10 @@
 // covers: instead of resizing the image (baseline) or the features (the
 // paper), train one SVM per object scale — with window sizes 64x128,
 // 80x160, ... — and scan every model over the *single* native-resolution
-// feature grid. All resampling moves into the (offline) training stage;
-// detection needs no pyramid at all, which is how [1] reached 135 fps.
+// feature grid (one DetectionEngine level at scale 1, scored per model by
+// the engine's scan step). All resampling moves into the (offline)
+// training stage; detection needs no pyramid at all, which is how [1]
+// reached 135 fps.
 // Included here so the three strategies can be compared head to head on the
 // same substrate.
 #pragma once
@@ -13,7 +15,7 @@
 #include <vector>
 
 #include "src/dataset/builder.hpp"
-#include "src/detect/multiscale.hpp"
+#include "src/detect/engine.hpp"
 #include "src/svm/train_dcd.hpp"
 
 namespace pdet::core {
@@ -42,7 +44,10 @@ class ModelPyramidDetector {
   const hog::HogParams& model_params(std::size_t i) const;
 
   /// Detect with every model over ONE feature extraction of the frame —
-  /// no image or feature pyramid at run time.
+  /// no image or feature pyramid at run time: a one-level build_pyramid at
+  /// scale 1, then one DetectionEngine::scan_pyramid per model. The frame
+  /// must be cell-aligned (see hog::require_frame_alignment). Not safe for
+  /// concurrent calls: the level is built in one reusable engine workspace.
   detect::MultiscaleResult detect(const imgproc::ImageF& frame) const;
 
  private:
@@ -53,6 +58,9 @@ class ModelPyramidDetector {
   };
   ModelPyramidConfig config_;
   std::vector<ScaledModel> models_;
+  /// Builds the native level and scores each model over it; its warm
+  /// workspace is scratch behind the const detect().
+  mutable detect::DetectionEngine engine_;
 };
 
 }  // namespace pdet::core

@@ -1,10 +1,7 @@
 #include "src/core/multiclass.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "src/detect/nms.hpp"
-#include "src/detect/scanner.hpp"
 #include "src/util/assert.hpp"
 
 namespace pdet::core {
@@ -52,37 +49,17 @@ std::vector<ClassDetection> MultiClassDetector::detect(
   pyramid.strategy = detect::PyramidStrategy::kFeature;
   pyramid.scales = options.scales;
   pyramid.feature_interp = options.feature_interp;
-  const auto levels = engine_.build_pyramid(frame, shared, pyramid);
+  pyramid.nms_iou = options.nms_iou;
+  engine_.build_pyramid(frame, shared, pyramid);
 
   std::vector<ClassDetection> out;
   for (std::size_t c = 0; c < classes_.size(); ++c) {
     const ObjectClass& cls = classes_[c];
-    std::vector<detect::Detection> raw;
-    for (const detect::LevelWorkspace& level : levels) {
-      if (!level.kept ||
-          level.blocks.blocks_x() < cls.params.blocks_per_window_x() ||
-          level.blocks.blocks_y() < cls.params.blocks_per_window_y()) {
-        continue;
-      }
-      detect::ScanOptions scan;
-      scan.threshold = cls.threshold;
-      const auto hits =
-          detect::scan_level(level.blocks, cls.params, cls.model, scan);
-      for (detect::Detection d : hits) {
-        d.x = static_cast<int>(std::lround(d.x * level.scale));
-        d.y = static_cast<int>(std::lround(d.y * level.scale));
-        d.width = static_cast<int>(std::lround(d.width * level.scale));
-        d.height = static_cast<int>(std::lround(d.height * level.scale));
-        d.scale = level.scale;
-        raw.push_back(d);
-      }
-    }
-    for (const auto& d : detect::nms(std::move(raw), options.nms_iou)) {
-      ClassDetection cd;
-      cd.class_index = static_cast<int>(c);
-      cd.class_name = cls.name;
-      cd.box = d;
-      out.push_back(std::move(cd));
+    pyramid.scan.threshold = cls.threshold;
+    const detect::MultiscaleResult& found =
+        engine_.scan_pyramid(cls.params, cls.model, pyramid);
+    for (const detect::Detection& d : found.detections) {
+      out.push_back({static_cast<int>(c), cls.name, d});
     }
   }
   return out;

@@ -6,7 +6,8 @@
 // realizes that architecture in software: the cell-histogram pyramid and
 // block normalization are computed once per frame, and one SVM per object
 // class (with its own window geometry — 64x128 pedestrians, 64x64 vehicles)
-// scans the shared normalized features, exactly as the hardware would run
+// scans the shared normalized features through the engine's one scan step
+// (DetectionEngine::scan_pyramid), exactly as the hardware would run
 // several MACBAR classifier instances against one NHOGMem.
 #pragma once
 
@@ -44,9 +45,11 @@ class MultiClassDetector {
   const std::string& class_name(std::size_t i) const;
 
   /// Detect all registered classes in one pass: one feature pyramid, one
-  /// normalization, N sliding-window scans. The frame must be cell-aligned
-  /// (see hog::require_frame_alignment). Not safe for concurrent calls: the
-  /// pyramid is built in one reusable engine workspace.
+  /// normalization, then one DetectionEngine::scan_pyramid per class (its
+  /// scan step, level-to-frame mapping and NMS). The frame must be
+  /// cell-aligned (see hog::require_frame_alignment). Not safe for
+  /// concurrent calls: the pyramid is built in one reusable engine
+  /// workspace.
   std::vector<ClassDetection> detect(const imgproc::ImageF& frame,
                                      const MulticlassOptions& options = {}) const;
 
@@ -58,8 +61,9 @@ class MultiClassDetector {
     float threshold;
   };
   std::vector<ObjectClass> classes_;
-  /// Builds the shared pyramid (kFeature, one lane); its warm workspace is
-  /// scratch behind the const detect(), like PedestrianDetector's engine.
+  /// Builds the shared pyramid (kFeature, one lane) and scores each class
+  /// over it; its warm workspace is scratch behind the const detect(), like
+  /// PedestrianDetector's engine.
   mutable detect::DetectionEngine engine_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/detect/scanner.hpp"
 #include "src/hog/feature_scale.hpp"
@@ -14,13 +15,29 @@
 namespace pdet::detect {
 namespace {
 
-struct LevelJobCtx {
-  DetectionEngine* engine;
-  const imgproc::ImageF* frame;
-  const hog::HogParams* params;
-  const svm::LinearModel* model;
-  const MultiscaleOptions* options;
-};
+/// Run `job(i)` for every level index in [0, count): on `pool`'s lanes, or
+/// inline when there is none.
+template <typename Job>
+void for_each_level(util::ThreadPool* pool, int count, Job& job) {
+  if (pool == nullptr) {
+    for (int i = 0; i < count; ++i) job(i);
+    return;
+  }
+  pool->parallel_for(
+      count, +[](void* ctx, int index) { (*static_cast<Job*>(ctx))(index); },
+      &job);
+}
+
+/// score_window's pass: one level at scale 1, every window's score kept.
+const MultiscaleOptions& window_pass() {
+  static const MultiscaleOptions options = [] {
+    MultiscaleOptions o;
+    o.scales = {1.0};
+    o.scan.threshold = -std::numeric_limits<float>::infinity();
+    return o;
+  }();
+  return options;
+}
 
 }  // namespace
 
@@ -47,10 +64,7 @@ std::size_t FrameWorkspace::capacity_bytes() const {
   total += result.detections.capacity() * sizeof(Detection) +
            result.raw.capacity() * sizeof(Detection) +
            result.per_level.capacity() * sizeof(LevelStats);
-  total += win_crop.capacity_bytes() + win_grad.capacity_bytes() +
-           win_cells.capacity_bytes() + win_blocks.capacity_bytes() +
-           win_block_scratch.capacity() * sizeof(float) +
-           win_batch.capacity_bytes();
+  total += win_crop.capacity_bytes();
   return total;
 }
 
@@ -67,6 +81,7 @@ DetectionEngine& DetectionEngine::operator=(const DetectionEngine& other) {
     stats_ = EngineStats{};
     high_water_bytes_ = 0;
     workspace_ = FrameWorkspace{};
+    built_levels_ = 0;
     pool_.reset();
   }
   return *this;
@@ -93,10 +108,12 @@ void DetectionEngine::set_scorer(score::ScoringBackend* scorer) {
   active_scorer_ = nullptr;
 }
 
-void DetectionEngine::ensure_pool() {
+util::ThreadPool* DetectionEngine::lanes(int count) {
+  if (options_.threads <= 1 || count <= 1) return nullptr;
   if (!pool_ || pool_->threads() != options_.threads) {
     pool_ = std::make_unique<util::ThreadPool>(options_.threads);
   }
+  return pool_.get();
 }
 
 score::ScoringBackend& DetectionEngine::ensure_backend() {
@@ -127,9 +144,7 @@ void DetectionEngine::run_level(const imgproc::ImageF& frame,
   PDET_REQUIRE(s >= 1.0);
   level.scale = s;
   level.kept = false;
-  level.cell_grids = 0;
-  level.gradient_pixels = 0;
-  level.score_batches = 0;
+  level.scanned = false;
   level.hits.clear();
 
   // Feature source for this level; points either at a shared read-only grid
@@ -144,9 +159,6 @@ void DetectionEngine::run_level(const imgproc::ImageF& frame,
         src = &level.scaled;
       }
       hog::compute_cell_grid_into(*src, params, level.grad, level.cells);
-      level.cell_grids = 1;
-      level.gradient_pixels = static_cast<long long>(src->width()) *
-                              static_cast<long long>(src->height());
       cells = &level.cells;
       break;
     }
@@ -191,26 +203,36 @@ void DetectionEngine::run_level(const imgproc::ImageF& frame,
                            .cells_y = cells->cells_y()};
   level.kept = true;
 
-  if (model != nullptr) {
-    level.batch.configure(static_cast<std::size_t>(params.descriptor_size()),
-                          score::kDefaultBatchCapacity);
-    level.score_batches =
-        scan_level_into(level.blocks, params, *model, *active_scorer_,
-                        options.scan, level.batch, level.hits);
-    level.stats.windows =
-        scan_window_count(level.blocks, params, options.scan.cell_stride);
-    level.stats.detections = static_cast<long long>(level.hits.size());
-    for (Detection& d : level.hits) {
-      // Map level coordinates back to the original frame — same arithmetic
-      // for every strategy.
-      d.x = static_cast<int>(std::lround(d.x * s));
-      d.y = static_cast<int>(std::lround(d.y * s));
-      d.width = static_cast<int>(std::lround(d.width * s));
-      d.height = static_cast<int>(std::lround(d.height * s));
-      d.scale = s;
-    }
-  }
+  if (model != nullptr) scan_step(level, params, *model, options.scan);
   level.stats.ms = level_timer.milliseconds();
+}
+
+void DetectionEngine::scan_step(LevelWorkspace& level,
+                                const hog::HogParams& params,
+                                const svm::LinearModel& model,
+                                const ScanOptions& scan) {
+  level.hits.clear();
+  level.scanned = level.kept &&
+                  level.blocks.blocks_x() >= params.blocks_per_window_x() &&
+                  level.blocks.blocks_y() >= params.blocks_per_window_y();
+  if (!level.scanned) return;
+  level.batch.configure(static_cast<std::size_t>(params.descriptor_size()),
+                        score::kDefaultBatchCapacity);
+  scan_level_into(level.blocks, params, model, *active_scorer_, scan,
+                  level.batch, level.hits);
+  level.stats.windows =
+      scan_window_count(level.blocks, params, scan.cell_stride);
+  level.stats.detections = static_cast<long long>(level.hits.size());
+  const double s = level.scale;
+  for (Detection& d : level.hits) {
+    // Map level coordinates back to the original frame — same arithmetic
+    // for every strategy and every caller.
+    d.x = static_cast<int>(std::lround(d.x * s));
+    d.y = static_cast<int>(std::lround(d.y * s));
+    d.width = static_cast<int>(std::lround(d.width * s));
+    d.height = static_cast<int>(std::lround(d.height * s));
+    d.scale = s;
+  }
 }
 
 void DetectionEngine::run_levels(const imgproc::ImageF& frame,
@@ -234,8 +256,7 @@ void DetectionEngine::run_levels(const imgproc::ImageF& frame,
     ws.levels.resize(static_cast<std::size_t>(n));
   }
 
-  // Shared inputs are prepared on the calling thread (unmuted, so their
-  // spans/counters record normally); levels then only read them.
+  // Shared inputs are prepared on the calling thread; levels only read them.
   ws.anchor_count = 0;
   if (options.strategy == PyramidStrategy::kFeature) {
     hog::compute_cell_grid_into(frame, params, ws.base_grad, ws.base_cells);
@@ -268,45 +289,11 @@ void DetectionEngine::run_levels(const imgproc::ImageF& frame,
     PDET_REQUIRE(ws.anchor_count > 0);
   }
 
-  if (options_.threads <= 1 || n <= 1) {
-    for (int i = 0; i < n; ++i) run_level(frame, params, model, options, i);
-    return;
-  }
-
-  ensure_pool();
-  LevelJobCtx ctx{this, &frame, &params, model, &options};
-  pool_->parallel_for(
-      n,
-      +[](void* raw_ctx, int index) {
-        auto* job = static_cast<LevelJobCtx*>(raw_ctx);
-        // Level lanes are muted by policy, not for safety (the obs layer
-        // is thread-safe): the engine publishes their counters as one
-        // per-frame aggregate below so counter totals stay identical at
-        // every --threads setting.
-        obs::ScopedThreadMute mute;
-        job->engine->run_level(*job->frame, *job->params, job->model,
-                               *job->options, index);
-      },
-      &ctx);
-
-  // Counters the muted workers would have recorded, published once.
-  long long cell_grids = 0;
-  long long gradient_pixels = 0;
-  long long dot_products = 0;
-  long long score_batches = 0;
-  for (int i = 0; i < n; ++i) {
-    const LevelWorkspace& level = ws.levels[static_cast<std::size_t>(i)];
-    cell_grids += level.cell_grids;
-    gradient_pixels += level.gradient_pixels;
-    if (level.kept) dot_products += level.stats.windows;
-    score_batches += level.score_batches;
-  }
-  if (cell_grids > 0) obs::counter_add("hog.cell_grids", cell_grids);
-  if (gradient_pixels > 0) {
-    obs::counter_add("imgproc.gradient_pixels", gradient_pixels);
-  }
-  if (dot_products > 0) obs::counter_add("svm.dot_products", dot_products);
-  if (score_batches > 0) obs::counter_add("score.batches", score_batches);
+  built_levels_ = n;
+  auto level_job = [&](int index) {
+    run_level(frame, params, model, options, index);
+  };
+  for_each_level(lanes(n), n, level_job);
 }
 
 std::span<const LevelWorkspace> DetectionEngine::build_pyramid(
@@ -330,28 +317,7 @@ const MultiscaleResult& DetectionEngine::process(
   PDET_TRACE_SCOPE("detect/multiscale");
   const util::Timer frame_timer;
   run_levels(frame, params, &model, options);
-
-  // Merge in level (scale) order: output is independent of which thread ran
-  // which level, hence bit-identical to the single-threaded run.
-  FrameWorkspace& ws = workspace_;
-  const int n = static_cast<int>(options.scales.size());
-  MultiscaleResult& result = ws.result;
-  result.raw.clear();
-  result.per_level.clear();
-  result.windows_evaluated = 0;
-  for (int i = 0; i < n; ++i) {
-    const LevelWorkspace& level = ws.levels[static_cast<std::size_t>(i)];
-    if (!level.kept) continue;
-    result.per_level.push_back(level.stats);
-    result.windows_evaluated += level.stats.windows;
-    result.raw.insert(result.raw.end(), level.hits.begin(), level.hits.end());
-  }
-  result.levels = static_cast<int>(result.per_level.size());
-  if (options.run_nms) {
-    nms_into(result.raw, options.nms_iou, ws.nms_scratch, result.detections);
-  } else {
-    result.detections = result.raw;
-  }
+  const MultiscaleResult& result = merge(options);
 
   obs::counter_add("hog.pyramid_levels", result.levels);
   obs::counter_add("detect.frames");
@@ -364,7 +330,7 @@ const MultiscaleResult& DetectionEngine::process(
   obs::observe("detect.frame_ms", frame_timer.milliseconds());
 
   ++stats_.frames;
-  const std::size_t bytes = ws.capacity_bytes();
+  const std::size_t bytes = workspace_.capacity_bytes();
   if (bytes > high_water_bytes_) {
     high_water_bytes_ = bytes;
     ++stats_.grow_events;
@@ -379,44 +345,69 @@ const MultiscaleResult& DetectionEngine::process(
   return result;
 }
 
-float DetectionEngine::score_window(const imgproc::ImageF& window,
-                                    const hog::HogParams& params,
-                                    const svm::LinearModel& model) {
-  PDET_TRACE_SCOPE("hog/window_descriptor");
+const MultiscaleResult& DetectionEngine::scan_pyramid(
+    const hog::HogParams& params, const svm::LinearModel& model,
+    const MultiscaleOptions& options) {
+  PDET_TRACE_SCOPE("detect/scan_pyramid");
   params.validate();
   PDET_REQUIRE(model.dimension() ==
                static_cast<std::size_t>(params.descriptor_size()));
+  ensure_backend();  // settle the scorer before any level lane reads it
+  auto scan_job = [&](int index) {
+    const util::Timer timer;
+    LevelWorkspace& level = workspace_.levels[static_cast<std::size_t>(index)];
+    scan_step(level, params, model, options.scan);
+    level.stats.ms = timer.milliseconds();
+  };
+  for_each_level(lanes(built_levels_), built_levels_, scan_job);
+  return merge(options);
+}
+
+const MultiscaleResult& DetectionEngine::merge(
+    const MultiscaleOptions& options) {
+  // Merge in level (scale) order: output is independent of which thread ran
+  // which level, hence bit-identical to the single-threaded run.
+  FrameWorkspace& ws = workspace_;
+  MultiscaleResult& result = ws.result;
+  result.raw.clear();
+  result.per_level.clear();
+  result.windows_evaluated = 0;
+  for (int i = 0; i < built_levels_; ++i) {
+    const LevelWorkspace& level = ws.levels[static_cast<std::size_t>(i)];
+    if (!level.scanned) continue;
+    result.per_level.push_back(level.stats);
+    result.windows_evaluated += level.stats.windows;
+    result.raw.insert(result.raw.end(), level.hits.begin(), level.hits.end());
+  }
+  result.levels = static_cast<int>(result.per_level.size());
+  if (options.run_nms) {
+    nms_into(result.raw, options.nms_iou, ws.nms_scratch, result.detections);
+  } else {
+    result.detections = result.raw;
+  }
+  return result;
+}
+
+float DetectionEngine::score_window(const imgproc::ImageF& window,
+                                    const hog::HogParams& params,
+                                    const svm::LinearModel& model) {
+  PDET_TRACE_SCOPE("detect/score_window");
   PDET_REQUIRE(window.width() >= params.window_width);
   PDET_REQUIRE(window.height() >= params.window_height);
-
-  FrameWorkspace& ws = workspace_;
   const imgproc::ImageF* src = &window;
   if (window.width() != params.window_width ||
       window.height() != params.window_height) {
     const int x0 = (window.width() - params.window_width) / 2;
     const int y0 = (window.height() - params.window_height) / 2;
     window.crop_into(x0, y0, params.window_width, params.window_height,
-                     ws.win_crop);
-    src = &ws.win_crop;
+                     workspace_.win_crop);
+    src = &workspace_.win_crop;
   }
-  hog::compute_cell_grid_into(*src, params, ws.win_grad, ws.win_cells);
-  hog::normalize_cells_into(ws.win_cells, params, ws.win_block_scratch,
-                            ws.win_blocks);
-  // Single-window batch through the engine's backend: every scoring path in
-  // the engine runs behind the same seam (the CPU kernel keeps this bitwise
-  // equal to model.decision of the window's descriptor).
-  score::ScoringBackend& scorer = ensure_backend();
-  score::ScoreBatch& batch = ws.win_batch;
-  batch.configure(static_cast<std::size_t>(params.descriptor_size()), 1);
-  batch.load(ws.win_blocks, params);
-  batch.push(0, 0);
-  scorer.score(model, batch);
-  obs::counter_add("svm.dot_products");
-  obs::counter_add("score.batches");
-  obs::observe("score.batch_fill", batch.fill());
-  const float result = batch.score(0);
-  batch.clear();
-  return result;
+  // The crop is exactly one window, so its one level holds one hit.
+  run_levels(*src, params, &model, window_pass());
+  const std::vector<Detection>& hits = workspace_.levels.front().hits;
+  return hits.empty() ? std::numeric_limits<float>::quiet_NaN()
+                      : hits.front().score;
 }
 
 }  // namespace pdet::detect

@@ -11,15 +11,23 @@
 // frame and re-shaped (never released) afterwards, so steady-state
 // process() calls perform zero heap allocations.
 //
+// A level becomes scores through one scan step (batch, scan_level_into on
+// the engine's backend, level-to-frame mapping, LevelStats) and the levels
+// are merged once, in scale order. process() runs the step on each level it
+// builds; scan_pyramid() runs it for another model over the levels of the
+// last build_pyramid(), which is how core::MultiClassDetector and
+// core::ModelPyramidDetector score several models over one pyramid, as the
+// paper runs several MACBAR classifiers against one NHOGMem; score_window()
+// is a one-level pass over its crop.
+//
 // Per-level parallelism is opt-in (EngineOptions::threads). Each pyramid
 // level owns its complete scratch set, so the arithmetic of a level is
 // independent of which thread runs it; levels are merged in scale order, and
 // the result is bit-identical to the single-threaded run for every
-// PyramidStrategy. With threads > 1 the workers run obs-muted — a policy
-// choice, not a safety one (the trace/metrics layer is thread-safe, see
-// trace.hpp): the engine publishes the per-level counters as aggregates
-// afterwards so counter totals stay identical at every threads setting.
-// Per-stage spans inside levels are only recorded when threads == 1.
+// PyramidStrategy. Level lanes record their own spans and counters (the
+// trace/metrics layer is thread-safe, see trace.hpp); each level is visited
+// exactly once, so the obs record of a frame is the same at every threads
+// setting.
 #pragma once
 
 #include <memory>
@@ -35,8 +43,8 @@ namespace pdet::detect {
 
 struct EngineOptions {
   /// Pyramid-level lanes. 1 (default) runs levels inline on the calling
-  /// thread with full per-stage tracing; N > 1 scans levels on a small
-  /// internal pool with identical (bit-for-bit) results.
+  /// thread; N > 1 runs them on a small internal pool with identical
+  /// (bit-for-bit) results, spans and counters.
   int threads = 1;
 
   /// Scoring backend for the scan (kAuto = scalar).
@@ -71,12 +79,10 @@ struct LevelWorkspace {
   hog::BlockGrid blocks;               ///< normalized features the scan reads
   std::vector<float> block_scratch;    ///< normalize's two-block-row ring
   score::ScoreBatch batch;             ///< level planes + windows to score
-  std::vector<Detection> hits;         ///< level detections, frame coords
+  std::vector<Detection> hits;         ///< last scan's detections, frame coords
   LevelStats stats;
   bool kept = false;                   ///< false = dropped (window too big)
-  int cell_grids = 0;                  ///< obs compensation when muted
-  long long gradient_pixels = 0;       ///< obs compensation when muted
-  long long score_batches = 0;         ///< obs compensation when muted
+  bool scanned = false;                ///< the last scan step scored it
 
   std::size_t capacity_bytes() const;
 };
@@ -104,14 +110,7 @@ struct FrameWorkspace {
   int anchor_count = 0;                ///< anchors active this frame
   std::vector<Detection> nms_scratch;
   MultiscaleResult result;             ///< what process() returns a ref to
-
-  // score_window scratch (satellite of the same zero-alloc story).
-  imgproc::ImageF win_crop;
-  imgproc::GradientField win_grad;     ///< cell-grid row scratch
-  hog::CellGrid win_cells;
-  hog::BlockGrid win_blocks;
-  std::vector<float> win_block_scratch;
-  score::ScoreBatch win_batch;  ///< one-window batch through the backend
+  imgproc::ImageF win_crop;            ///< score_window's center crop
 
   std::size_t capacity_bytes() const;
 };
@@ -145,9 +144,9 @@ class DetectionEngine {
   void set_scorer(score::ScoringBackend* scorer);
 
   /// Multi-scale detection over `frame`, semantically identical to
-  /// detect_multiscale() (same spans and counters at threads == 1, same
-  /// detections at any thread count). The returned reference points into the
-  /// workspace and is valid until the next process()/score_window() call.
+  /// detect_multiscale() (same detections, spans and counters at any thread
+  /// count). The returned reference points into the workspace and is valid
+  /// until the next process()/scan_pyramid()/score_window() call.
   const MultiscaleResult& process(const imgproc::ImageF& frame,
                                   const hog::HogParams& params,
                                   const svm::LinearModel& model,
@@ -160,14 +159,26 @@ class DetectionEngine {
   /// Returns this frame's level slots in ladder order; a slot with `kept`
   /// set holds its `scale`, `stats.cells_x/cells_y` and normalized `blocks`.
   /// The span points into the workspace and is valid until the next
-  /// process()/build_pyramid() call. Engine stats count process() frames
-  /// only.
+  /// process()/build_pyramid()/score_window() call. Engine stats count
+  /// process() frames only.
   std::span<const LevelWorkspace> build_pyramid(
       const imgproc::ImageF& frame, const hog::HogParams& params,
       const MultiscaleOptions& options);
 
-  /// Score one window-sized image (center-cropped if larger), equal to
-  /// hog::compute_window_descriptor + decision but through workspace scratch.
+  /// Score `model` over the kept levels of the last build_pyramid() with
+  /// process()'s scan step and merge, on the same lanes: process() equals
+  /// build_pyramid() followed by this call, bit for bit. `params` may differ
+  /// from the pyramid's only in the window size; a level that cannot hold
+  /// the window is skipped (no per_level entry, no hits). Reads the scan and
+  /// NMS fields of `options`; a level's stats.ms is its scan time. The
+  /// reference is valid until the next call that builds or scans.
+  const MultiscaleResult& scan_pyramid(const hog::HogParams& params,
+                                       const svm::LinearModel& model,
+                                       const MultiscaleOptions& options);
+
+  /// Score one window-sized image (center-cropped if larger): a one-level
+  /// pass over the crop, equal to hog::compute_window_descriptor + decision.
+  /// Replaces the levels of the last build_pyramid().
   float score_window(const imgproc::ImageF& window,
                      const hog::HogParams& params,
                      const svm::LinearModel& model);
@@ -185,7 +196,19 @@ class DetectionEngine {
   void run_level(const imgproc::ImageF& frame, const hog::HogParams& params,
                  const svm::LinearModel* model,
                  const MultiscaleOptions& options, int index);
-  void ensure_pool();
+
+  /// The scan step: score `model` over one kept level that can hold its
+  /// window, map the hits to frame pixels and fill the level's stats.
+  void scan_step(LevelWorkspace& level, const hog::HogParams& params,
+                 const svm::LinearModel& model, const ScanOptions& scan);
+
+  /// Gather the scanned levels in scale order into the workspace result,
+  /// then NMS.
+  const MultiscaleResult& merge(const MultiscaleOptions& options);
+
+  /// The level pool when more than one lane can work on `count` levels,
+  /// else nullptr (levels run inline).
+  util::ThreadPool* lanes(int count);
 
   /// Resolve the active backend, creating the engine-owned one on demand.
   /// Called from the process()/score_window() entry thread before any level
@@ -196,6 +219,7 @@ class DetectionEngine {
   EngineStats stats_;
   std::size_t high_water_bytes_ = 0;
   FrameWorkspace workspace_;
+  int built_levels_ = 0;  ///< level slots the last run_levels() filled
   std::unique_ptr<util::ThreadPool> pool_;  ///< lazily created, threads > 1
   std::unique_ptr<score::ScoringBackend> owned_backend_;
   score::ScoringBackend* active_scorer_ = nullptr;  ///< settled per frame

@@ -11,9 +11,8 @@ namespace pdet::detect {
 namespace {
 
 /// Score the batch's windows and emit detections in push (row-major) order.
-/// Scoring metrics are recorded here, on the thread that owns the scan, so
-/// a muted engine lane's counts can be compensated exactly by the engine's
-/// aggregates (backends keep only their own BackendStats).
+/// Scoring metrics are recorded here, on the thread that owns the scan
+/// (backends keep only their own BackendStats).
 void flush_batch(const svm::LinearModel& model, score::ScoringBackend& backend,
                  const ScanOptions& options, const hog::HogParams& params,
                  score::ScoreBatch& batch, std::vector<Detection>& out) {
@@ -41,20 +40,6 @@ void flush_batch(const svm::LinearModel& model, score::ScoringBackend& backend,
 }
 
 }  // namespace
-
-std::vector<Detection> scan_level(const hog::BlockGrid& blocks,
-                                  const hog::HogParams& params,
-                                  const svm::LinearModel& model,
-                                  const ScanOptions& options) {
-  params.validate();
-  score::CpuBackend backend;
-  score::ScoreBatch batch;
-  batch.configure(static_cast<std::size_t>(params.descriptor_size()),
-                  score::kDefaultBatchCapacity);
-  std::vector<Detection> out;
-  scan_level_into(blocks, params, model, backend, options, batch, out);
-  return out;
-}
 
 long long scan_level_into(const hog::BlockGrid& blocks,
                           const hog::HogParams& params,

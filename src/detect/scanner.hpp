@@ -6,7 +6,7 @@
 // 36-cycle window cadence implements.
 #pragma once
 
-#include <span>
+#include <vector>
 
 #include "src/detect/detection.hpp"
 #include "src/imgproc/image.hpp"
@@ -21,26 +21,18 @@ struct ScanOptions {
   int cell_stride = 1;     ///< window step in cells (1 = paper's stride)
 };
 
-/// Scan every window position of `blocks` with `model`, scoring through a
-/// local CPU backend (every score bitwise equal to LinearModel::decision of
-/// the window's descriptor). Detections are reported in the *level's* pixel
-/// coordinates; the caller rescales to the original frame (multiscale.cpp
-/// does this).
-std::vector<Detection> scan_level(const hog::BlockGrid& blocks,
-                                  const hog::HogParams& params,
-                                  const svm::LinearModel& model,
-                                  const ScanOptions& options);
-
-/// Batched scan core: `batch` (which the caller has configure()d to
-/// `params.descriptor_size()` with its chosen capacity) loads the level's
-/// window-minor planes once, then takes window anchors row-major and is
-/// flushed through `backend` whenever it fills — no descriptor is gathered.
-/// Detections land in `out` (cleared first) in row-major anchor order; a
-/// warm batch and warm `out` make the scan allocation-free (the
-/// DetectionEngine workspace path). Scoring metrics (svm.dot_products,
-/// score.batches, score.batch_fill) are recorded here on the calling thread
-/// — backends stay obs-silent so counters attribute to the stream that owns
-/// the windows. Returns the number of batches flushed.
+/// Scan every window position of `blocks` with `model`: `batch` (which the
+/// caller has configure()d to `params.descriptor_size()` with its chosen
+/// capacity) loads the level's window-minor planes once, then takes window
+/// anchors row-major and is flushed through `backend` whenever it fills —
+/// no descriptor is gathered, and every score is bitwise equal to
+/// LinearModel::decision of the window's descriptor. Detections land in
+/// `out` (cleared first) in row-major anchor order and in the *level's*
+/// pixel coordinates; DetectionEngine's scan step maps them to the frame. A
+/// warm batch and warm `out` make the scan allocation-free. Scoring metrics
+/// (svm.dot_products, score.batches, score.batch_fill) are recorded here on
+/// the calling thread — backends stay obs-silent so counters attribute to
+/// the stream that owns the windows. Returns the number of batches flushed.
 long long scan_level_into(const hog::BlockGrid& blocks,
                           const hog::HogParams& params,
                           const svm::LinearModel& model,

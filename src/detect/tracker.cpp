@@ -8,9 +8,17 @@
 #include "src/util/assert.hpp"
 
 namespace pdet::detect {
+namespace {
+
+constexpr double kMatchIou = 0.3;  ///< minimum IoU to associate
+constexpr int kMinHits = 2;        ///< frames before a track is "confirmed"
+/// EMA weights of the new growth and velocity samples.
+constexpr double kGrowthAlpha = 0.3;
+constexpr double kVelocityAlpha = 0.5;
+
+}  // namespace
 
 Tracker::Tracker(TrackerOptions options) : options_(options) {
-  PDET_REQUIRE(options.match_iou > 0.0 && options.match_iou <= 1.0);
   PDET_REQUIRE(options.max_misses >= 0);
   PDET_REQUIRE(options.position_alpha > 0.0 && options.position_alpha <= 1.0);
   PDET_REQUIRE(options.max_coast >= 0);
@@ -24,7 +32,7 @@ const std::vector<Track>& Tracker::update(
   det_used_.assign(detections.size(), false);
   trk_used_.assign(tracks_.size(), false);
   while (true) {
-    double best_iou = options_.match_iou;
+    double best_iou = kMatchIou;
     int best_t = -1;
     int best_d = -1;
     for (std::size_t t = 0; t < tracks_.size(); ++t) {
@@ -64,12 +72,12 @@ const std::vector<Track>& Tracker::update(
       const double growth =
           static_cast<double>(track.box.height - old_height) / old_height;
       track.height_growth_per_frame =
-          options_.growth_alpha * growth +
-          (1 - options_.growth_alpha) * track.height_growth_per_frame;
+          kGrowthAlpha * growth +
+          (1 - kGrowthAlpha) * track.height_growth_per_frame;
     }
     // Velocity sample = smoothed center's frame-to-frame delta. Coasting
     // tracks skip this block entirely, so they keep the last estimate.
-    const double va = options_.velocity_alpha;
+    const double va = kVelocityAlpha;
     const double new_cx = track.box.x + track.box.width / 2.0;
     const double new_cy = track.box.y + track.box.height / 2.0;
     track.vx_per_frame = va * (new_cx - old_cx) + (1 - va) * track.vx_per_frame;
@@ -127,7 +135,7 @@ void Tracker::predict_boxes(int frames_ahead,
   out.clear();
   const int ahead = std::min(frames_ahead, options_.max_coast);
   for (const Track& track : tracks_) {
-    if (!track.confirmed(options_.min_hits)) continue;
+    if (!track.confirmed(kMinHits)) continue;
     // A track that has coasted past the cap is gone, not predictable — an
     // uncapped extrapolation would drift its stale box across the frame.
     if (track.misses_in_a_row > options_.max_coast) continue;

@@ -40,13 +40,12 @@ struct Track {
   Detection predicted(int frames_ahead) const;
 };
 
+/// The association IoU (0.3), the hits that confirm a track (2) and the
+/// EMA weights of the growth (0.3) and velocity (0.5) samples are constants
+/// in tracker.cpp.
 struct TrackerOptions {
-  double match_iou = 0.3;     ///< minimum IoU to associate
   int max_misses = 3;         ///< coast this many frames, then drop
-  int min_hits = 2;           ///< frames before a track is "confirmed"
   double position_alpha = 0.6;  ///< EMA weight of the new detection
-  double growth_alpha = 0.3;    ///< EMA weight of the new growth sample
-  double velocity_alpha = 0.5;  ///< EMA weight of the new velocity sample
   /// Extrapolation cap for predict_boxes(): predictions beyond this many
   /// frames ahead are clamped to max_coast, and tracks that have already
   /// coasted past it (misses_in_a_row > max_coast) are excluded entirely.
@@ -67,7 +66,7 @@ class Tracker {
   const std::vector<Track>& tracks() const { return tracks_; }
 
   /// Fill `out` with Track::predicted(frames_ahead) for every confirmed
-  /// track (options().min_hits). `out` is cleared first and reuses its
+  /// track (two hits or more). `out` is cleared first and reuses its
   /// capacity — the runtime calls this per frame on a warm vector.
   /// Extrapolation is bounded by options().max_coast: frames_ahead is
   /// clamped to it, and tracks already coasting beyond it are skipped.

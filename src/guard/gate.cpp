@@ -5,6 +5,29 @@
 #include "src/util/assert.hpp"
 
 namespace pdet::guard {
+namespace {
+
+/// Blackout / saturation bounds on the global mean (luminance in [0,1]).
+constexpr float kMinMean = 0.02f;
+constexpr float kMaxMean = 0.98f;
+/// Contrast floor: global standard deviation below this is a flat frame
+/// (fog on the lens, severe gain compression). Rendered street scenes sit
+/// around 0.1–0.2; the floor is an order of magnitude under that.
+constexpr float kMinContrast = 0.005f;
+/// A row/column is "dead" when its variance is under kDeadLineVariance AND
+/// its mean is under kDeadMaxMean — a near-zero constant line. The mean
+/// bound keeps a naturally flat bright sky row from counting.
+constexpr float kDeadLineVariance = 1e-6f;
+constexpr float kDeadMaxMean = 0.02f;
+/// Dead-line verdict ladder: this many flags the reason (kDegraded) ...
+constexpr int kDegradedDeadLines = 2;
+/// ... and this many makes the frame kUnusable.
+constexpr int kUnusableDeadLines = 6;
+/// Tear detection: top-half sample rows all exactly equal to the previous
+/// frame while at least this many bottom-half cells changed.
+constexpr int kTearMinChanged = 8;
+
+}  // namespace
 
 const char* to_string(FrameQuality q) {
   switch (q) {
@@ -33,14 +56,6 @@ std::string reasons_to_string(std::uint32_t reasons) {
     out += n.name;
   }
   return out.empty() ? "none" : out;
-}
-
-FrameGuard::FrameGuard(GateOptions options) : options_(options) {
-  PDET_REQUIRE(options.min_mean >= 0.0f && options.min_mean < options.max_mean);
-  PDET_REQUIRE(options.min_contrast >= 0.0f);
-  PDET_REQUIRE(options.degraded_dead_lines >= 1);
-  PDET_REQUIRE(options.unusable_dead_lines >= options.degraded_dead_lines);
-  PDET_REQUIRE(options.tear_min_changed >= 1);
 }
 
 const GuardVerdict& FrameGuard::inspect(const imgproc::ImageF& frame) {
@@ -94,8 +109,7 @@ const GuardVerdict& FrameGuard::inspect(const imgproc::ImageF& frame) {
   // --- dead rows / columns --------------------------------------------
   for (int y = 0; y < h; ++y) {
     const auto uy = static_cast<std::size_t>(y);
-    if (row_var_[uy] < options_.dead_line_variance &&
-        row_mean_[uy] < options_.dead_max_mean) {
+    if (row_var_[uy] < kDeadLineVariance && row_mean_[uy] < kDeadMaxMean) {
       ++verdict_.dead_rows;
     }
   }
@@ -103,7 +117,7 @@ const GuardVerdict& FrameGuard::inspect(const imgproc::ImageF& frame) {
     const auto ux = static_cast<std::size_t>(x);
     const double cm = col_sum_[ux] / h;
     const double cv = std::max(0.0, col_sum2_[ux] / h - cm * cm);
-    if (cv < options_.dead_line_variance && cm < options_.dead_max_mean) {
+    if (cv < kDeadLineVariance && cm < kDeadMaxMean) {
       ++verdict_.dead_cols;
     }
   }
@@ -139,8 +153,7 @@ const GuardVerdict& FrameGuard::inspect(const imgproc::ImageF& frame) {
     // Tear: the whole top half is a byte-exact replay of the previous frame
     // while the bottom half carries new content. Live frames have per-pixel
     // sensor noise, so an all-identical top half cannot occur naturally.
-    tear = !frozen && changed_top == 0 &&
-           changed_bottom >= options_.tear_min_changed;
+    tear = !frozen && changed_top == 0 && changed_bottom >= kTearMinChanged;
     verdict_.frame_changed = !frozen;
   }
   prev_grid_ = grid_;
@@ -152,21 +165,18 @@ const GuardVerdict& FrameGuard::inspect(const imgproc::ImageF& frame) {
   std::uint32_t reasons = 0;
   if (frozen) reasons |= kReasonFrozen;
   if (tear) reasons |= kReasonTear;
-  if (verdict_.mean < options_.min_mean) reasons |= kReasonBlackout;
-  if (verdict_.mean > options_.max_mean) reasons |= kReasonOverexposed;
-  if (verdict_.contrast < options_.min_contrast) reasons |= kReasonLowContrast;
+  if (verdict_.mean < kMinMean) reasons |= kReasonBlackout;
+  if (verdict_.mean > kMaxMean) reasons |= kReasonOverexposed;
+  if (verdict_.contrast < kMinContrast) reasons |= kReasonLowContrast;
   const int dead_lines = std::max(verdict_.dead_rows, verdict_.dead_cols);
-  if (verdict_.dead_rows >= options_.degraded_dead_lines)
-    reasons |= kReasonDeadRows;
-  if (verdict_.dead_cols >= options_.degraded_dead_lines)
-    reasons |= kReasonDeadCols;
+  if (verdict_.dead_rows >= kDegradedDeadLines) reasons |= kReasonDeadRows;
+  if (verdict_.dead_cols >= kDegradedDeadLines) reasons |= kReasonDeadCols;
   verdict_.reasons = reasons;
 
   constexpr std::uint32_t kUnusableMask =
       kReasonFrozen | kReasonTear | kReasonBlackout | kReasonOverexposed |
       kReasonLowContrast;
-  if ((reasons & kUnusableMask) != 0 ||
-      dead_lines >= options_.unusable_dead_lines) {
+  if ((reasons & kUnusableMask) != 0 || dead_lines >= kUnusableDeadLines) {
     verdict_.quality = FrameQuality::kUnusable;
   } else if (reasons != 0) {
     verdict_.quality = FrameQuality::kDegraded;

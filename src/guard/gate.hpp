@@ -60,28 +60,6 @@ inline constexpr std::uint32_t kReasonDeadCols = 1u << 6;     ///< constant dark
 /// returns "none" for 0).
 std::string reasons_to_string(std::uint32_t reasons);
 
-struct GateOptions {
-  /// Blackout / saturation bounds on the global mean (luminance in [0,1]).
-  float min_mean = 0.02f;
-  float max_mean = 0.98f;
-  /// Contrast floor: global standard deviation below this is a flat frame
-  /// (fog on the lens, severe gain compression). Rendered street scenes sit
-  /// around 0.1–0.2; the floor is an order of magnitude under that.
-  float min_contrast = 0.005f;
-  /// A row/column is "dead" when its variance is under this AND its mean is
-  /// under dead_max_mean — a near-zero constant line. The mean bound keeps a
-  /// naturally flat bright sky row from counting.
-  float dead_line_variance = 1e-6f;
-  float dead_max_mean = 0.02f;
-  /// Dead-line verdict ladder: >= degraded_dead_lines flags the reason
-  /// (kDegraded), >= unusable_dead_lines makes the frame kUnusable.
-  int degraded_dead_lines = 2;
-  int unusable_dead_lines = 6;
-  /// Tear detection: top-half sample rows all exactly equal to the previous
-  /// frame while at least this many bottom-half cells changed.
-  int tear_min_changed = 8;
-};
-
 /// What inspect() measured, alongside the verdict. POD snapshot — the
 /// runtime copies the fields it forwards into StreamResult.
 struct GuardVerdict {
@@ -96,9 +74,12 @@ struct GuardVerdict {
   bool frame_changed = true;
 };
 
+/// The gate's bounds (blackout/saturation means, contrast floor, dead-line
+/// variance and mean, the dead-line verdict ladder, the tear threshold) are
+/// constants in gate.cpp.
 class FrameGuard {
  public:
-  explicit FrameGuard(GateOptions options = {});
+  FrameGuard() = default;
 
   /// Gate one frame. One pass over the pixels plus a kGrid x kGrid sample
   /// comparison; no allocation once the profile buffers have seen this
@@ -106,7 +87,6 @@ class FrameGuard {
   const GuardVerdict& inspect(const imgproc::ImageF& frame);
 
   const GuardVerdict& last() const { return verdict_; }
-  const GateOptions& options() const { return options_; }
 
   /// Forget the previous-frame sample grid (e.g. after a stream reset);
   /// the next inspect() cannot flag freeze/tear.
@@ -116,7 +96,6 @@ class FrameGuard {
   static constexpr int kGrid = 16;
 
  private:
-  GateOptions options_;
   GuardVerdict verdict_;
   // Warm per-frame state (high-water sized, never shrunk).
   std::vector<float> row_mean_;

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <tuple>
 
-#include "src/obs/trace.hpp"
 #include "src/util/assert.hpp"
 #include "src/util/strings.hpp"
 #include "src/util/table.hpp"
@@ -64,12 +63,7 @@ std::string prometheus_number(double v) {
 
 }  // namespace
 
-bool metrics_enabled() {
-  // The registry is thread-safe; per-thread mutes (the engine's level lanes,
-  // test helpers) still read metrics as disabled so deliberately redundant
-  // work stays out of the counters. See ScopedThreadMute in trace.hpp.
-  return g_metrics.load(std::memory_order_relaxed) && !obs_thread_muted();
-}
+bool metrics_enabled() { return g_metrics.load(std::memory_order_relaxed); }
 void set_metrics_enabled(bool enabled) {
   g_metrics.store(enabled, std::memory_order_relaxed);
 }

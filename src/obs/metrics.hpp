@@ -14,11 +14,10 @@
 // Thread model: the registry and every histogram are internally locked — any
 // thread may record concurrently, and exports snapshot under the same locks.
 // The free helpers (counter_add, gauge_set, observe) are the instrumentation
-// surface: they no-op unless metrics_enabled() (which per-thread mutes turn
-// off, see ScopedThreadMute), and compile out entirely under
-// PDET_OBS_DISABLED. Call sites on hot paths should still aggregate locally
-// and publish once per level/frame — the registry is a string-keyed map
-// behind a mutex, not a per-window facility.
+// surface: they no-op unless metrics_enabled() (one relaxed load), and
+// compile out entirely under PDET_OBS_DISABLED. Call sites on hot paths
+// should still aggregate locally and publish once per level/frame — the
+// registry is a string-keyed map behind a mutex, not a per-window facility.
 #pragma once
 
 #include <cstdint>

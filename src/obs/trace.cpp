@@ -22,7 +22,6 @@ constexpr bool kObsDefaultOn = false;
 #endif
 
 std::atomic<bool> g_tracing{kObsDefaultOn};
-thread_local int g_mute_depth = 0;
 
 // Each recording thread owns one ThreadBuffer, registered process-wide on
 // first span. The buffer's mutex is only ever contended by export/clear
@@ -85,16 +84,10 @@ void append_json_escaped(std::string& out, const char* s) {
 
 }  // namespace
 
-bool tracing_enabled() {
-  return g_tracing.load(std::memory_order_relaxed) && g_mute_depth == 0;
-}
+bool tracing_enabled() { return g_tracing.load(std::memory_order_relaxed); }
 void set_tracing_enabled(bool enabled) {
   g_tracing.store(enabled, std::memory_order_relaxed);
 }
-
-bool obs_thread_muted() { return g_mute_depth > 0; }
-ScopedThreadMute::ScopedThreadMute() { ++g_mute_depth; }
-ScopedThreadMute::~ScopedThreadMute() { --g_mute_depth; }
 
 ScopedSpan::ScopedSpan(const char* name) {
   if (!tracing_enabled()) return;

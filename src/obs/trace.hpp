@@ -12,11 +12,13 @@
 // Spans nest lexically. The recorder is thread-safe: each recording thread
 // appends to its own buffer (registered process-wide on first use, one
 // uncontended lock per span), and the export calls merge every thread's
-// events into one start-ordered view. pdet stopped being single-threaded in
-// PR 2 — engine level lanes, runtime workers, the net io thread and the
-// watchdog all execute instrumented code concurrently — so spans carry the
+// events into one start-ordered view. Engine level lanes, tile lanes,
+// runtime workers, the net io thread and the watchdog all execute
+// instrumented code concurrently and record directly, so spans carry the
 // recording thread's id and the merged export reconstructs per-thread
-// nesting. Exports are Chrome/Perfetto trace_event JSON (chrome://tracing,
+// nesting. Work that runs once per frame records once whichever thread runs
+// it, so a frame's spans and counters do not depend on the lane count.
+// Exports are Chrome/Perfetto trace_event JSON (chrome://tracing,
 // ui.perfetto.dev; one timeline row per recording thread) or an aggregated
 // per-stage summary table with total/self time.
 //
@@ -38,31 +40,6 @@ namespace pdet::obs {
 /// are not recorded).
 bool tracing_enabled();
 void set_tracing_enabled(bool enabled);
-
-/// Per-thread opt-out for the whole obs surface (spans *and* metrics).
-///
-/// Thread model (since the distributed-observability PR): the trace
-/// recorder and the metrics registry are thread-safe — any thread may
-/// record spans or bump metrics concurrently. ScopedThreadMute is therefore
-/// no longer a *safety* requirement; it is a *policy* tool: a thread that
-/// holds one reads tracing and metrics as disabled, which keeps deliberately
-/// redundant work out of the record. The remaining holders are
-///   - detect::DetectionEngine's per-level lanes, whose counters the engine
-///     re-publishes as per-frame aggregates (keeping counter totals
-///     identical at every --threads setting), and
-///   - short-lived helper threads in tests that must not perturb counts.
-/// The runtime server's workers and the net service's io thread used to be
-/// muted wholesale; they now record freely (per-thread span buffers, merged
-/// at export). Mutes nest per thread and are independent across threads.
-bool obs_thread_muted();
-
-class ScopedThreadMute {
- public:
-  ScopedThreadMute();
-  ~ScopedThreadMute();
-  ScopedThreadMute(const ScopedThreadMute&) = delete;
-  ScopedThreadMute& operator=(const ScopedThreadMute&) = delete;
-};
 
 /// One completed (or still-open, dur_ns == 0) span.
 struct TraceEvent {

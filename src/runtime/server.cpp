@@ -68,7 +68,6 @@ DetectionServer::Stream::Stream(int id, std::string name,
               [this](const StreamResult& r) { delivered(r); }),
       callback(std::move(on_result)),
       tracked(options.guard.enabled || options.tiling.enabled),
-      gate(options.guard.gate),
       camera(options.guard.camera),
       // The tile engines score through the server's one backend, so backend
       // stats cover the tiled path too.
@@ -219,9 +218,8 @@ SubmitStatus DetectionServer::submit(int stream, const imgproc::ImageF& frame,
 void DetectionServer::worker_main(WorkerState* state,
                                   detect::DetectionEngine* engine) {
   // Workers record spans and metrics directly — the obs layer keeps a buffer
-  // per thread and merges at export, so no mute is needed here. (The engine
-  // still mutes its own per-level lanes internally and re-publishes their
-  // counters as aggregates, keeping totals thread-count-invariant.)
+  // per thread and merges at export. So do the engine's level lanes: each
+  // level records once, so totals do not depend on the lane count.
   FrameTask task;       // reused: pop() swaps queue slots through it
   StreamResult result;  // reused: detection vector stays warm
   while (queue_.pop(task)) {

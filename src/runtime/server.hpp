@@ -105,7 +105,6 @@ struct TilingOptions {
 /// runtime.health ladder and the wire StatsReport.
 struct InputGuardOptions {
   bool enabled = false;
-  guard::GateOptions gate;
   guard::CameraHealthOptions camera;
 };
 

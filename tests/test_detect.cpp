@@ -160,6 +160,18 @@ class DetectFixture : public testing::Test {
     model_ = nullptr;
   }
 
+  /// One level through scan_level_into on a fresh CPU backend and batch.
+  static std::vector<Detection> scan_hits(const hog::BlockGrid& blocks,
+                                          const ScanOptions& options) {
+    score::CpuBackend backend;
+    score::ScoreBatch batch;
+    batch.configure(static_cast<std::size_t>(params_->descriptor_size()),
+                    score::kDefaultBatchCapacity);
+    std::vector<Detection> hits;
+    scan_level_into(blocks, *params_, *model_, backend, options, batch, hits);
+    return hits;
+  }
+
   static hog::HogParams* params_;
   static svm::LinearModel* model_;
 };
@@ -179,7 +191,7 @@ TEST_F(DetectFixture, ScanFindsPlantedPedestrian) {
   const hog::BlockGrid blocks = hog::normalize_cells(cells, *params_);
   ScanOptions scan;
   scan.threshold = 0.0f;
-  const auto hits = scan_level(blocks, *params_, *model_, scan);
+  const auto hits = scan_hits(blocks, scan);
   ASSERT_FALSE(hits.empty());
   // The best hit must be near the planted location.
   const Detection* best = &hits[0];
@@ -209,8 +221,7 @@ TEST_F(DetectFixture, ScanStrideReducesDetections) {
   s1.threshold = -1e9f;
   ScanOptions s2 = s1;
   s2.cell_stride = 2;
-  EXPECT_GT(scan_level(blocks, *params_, *model_, s1).size(),
-            scan_level(blocks, *params_, *model_, s2).size());
+  EXPECT_GT(scan_hits(blocks, s1).size(), scan_hits(blocks, s2).size());
 }
 
 class StrategyTest : public DetectFixture,
@@ -320,7 +331,7 @@ TEST_F(DetectFixture, ScoreMapAgreesWithScan) {
   const imgproc::ImageF map = score_map(blocks, *params_, *model_);
   ScanOptions scan;
   scan.threshold = -1e9f;
-  const auto hits = scan_level(blocks, *params_, *model_, scan);
+  const auto hits = scan_hits(blocks, scan);
   ASSERT_EQ(hits.size(),
             static_cast<std::size_t>(map.width()) * static_cast<std::size_t>(map.height()));
   for (const auto& h : hits) {

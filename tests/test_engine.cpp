@@ -1,16 +1,22 @@
 // Tests for detect::DetectionEngine: equivalence with the free-function
-// chain, buffer-reuse determinism, thread-count invariance, and the level
+// chain and with build_pyramid + scan_pyramid, buffer-reuse determinism,
+// thread-count invariance of results and of the obs record, and the level
 // structure of build_pyramid for each PyramidStrategy.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/core/pedestrian_detector.hpp"
 #include "src/detect/engine.hpp"
 #include "src/detect/multiscale.hpp"
 #include "src/hog/descriptor.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
+#include "src/tile/engine.hpp"
 #include "src/util/rng.hpp"
 
 namespace pdet::detect {
@@ -136,6 +142,18 @@ TEST_P(EngineTest, ThreadCountDoesNotChangeResults) {
         parallel.process(frame_, params_, model_, opts);
     SCOPED_TRACE(threads);
     expect_identical(baseline, got);
+  }
+}
+
+TEST_P(EngineTest, ProcessEqualsBuildPyramidThenScanPyramid) {
+  const MultiscaleOptions opts = options();
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(threads);
+    DetectionEngine whole(EngineOptions{.threads = threads});
+    const MultiscaleResult want = whole.process(frame_, params_, model_, opts);
+    DetectionEngine split(EngineOptions{.threads = threads});
+    split.build_pyramid(frame_, params_, opts);
+    expect_identical(split.scan_pyramid(params_, model_, opts), want);
   }
 }
 
@@ -272,6 +290,84 @@ TEST(EnginePyramid, HybridIntermediateLevelsFromNearestLowerOctave) {
   EXPECT_EQ(levels[0].stats.cells_x, 27);
   EXPECT_EQ(levels[1].stats.cells_x, 13);
 }
+
+#ifndef PDET_OBS_DISABLED
+/// What one frame left in the obs record.
+struct ObsRecord {
+  std::map<std::string, long long> counters;
+  std::uint64_t fill_samples = 0;
+  std::map<std::string, std::uint64_t> spans;  ///< span count per name
+};
+
+template <typename Run>
+ObsRecord record_obs(Run run) {
+  obs::Registry& registry = obs::Registry::instance();
+  registry.reset();
+  obs::clear_trace();
+  obs::set_metrics_enabled(true);
+  obs::set_tracing_enabled(true);
+  run();
+  obs::set_tracing_enabled(false);
+  obs::set_metrics_enabled(false);
+  ObsRecord r;
+  for (const char* name : {"hog.cell_grids", "imgproc.gradient_pixels",
+                           "svm.dot_products", "score.batches"}) {
+    r.counters[name] = registry.counter(name);
+  }
+  if (registry.has_histogram("score.batch_fill")) {
+    r.fill_samples = registry.histogram("score.batch_fill").summary().count;
+  }
+  for (const obs::SpanStats& s : obs::trace_summary()) {
+    r.spans[s.name] = s.count;
+  }
+  registry.reset();
+  obs::clear_trace();
+  return r;
+}
+
+void expect_same_record(const ObsRecord& a, const ObsRecord& b) {
+  EXPECT_EQ(a.counters, b.counters);
+  EXPECT_EQ(a.fill_samples, b.fill_samples);
+  EXPECT_EQ(a.spans, b.spans);
+}
+
+// Level lanes and tile lanes record their own spans and counters; each
+// level and tile is visited exactly once, so a frame leaves the same record
+// at every lane count.
+TEST(EngineObs, CountersAndSpansDoNotDependOnLaneCount) {
+  hog::HogParams params;
+  const svm::LinearModel model = make_model(params, 31);
+  const imgproc::ImageF frame = make_frame(320, 240, 32);
+  MultiscaleOptions opts;
+  opts.scales = {1.0, 1.25, 1.5, 2.0};
+
+  std::vector<ObsRecord> engine_runs;
+  for (const int lanes : {1, 2, 4}) {
+    DetectionEngine engine(EngineOptions{.threads = lanes});
+    engine_runs.push_back(
+        record_obs([&] { engine.process(frame, params, model, opts); }));
+  }
+  ASSERT_GT(engine_runs[0].counters["score.batches"], 0);
+  ASSERT_GT(engine_runs[0].fill_samples, 0u);
+  for (std::size_t i = 1; i < engine_runs.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_same_record(engine_runs[0], engine_runs[i]);
+  }
+
+  std::vector<ObsRecord> tile_runs;
+  for (const int lanes : {1, 2}) {
+    tile::TileEngineOptions tile_options;
+    tile_options.plan.tiles_x = 2;
+    tile_options.plan.tiles_y = 2;
+    tile_options.threads = lanes;
+    tile::TileEngine tiles(tile_options);
+    tile_runs.push_back(
+        record_obs([&] { tiles.process(frame, params, model, opts); }));
+  }
+  ASSERT_GT(tile_runs[0].counters["hog.cell_grids"], 1);
+  expect_same_record(tile_runs[0], tile_runs[1]);
+}
+#endif
 
 TEST(EngineScoreWindow, MatchesFreeChainAndReuses) {
   hog::HogParams params;

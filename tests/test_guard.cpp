@@ -170,9 +170,9 @@ TEST(FrameGuard, BlackoutAndSaturationAreUnusable) {
 }
 
 TEST(FrameGuard, DeadRowLadderDegradedThenUnusable) {
-  const GateOptions opts;  // degraded at 2 dead lines, unusable at 6
+  // The gate flags 2 dead lines as degraded and 6 as unusable.
   {
-    FrameGuard gate(opts);
+    FrameGuard gate;
     imgproc::ImageF frame = noise_frame(96, 64, 6);
     for (int y = 10; y < 13; ++y) {  // 3 dead rows: degraded
       float* r = frame.row(y);
@@ -184,7 +184,7 @@ TEST(FrameGuard, DeadRowLadderDegradedThenUnusable) {
     EXPECT_EQ(v.dead_rows, 3);
   }
   {
-    FrameGuard gate(opts);
+    FrameGuard gate;
     imgproc::ImageF frame = noise_frame(96, 64, 7);
     for (int y = 10; y < 18; ++y) {  // 8 dead rows: unusable
       float* r = frame.row(y);

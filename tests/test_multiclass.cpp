@@ -3,14 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/core/model_pyramid.hpp"
 #include "src/core/multiclass.hpp"
 #include "src/dataset/builder.hpp"
 #include "src/dataset/scene.hpp"
+#include "src/detect/engine.hpp"
 #include "src/hog/descriptor.hpp"
+#include "src/imgproc/resize.hpp"
 #include "src/svm/model_selection.hpp"
 #include "src/svm/train_dcd.hpp"
 #include "src/util/logging.hpp"
@@ -18,6 +23,28 @@
 
 namespace pdet {
 namespace {
+
+svm::LinearModel random_model(const hog::HogParams& params,
+                              std::uint64_t seed) {
+  util::Rng rng(seed);
+  svm::LinearModel model;
+  model.weights.resize(static_cast<std::size_t>(params.descriptor_size()));
+  for (float& w : model.weights) w = static_cast<float>(rng.uniform(-1.0, 1.0));
+  model.bias = -0.25f;
+  return model;
+}
+
+/// Box geometry, scale and the score's bits.
+void expect_same_box(const detect::Detection& got,
+                     const detect::Detection& want) {
+  EXPECT_EQ(got.x, want.x);
+  EXPECT_EQ(got.y, want.y);
+  EXPECT_EQ(got.width, want.width);
+  EXPECT_EQ(got.height, want.height);
+  EXPECT_EQ(got.scale, want.scale);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(got.score),
+            std::bit_cast<std::uint32_t>(want.score));
+}
 
 // ------------------------------------------------------------ vehicles -----
 
@@ -135,6 +162,69 @@ TEST_F(MultiClassFixture, VehicleWindowsAreSquare) {
       EXPECT_EQ(d.box.height, 2 * d.box.width);
     }
   }
+}
+
+// Each class of a multi-class pass is exactly what the engine detects for
+// that class alone over the same ladder (equivalence, not golden CRCs: the
+// float front end rounds differently on the AVX2 and baseline copies).
+TEST(MultiClassEquivalence, EachClassEqualsItsOwnEngineProcess) {
+  hog::HogParams ped;
+  hog::HogParams veh;
+  veh.window_width = 64;
+  veh.window_height = 64;
+  const svm::LinearModel ped_model = random_model(ped, 91);
+  const svm::LinearModel veh_model = random_model(veh, 92);
+  core::MultiClassDetector detector;
+  detector.add_class("pedestrian", ped, ped_model, 0.5f);
+  detector.add_class("vehicle", veh, veh_model, 0.25f);
+
+  util::Rng rng(93);
+  dataset::SceneOptions sopts;
+  sopts.width = 640;
+  sopts.height = 480;
+  sopts.pedestrian_distances_m = {14.0, 22.0};
+  dataset::Scene scene = dataset::render_scene(rng, sopts);
+  dataset::draw_vehicle_into(scene.image, rng, 420, 420, 110, 0.8f);
+
+  core::MulticlassOptions opts;
+  // At scale 4 the level is 120 px tall: it holds the 64x64 vehicle window
+  // but not the 64x128 pedestrian one.
+  opts.scales = {1.0, 1.26, 1.59, 2.0, 4.0};
+  const std::vector<core::ClassDetection> got =
+      detector.detect(scene.image, opts);
+
+  const struct {
+    const hog::HogParams& params;
+    const svm::LinearModel& model;
+    float threshold;
+  } classes[] = {{ped, ped_model, 0.5f}, {veh, veh_model, 0.25f}};
+  std::size_t at = 0;
+  for (int c = 0; c < 2; ++c) {
+    SCOPED_TRACE(c);
+    detect::MultiscaleOptions ms;
+    ms.strategy = detect::PyramidStrategy::kFeature;
+    ms.scales = opts.scales;
+    ms.feature_interp = opts.feature_interp;
+    ms.scan.threshold = classes[c].threshold;
+    ms.nms_iou = opts.nms_iou;
+    detect::DetectionEngine engine;
+    const detect::MultiscaleResult& want = engine.process(
+        scene.image, classes[c].params, classes[c].model, ms);
+    ASSERT_FALSE(want.detections.empty());
+    // The scale-4 level is scanned for the vehicle only.
+    bool at_four = false;
+    for (const detect::LevelStats& level : want.per_level) {
+      at_four = at_four || level.scale == 4.0;
+    }
+    EXPECT_EQ(at_four, c == 1);
+    for (const detect::Detection& d : want.detections) {
+      ASSERT_LT(at, got.size());
+      EXPECT_EQ(got[at].class_index, c);
+      expect_same_box(got[at].box, d);
+      ++at;
+    }
+  }
+  EXPECT_EQ(at, got.size());
 }
 
 TEST(MultiClass, RejectsIncompatibleClassParams) {
@@ -274,6 +364,66 @@ TEST_F(ModelPyramidFixture, BoxesComeBackInNativePixels) {
     }
   }
   EXPECT_TRUE(saw128);
+}
+
+// Every model scans the one native-scale level exactly as a scale-1 engine
+// pass with that model does; only the boxes' scale names the model. The
+// reference models are trained here by the detector's recipe (training set
+// up-sampled to the model's window, then DCD), which is deterministic.
+TEST(ModelPyramid, EachModelEqualsAScaleOneEngineProcess) {
+  core::ModelPyramidConfig config;
+  config.scales = {1.0, 1.5, 2.0};
+  config.threshold = -0.5f;
+  config.training.max_epochs = 20;
+  const dataset::WindowSet windows = dataset::make_window_set(85, 30, 60);
+  core::ModelPyramidDetector detector(config);
+  detector.train(windows);
+
+  util::Rng rng(84);
+  imgproc::ImageF frame(448, 448, 0.55f);
+  dataset::fill_background(frame, rng, 0.55f);
+  dataset::draw_pedestrian_into(frame, rng, 100, 190, 107, 0.12f);
+  dataset::draw_pedestrian_into(frame, rng, 320, 400, 205, 0.9f);
+  const detect::MultiscaleResult got = detector.detect(frame);
+  ASSERT_FALSE(got.raw.empty());
+  ASSERT_EQ(got.per_level.size(), config.scales.size());
+
+  std::size_t at = 0;
+  for (std::size_t m = 0; m < config.scales.size(); ++m) {
+    SCOPED_TRACE(m);
+    const hog::HogParams& params = detector.model_params(m);
+    dataset::WindowSet scaled;
+    scaled.labels = windows.labels;
+    for (const imgproc::ImageF& w : windows.windows) {
+      scaled.windows.push_back(imgproc::resize(w, params.window_width,
+                                               params.window_height,
+                                               imgproc::Interp::kBicubic));
+    }
+    const svm::LinearModel model =
+        svm::train_dcd(dataset::to_svm_dataset(scaled, params), config.training);
+    detect::MultiscaleOptions ms;
+    ms.scales = {1.0};
+    ms.scan.threshold = config.threshold;
+    detect::DetectionEngine engine;
+    const detect::MultiscaleResult& want =
+        engine.process(frame, params, model, ms);
+    ASSERT_EQ(want.per_level.size(), 1u);
+    EXPECT_EQ(got.per_level[m].scale, config.scales[m]);
+    EXPECT_EQ(got.per_level[m].windows, want.per_level[0].windows);
+    EXPECT_EQ(got.per_level[m].detections, want.per_level[0].detections);
+    EXPECT_EQ(got.per_level[m].cells_x, want.per_level[0].cells_x);
+    EXPECT_EQ(got.per_level[m].cells_y, want.per_level[0].cells_y);
+    for (detect::Detection d : want.raw) {
+      ASSERT_LT(at, got.raw.size());
+      d.scale = config.scales[m];
+      expect_same_box(got.raw[at], d);
+      ++at;
+    }
+  }
+  EXPECT_EQ(at, got.raw.size());
+  EXPECT_EQ(got.windows_evaluated, got.per_level[0].windows +
+                                       got.per_level[1].windows +
+                                       got.per_level[2].windows);
 }
 
 TEST(ModelPyramid, DetectWithoutTrainDies) {

@@ -215,45 +215,6 @@ TEST_F(ObsTest, ConcurrentSpansMergeWithPerThreadOrderPreserved) {
   EXPECT_EQ(count_of(json, "\"ph\":\"X\""), events.size());
 }
 
-TEST_F(ObsTest, WorkerPoolMutesAreIndependentAndReleaseCleanly) {
-  set_tracing_enabled(true);
-  set_metrics_enabled(true);
-  constexpr int kWorkers = 6;  // even: half muted, half recording
-  std::atomic<int> ready{0};
-  std::vector<std::thread> pool;
-  for (int i = 0; i < kWorkers; ++i) {
-    pool.emplace_back([i, &ready] {
-      ready.fetch_add(1);
-      while (ready.load() < kWorkers) {}
-      if (i % 2 == 0) {
-        ScopedThreadMute mute;
-        { PDET_TRACE_SCOPE("pool/muted"); }
-        counter_add("pool.frames", 1);
-      } else {
-        { PDET_TRACE_SCOPE("pool/live"); }
-        counter_add("pool.frames", 1);
-      }
-      // Past its guard, every worker records again.
-      { PDET_TRACE_SCOPE("pool/after"); }
-      counter_add("pool.after", 1);
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  // Muted workers contributed nothing inside the guard, everything after.
-  EXPECT_EQ(Registry::instance().counter("pool.frames"), kWorkers / 2);
-  EXPECT_EQ(Registry::instance().counter("pool.after"), kWorkers);
-  std::size_t live = 0;
-  std::size_t after = 0;
-  for (const TraceEvent& e : trace_events()) {
-    const std::string name(e.name);
-    EXPECT_NE(name, "pool/muted");
-    if (name == "pool/live") ++live;
-    if (name == "pool/after") ++after;
-  }
-  EXPECT_EQ(live, static_cast<std::size_t>(kWorkers / 2));
-  EXPECT_EQ(after, static_cast<std::size_t>(kWorkers));
-}
-
 TEST_F(ObsTest, FreeHelpersNoOpWhileMetricsDisabled) {
   ASSERT_FALSE(metrics_enabled());
   counter_add("off.counter", 7);
@@ -375,62 +336,6 @@ TEST_F(ObsTest, HwsimBridgePublishesCycleModel) {
   EXPECT_EQ(r.gauge("hwsim.cycles.classifier_frame"), 0.0);
 #endif
 }
-
-TEST(ThreadMute, NestsPerThread) {
-  EXPECT_FALSE(obs_thread_muted());
-  {
-    ScopedThreadMute outer;
-    EXPECT_TRUE(obs_thread_muted());
-    {
-      ScopedThreadMute inner;
-      EXPECT_TRUE(obs_thread_muted());
-    }
-    EXPECT_TRUE(obs_thread_muted());  // inner scope must not unmute the outer
-  }
-  EXPECT_FALSE(obs_thread_muted());
-}
-
-TEST(ThreadMute, IndependentAcrossThreads) {
-  ScopedThreadMute mute;  // this thread is muted...
-  ASSERT_TRUE(obs_thread_muted());
-  bool other_thread_muted = true;
-  std::thread([&] { other_thread_muted = obs_thread_muted(); }).join();
-  EXPECT_FALSE(other_thread_muted);  // ...but a fresh thread is not
-
-  // And the reverse: a thread muting itself leaves this thread untouched.
-  std::thread([] {
-    ScopedThreadMute worker_mute;
-    EXPECT_TRUE(obs_thread_muted());
-  }).join();
-  EXPECT_TRUE(obs_thread_muted());
-}
-
-#ifndef PDET_OBS_DISABLED
-TEST_F(ObsTest, MuteSilencesSpansAndMetricsThenReleases) {
-  set_tracing_enabled(true);
-  set_metrics_enabled(true);
-  {
-    ScopedThreadMute mute;
-    // A muted thread reads the whole obs surface as off...
-    EXPECT_FALSE(tracing_enabled());
-    EXPECT_FALSE(metrics_enabled());
-    { PDET_TRACE_SCOPE("muted_span"); }
-    counter_add("muted.counter", 5);
-    observe("muted.hist", 1.0);
-  }
-  EXPECT_TRUE(trace_events().empty());
-  EXPECT_EQ(Registry::instance().counter("muted.counter"), 0);
-  EXPECT_FALSE(Registry::instance().has_histogram("muted.hist"));
-
-  // ...and instrumentation works again the moment the guard is gone.
-  EXPECT_TRUE(tracing_enabled());
-  { PDET_TRACE_SCOPE("live_span"); }
-  counter_add("live.counter", 2);
-  ASSERT_EQ(trace_events().size(), 1u);
-  EXPECT_STREQ(trace_events()[0].name, "live_span");
-  EXPECT_EQ(Registry::instance().counter("live.counter"), 2);
-}
-#endif
 
 // --- frame timelines & the flight recorder (unconditional: the timeline
 // layer is data plumbing for the wire protocol, so it works — and is tested
